@@ -144,7 +144,7 @@ class GpuDevice:
 
     def _enqueue_one(self, channel: Channel, request: Request) -> None:
         """Shared per-request hardware-side submission (no engine kick)."""
-        request.completion = self.sim.event()
+        request.completion = Event(self.sim)
         if self.faults is not None:
             if self.faults.arm(fault_points.GPU_REQUEST_HANG, channel.task.name):
                 # The engine will start this request and never finish it.

@@ -223,9 +223,9 @@ class ExecutionEngine:
                 # penalized graphics channels are pending, also re-arbitrate
                 # once their cooldown expires (non-work-conserving hardware
                 # arbitration).
-                self._wake = self.sim.event()
+                self._wake = Event(self.sim)
                 if retry_delay is not None:
-                    cooldown = self.sim.event()
+                    cooldown = Event(self.sim)
                     timer = self.sim.schedule(retry_delay, cooldown.trigger)
                     first = yield AnyOf(self.sim, [cooldown, self._wake])
                     if first is not cooldown:

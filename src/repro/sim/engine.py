@@ -1,68 +1,44 @@
 """The discrete-event simulator core.
 
-A :class:`Simulator` owns the virtual clock and a queue of scheduled
-callbacks.  Callbacks scheduled for the same instant fire in the order they
-were scheduled (FIFO tie-breaking by a monotonically increasing sequence
-number), which makes every simulation deterministic.
+A :class:`Simulator` owns the virtual clock and one binary heap of
+scheduled callbacks, stored as plain tuples::
 
-Two event-queue backends implement that order (see
-:mod:`repro.sim.queues`): the default bucketed calendar queue, and the
-classic single binary heap selectable with ``Simulator(queue="heap")`` or
-the ``REPRO_SIM_QUEUE`` environment variable.  The pop order — and with it
-every simulation trajectory — is identical under both; the property tests
-in ``tests/sim/test_queues.py`` enforce that.
+    (time, seq, handle, fn, args)
+
+ordered by ``(time, seq)``.  ``seq`` is a monotonically increasing
+scheduling sequence number, so callbacks scheduled for the same instant
+fire in the order they were scheduled (FIFO tie-breaking), which makes
+every simulation deterministic.  ``seq`` values are unique, so ordering
+comparisons stay inside the C tuple compare and never reach the
+non-orderable tail.  ``handle`` is a :class:`TimerHandle` for cancellable
+entries and ``None`` for the internal fast path (event fan-out, process
+wakeups) that nothing ever cancels.
+
+Cancelling marks the handle and bumps the simulator's cancelled-entry
+counter; cancelled entries are skipped when they reach the head of the
+heap.  Once they are the majority (and at least
+``Simulator.COMPACT_MIN_CANCELLED`` of them exist) the heap is compacted
+in place, bounding memory under schedule/cancel churn (watchdog timeout
+patterns).
+Compaction cannot reorder live entries — the order is total.
+
+The push sites (``schedule*``, :meth:`Event.trigger
+<repro.sim.events.Event.trigger>`, the sleep path of
+:meth:`Process._resume <repro.sim.process.Process._resume>`) and the pop
+loops (:meth:`Simulator.run`, :meth:`Simulator.step`) call ``heapq``
+directly on ``Simulator._heap``: event dispatch is the simulator's hot
+path.  ``run`` holds the heap list in a local, which is why compaction
+rewrites the list in place instead of rebinding it.
 """
 
 from __future__ import annotations
 
-import os
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import Event, TimerHandle
 from repro.sim.process import Process
-from repro.sim.queues import COMPACT_MIN_CANCELLED, make_queue
-
-#: Backend used when ``Simulator(queue=None)``: the ``REPRO_SIM_QUEUE``
-#: environment variable ("calendar" or "heap"), read once at import so a
-#: whole experiment run — pool workers included — uses one backend.
-DEFAULT_QUEUE_BACKEND = os.environ.get("REPRO_SIM_QUEUE", "calendar")
-
-
-class TimerHandle:
-    """A cancellable handle for a scheduled callback.
-
-    Returned by :meth:`Simulator.schedule`.  Calling :meth:`cancel` before
-    the deadline prevents the callback from running; cancelling after it has
-    fired is a harmless no-op.
-    """
-
-    __slots__ = ("time", "seq", "_cancelled", "_queue", "_popped")
-
-    def __init__(self, time: float, seq: int, queue=None):
-        self.time = time
-        self.seq = seq
-        self._cancelled = False
-        self._queue = queue
-        self._popped = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        if self._queue is not None and not self._popped:
-            self._queue.note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def __lt__(self, other: "TimerHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "armed"
-        return f"TimerHandle(t={self.time:.3f}, seq={self.seq}, {state})"
 
 
 class Simulator:
@@ -81,14 +57,16 @@ class Simulator:
         sim.run(until=100.0)
     """
 
-    #: Compaction threshold (kept here for introspection; the queue
-    #: backends own the policy — see :mod:`repro.sim.queues`).
-    COMPACT_MIN_CANCELLED = COMPACT_MIN_CANCELLED
+    #: Never compact below this many cancelled entries (tiny heaps are
+    #: cheap to scan); only once cancelled entries are the majority is the
+    #: O(n) rebuild amortized.
+    COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.queue_backend = queue or DEFAULT_QUEUE_BACKEND
-        self._queue = make_queue(self.queue_backend)
+        self._heap: list[tuple] = []
+        #: Cancelled entries still stored in ``_heap``.
+        self._cancelled = 0
         self._seq = 0
         self._running = False
         self._processes: list[Process] = []
@@ -100,31 +78,21 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` microseconds of virtual time."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        queue = self._queue
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        handle = TimerHandle(time, seq, queue)
-        entry = (time, seq, handle, fn, args)
-        if delay == 0.0:
-            queue.push_now(entry)
-        else:
-            queue.push(entry)
+        handle = TimerHandle(time, seq, self)
+        heappush(self._heap, (time, seq, handle, fn, args))
         return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        now = self.now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past: {time} < {now}")
-        queue = self._queue
-        handle = TimerHandle(time, self._seq, queue)
-        entry = (time, self._seq, handle, fn, args)
-        self._seq += 1
-        if time == now:
-            queue.push_now(entry)
-        else:
-            queue.push(entry)
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        handle = TimerHandle(time, seq, self)
+        heappush(self._heap, (time, seq, handle, fn, args))
         return handle
 
     def schedule_now(self, fn: Callable[..., Any], *args: Any) -> None:
@@ -134,8 +102,9 @@ class Simulator:
         a cancellation handle — used by the event/process machinery, where
         stale wakeups are already guarded by tokens or trigger flags.
         """
-        self._queue.push_now((self.now, self._seq, None, fn, args))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now, seq, None, fn, args))
 
     def event(self) -> Event:
         """Create a fresh one-shot :class:`Event` bound to this simulator."""
@@ -154,22 +123,52 @@ class Simulator:
         return process
 
     # ------------------------------------------------------------------
+    # Cancellation bookkeeping
+    # ------------------------------------------------------------------
+    def _note_cancelled(self) -> None:
+        """Count one newly cancelled stored entry; compact when due."""
+        self._cancelled += 1
+        if (
+            self._cancelled >= self.COMPACT_MIN_CANCELLED
+            and self._cancelled * 2 >= len(self._heap)
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify the survivors in place."""
+        live = []
+        for entry in self._heap:
+            handle = entry[2]
+            if handle is not None and handle._cancelled:
+                handle._popped = True
+            else:
+                live.append(entry)
+        heapify(live)
+        # In place, never rebound: ``run`` holds the list in a local.
+        self._heap[:] = live
+        self._cancelled = 0
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending callback.  Returns False when idle."""
-        entry = self._queue.pop_live(None)
-        if entry is None:
-            return False
-        handle = entry[2]
-        if handle is not None:
-            handle._popped = True
-        self.now = entry[0]
-        entry[3](*entry[4])
-        return True
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            handle = entry[2]
+            if handle is not None:
+                handle._popped = True
+                if handle._cancelled:
+                    self._cancelled -= 1
+                    continue
+            self.now = entry[0]
+            entry[3](*entry[4])
+            return True
+        return False
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue is empty, or the clock passes ``until``.
+        """Run until the heap is empty, or the clock passes ``until``.
 
         When ``until`` is given, the clock is left exactly at ``until`` even
         if later events remain queued (they stay queued and a subsequent
@@ -178,13 +177,21 @@ class Simulator:
         if self._running:
             raise RuntimeError("Simulator.run is not reentrant")
         self._running = True
-        pop = self._queue.pop_live
+        heap = self._heap
+        limit = inf if until is None else until
         try:
-            while True:
-                entry = pop(until)
-                if entry is None:
-                    break
+            while heap:
+                entry = heappop(heap)
                 handle = entry[2]
+                if handle is not None and handle._cancelled:
+                    handle._popped = True
+                    self._cancelled -= 1
+                    continue
+                if entry[0] > limit:
+                    # Not due yet: put it back (the order is total, so
+                    # the next pop sees exactly the same head).
+                    heappush(heap, entry)
+                    break
                 if handle is not None:
                     handle._popped = True
                 self.now = entry[0]
@@ -197,12 +204,12 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) scheduled callbacks."""
-        return len(self._queue)
+        return len(self._heap) - self._cancelled
 
     @property
     def queued_entries(self) -> int:
-        """Total stored queue entries, cancelled ones included."""
-        return self._queue.allocated
+        """Total stored heap entries, cancelled ones included."""
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={self.pending_events})"

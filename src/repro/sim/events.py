@@ -1,11 +1,49 @@
-"""One-shot events and composite wait conditions."""
+"""One-shot events, timer handles and composite wait conditions."""
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
+
+
+class TimerHandle:
+    """A cancellable handle for a scheduled callback.
+
+    Returned by :meth:`Simulator.schedule
+    <repro.sim.engine.Simulator.schedule>`.  Calling :meth:`cancel` before
+    the deadline prevents the callback from running; cancelling after it has
+    fired is a harmless no-op.
+    """
+
+    __slots__ = ("time", "seq", "_cancelled", "_sim", "_popped")
+
+    def __init__(self, time: float, seq: int, sim: "Simulator") -> None:
+        self.time = time
+        self.seq = seq
+        self._cancelled = False
+        self._sim = sim
+        #: Set once the entry has left the heap (fired, skipped or compacted
+        #: away), so a late cancel does not count a stored entry.
+        self._popped = False
+
+    def cancel(self) -> None:
+        """Prevent the callback from firing (idempotent)."""
+        if self._cancelled:
+            return
+        self._cancelled = True
+        if not self._popped:
+            self._sim._note_cancelled()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "cancelled" if self._cancelled else "armed"
+        return f"TimerHandle(t={self.time:.3f}, seq={self.seq}, {state})"
 
 
 class Event:
@@ -38,18 +76,19 @@ class Event:
             # Equivalent to sim.schedule_now per callback, inlined: the
             # trigger fan-out is the hottest dispatch site in the core.
             sim = self.sim
-            queue = sim._queue
+            heap = sim._heap
             now = sim.now
             seq = sim._seq
             for callback in callbacks:
                 # Process waiters register as (resume, token) pairs — the
                 # fast path that skips building a wakeup closure per wait.
                 if callback.__class__ is tuple:
-                    queue.push_now(
-                        (now, seq, None, callback[0], (callback[1], value, None))
+                    heappush(
+                        heap,
+                        (now, seq, None, callback[0], (callback[1], value, None)),
                     )
                 else:
-                    queue.push_now((now, seq, None, callback, (self,)))
+                    heappush(heap, (now, seq, None, callback, (self,)))
                 seq += 1
             sim._seq = seq
         return self

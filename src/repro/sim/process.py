@@ -23,12 +23,13 @@ terminates them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import AnyOf, Event, TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator, TimerHandle
+    from repro.sim.engine import Simulator
 
 
 class ProcessKilled(Exception):
@@ -116,15 +117,37 @@ class Process:
         except Exception as error:
             self._finish(None, killed=False)
             raise ProcessCrashed(self.name, self.sim.now, error) from error
-        # The hot path — plain virtual-time sleeps — needs no wakeup
-        # registration at all, just a timer (inlined here: every resume
-        # ends in an arm, and most arms are sleeps).
-        if isinstance(target, (int, float)):
-            self._pending_timer = self.sim.schedule(
-                float(target), self._resume, self._wait_token, None, None
-            )
-        else:
-            self._arm(target)
+        # Every resume ends in an arm, so the two common ones are inlined
+        # here behind exact class checks: waiting on a plain Event, and a
+        # virtual-time sleep.  Event subclasses, AnyOf and joins go through
+        # _arm; numpy scalars, bool and other numeric subclasses through
+        # isinstance.
+        cls = target.__class__
+        if cls is Event:
+            waiter = (self._resume, self._wait_token)
+            target.add_waiter(waiter)
+            self._pending_wait = (target, waiter)
+            return
+        # A sleep needs no wakeup registration at all, just a timer entry
+        # pushed straight onto the simulator's heap (Simulator.schedule,
+        # inlined).
+        if cls is not float:
+            if cls is not int and not isinstance(target, (int, float)):
+                self._arm(target)
+                return
+            target = float(target)
+        if target < 0:
+            raise ValueError(f"negative delay: {target}")
+        sim = self.sim
+        time = sim.now + target
+        seq = sim._seq
+        sim._seq = seq + 1
+        handle = TimerHandle(time, seq, sim)
+        heappush(
+            sim._heap,
+            (time, seq, handle, self._resume, (self._wait_token, None, None)),
+        )
+        self._pending_timer = handle
 
     def _arm(self, target: Any) -> None:
         """Register the wakeup corresponding to a non-numeric yield."""
