@@ -27,10 +27,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import itertools  # noqa: E402
-
-import repro.gpu.channel as channel_module  # noqa: E402
-import repro.osmodel.task as task_module  # noqa: E402
 from repro.experiments.runner import build_env, run_workloads  # noqa: E402
 from repro.obs.export import read_jsonl, write_jsonl  # noqa: E402
 from repro.obs.spans import SpanBuilder, build_spans  # noqa: E402
@@ -42,15 +38,7 @@ SEED = 0
 CAP = 256  # far below this run's record count: forces heavy eviction
 
 
-def reset_global_ids():
-    # Channel/task ids draw from process-global counters; every leg
-    # starts from the same state, as two fresh CLI invocations would.
-    channel_module._channel_ids = itertools.count(1)
-    task_module._task_ids = itertools.count(1)
-
-
 def traced_run(trace):
-    reset_global_ids()
     env = build_env("dfq", seed=SEED, trace=trace)
     results = run_workloads(
         env,

@@ -6,6 +6,7 @@ seed + parameters) producing a ``dict[str, WorkloadResult]``.  A
 :class:`CellSpec` is the declarative, picklable description of one such
 cell, built from :class:`WorkloadSpec` entries instead of closures so it
 can cross a process boundary and serve as a content-addressed cache key.
+The same type describes fleet cells (``devices > 1``, :mod:`repro.fleet`).
 
 Workload specs name a *kind* from a small registry (``"app"`` →
 :func:`repro.workloads.apps.make_app`, ``"throttle"`` →
@@ -145,6 +146,14 @@ class CellSpec:
     gpu_params: Optional[GpuParams] = None
     #: Optional fault plan installed for the run (repro.faults).
     fault_plan: Optional[FaultPlan] = None
+    #: Devices in the simulated fleet; one is the paper's system.
+    devices: int = 1
+    #: Fleet placement and global share policy (repro.fleet registries).
+    placement: str = "least-loaded"
+    policy: str = "fleet-fair"
+    #: Planned migrations: ``(at_us, tenant, dst_device)`` requests, each
+    #: committing at the source's next engagement boundary.
+    moves: tuple = ()
 
     @classmethod
     def solo(
@@ -171,6 +180,11 @@ class CellSpec:
     def cacheable(self) -> bool:
         return all(workload.cacheable for workload in self.workloads)
 
+    @property
+    def is_fleet(self) -> bool:
+        """Several devices or planned moves: the fleet fields matter."""
+        return self.devices > 1 or bool(self.moves)
+
     def content_key(self) -> str:
         """Stable content hash identifying this cell's full configuration."""
         if not self.cacheable:
@@ -188,10 +202,15 @@ class CellSpec:
             "costs": _jsonable(self.costs),
             "gpu_params": _jsonable(self.gpu_params),
         }
+        # Optional fields are keyed only when they matter, so every
+        # pre-existing single-device cached result keeps its key.
         if self.fault_plan is not None:
-            # Only keyed when present, so every pre-existing cached result
-            # keeps its key.
             payload["fault_plan"] = _jsonable(self.fault_plan)
+        if self.is_fleet:
+            payload["devices"] = self.devices
+            payload["placement"] = self.placement
+            payload["policy"] = self.policy
+            payload["moves"] = _jsonable(self.moves)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode("utf-8")
         )
@@ -199,6 +218,15 @@ class CellSpec:
 
     def label(self) -> str:
         """Short human-readable tag for wall-time reporting."""
+        if self.is_fleet:
+            tag = (
+                f"fleet{self.devices}:{self.scheduler}:"
+                f"{len(self.workloads)}ten:{self.placement}:{self.policy}"
+                f":s{self.seed}"
+            )
+            if self.fault_plan is not None:
+                tag += f"+{self.fault_plan.name}"
+            return tag
         names = "+".join(
             w.kind if w.kind == CALLABLE_KIND else
             "-".join(str(a) for a in (w.kind,) + w.args)
@@ -219,6 +247,10 @@ class CellSpec:
             costs=self.costs,
             gpu_params=self.gpu_params,
             fault_plan=self.fault_plan,
+            devices=self.devices,
+            placement=self.placement,
+            policy=self.policy,
+            moves=self.moves,
         )
 
 

@@ -1,167 +1,47 @@
 """Shared experiment scaffolding.
 
-Builds a complete simulated system (simulator, device, kernel, scheduler),
-runs a set of workloads for a fixed virtual duration, and extracts
-per-workload results.  All experiments are deterministic given the seed.
+Builds a complete simulated system (simulator, device stacks, kernels,
+schedulers), runs a set of workloads for a fixed virtual duration, and
+extracts per-workload results.  All experiments are deterministic given
+the seed.  The builder and the run loop live in
+:mod:`repro.fleet.registry` — a single device is the fleet of one — and
+are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.core.base import SchedulerBase, scheduler_registry
-from repro.faults.injector import Injector
 from repro.faults.plan import FaultPlan
-from repro.gpu.device import GpuDevice
+from repro.fleet.registry import (
+    DEFAULT_DURATION_US,
+    DEFAULT_WARMUP_US,
+    SchedulerSpec,
+    SimulationEnv,
+    WorkloadResult,
+    build_env,
+    run_workloads,
+)
 from repro.gpu.params import GpuParams
-from repro.metrics.rounds import RoundStats
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import active_monitor
 from repro.osmodel.costs import CostParams
-from repro.osmodel.kernel import ChannelQuotaPolicy, Kernel, MemoryQuotaPolicy
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import NullRecorder, TraceRecorder
 from repro.workloads.base import Workload
 
-#: Default measurement horizon (µs of virtual time) and warmup.
-DEFAULT_DURATION_US = 400_000.0
-DEFAULT_WARMUP_US = 60_000.0
+__all__ = [
+    "DEFAULT_DURATION_US",
+    "DEFAULT_WARMUP_US",
+    "SeedSweepStats",
+    "SimulationEnv",
+    "WorkloadResult",
+    "build_env",
+    "measure",
+    "run_workloads",
+    "solo_baseline",
+    "sweep_seeds",
+]
 
 WorkloadFactory = Callable[[], Workload]
-SchedulerSpec = Union[str, SchedulerBase]
-
-
-@dataclass
-class SimulationEnv:
-    """One fully wired simulated system."""
-
-    sim: Simulator
-    device: GpuDevice
-    kernel: Kernel
-    scheduler: SchedulerBase
-    rng: RngRegistry
-    trace: TraceRecorder
-    metrics: MetricsRegistry
-    #: Fault injector, when a fault plan is installed (repro.faults).
-    faults: Optional[Injector] = None
-
-
-def build_env(
-    scheduler: SchedulerSpec = "direct",
-    seed: int = 0,
-    costs: Optional[CostParams] = None,
-    gpu_params: Optional[GpuParams] = None,
-    quota: Optional[ChannelQuotaPolicy] = None,
-    memory_quota: Optional[MemoryQuotaPolicy] = None,
-    trace_kinds: Optional[Iterable[str]] = None,
-    trace: Optional[TraceRecorder] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    fault_plan: Optional[FaultPlan] = None,
-) -> SimulationEnv:
-    """Wire up a simulator, device, kernel, and scheduler.
-
-    ``trace`` (a ready-made recorder, e.g. a capped ring buffer) takes
-    precedence over ``trace_kinds`` (record only the listed kinds);
-    without either, the null recorder keeps tracing cost off the run.
-    ``fault_plan`` installs a :class:`repro.faults.Injector` at every
-    registered injection point; without one the injector simply does not
-    exist (zero cost, like tracing).
-    """
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    if trace is None:
-        if trace_kinds is None:
-            trace = NullRecorder()
-        else:
-            trace = TraceRecorder(trace_kinds)
-    if metrics is None:
-        metrics = MetricsRegistry()
-    faults = (
-        Injector(fault_plan, sim, trace=trace, metrics=metrics)
-        if fault_plan is not None
-        else None
-    )
-    device = GpuDevice(sim, gpu_params, trace, metrics, faults=faults)
-    kernel = Kernel(
-        sim, device, costs, trace, quota, memory_quota, metrics, faults=faults
-    )
-    if isinstance(scheduler, str):
-        try:
-            scheduler = scheduler_registry[scheduler]()
-        except KeyError:
-            known = ", ".join(sorted(scheduler_registry))
-            raise KeyError(
-                f"unknown scheduler {scheduler!r}; known: {known}"
-            ) from None
-    kernel.attach_scheduler(scheduler)
-    return SimulationEnv(
-        sim, device, kernel, scheduler, rng, trace, metrics, faults
-    )
-
-
-@dataclass(frozen=True)
-class WorkloadResult:
-    """Per-workload outcome of one simulation run."""
-
-    name: str
-    rounds: RoundStats
-    killed: bool
-    kill_reason: Optional[str]
-    mean_request_us: float
-    requests_submitted: int
-    ground_truth_usage_us: float
-    #: Flat per-task metrics snapshot (counters, histogram summaries, and
-    #: engaged/disengaged channel time) taken at the end of the run.
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def mean_round_us(self) -> float:
-        return self.rounds.mean_us
-
-
-def run_workloads(
-    env: SimulationEnv,
-    workloads: Sequence[Workload],
-    duration_us: float = DEFAULT_DURATION_US,
-    warmup_us: float = DEFAULT_WARMUP_US,
-) -> dict[str, WorkloadResult]:
-    """Start the workloads, run the clock, summarize steady state."""
-    for workload in workloads:
-        workload.start(env.sim, env.kernel, env.rng)
-    env.sim.run(until=duration_us)
-    monitor = getattr(env.trace, "monitor", None)
-    if monitor is not None:
-        # Close the final (possibly partial) streaming window before the
-        # per-task metric snapshots below, so windows_closed / slo_*
-        # counters cover the whole run.
-        monitor.finalize(env.sim.now)
-    dropped = getattr(env.trace, "dropped", 0)
-    if dropped:
-        # Ring-buffer evictions make the trace partial; surface that in
-        # the cross-run record when one is being collected.
-        from repro.obs.store import active_collector
-
-        collector = active_collector()
-        if collector is not None:
-            collector.note_trace_dropped(dropped)
-    engagement = env.scheduler.neon.engagement.snapshot(env.sim.now)
-    results = {}
-    for workload in workloads:
-        task_metrics = env.metrics.task_view(workload.task.name)
-        task_metrics.update(engagement.get(workload.task.name, {}))
-        results[workload.name] = WorkloadResult(
-            name=workload.name,
-            rounds=workload.round_stats(warmup_us, duration_us),
-            killed=workload.killed,
-            kill_reason=workload.task.kill_reason,
-            mean_request_us=workload.mean_request_size(),
-            requests_submitted=len(workload.requests),
-            ground_truth_usage_us=env.device.task_usage(workload.task),
-            metrics=task_metrics,
-        )
-    return results
 
 
 def measure(
@@ -173,29 +53,32 @@ def measure(
     costs: Optional[CostParams] = None,
     gpu_params: Optional[GpuParams] = None,
     fault_plan: Optional[FaultPlan] = None,
+    devices: int = 1,
+    placement: str = "least-loaded",
+    policy: str = "fleet-fair",
+    moves: Sequence[Tuple[float, str, int]] = (),
 ) -> dict[str, WorkloadResult]:
-    """Build a fresh system, run the workload mix, return results."""
+    """Build a fresh system, run the workload mix, return results.
+
+    Under an active monitor session the simulation shares the monitor's
+    live-sink trace recorder and metrics registry, so streaming windows
+    see every event regardless of ring-buffer capacity.
+    """
     session = active_monitor()
-    if session is None:
-        env = build_env(
-            scheduler, seed=seed, costs=costs, gpu_params=gpu_params,
-            fault_plan=fault_plan,
-        )
-        workloads = [factory() for factory in factories]
-        return run_workloads(env, workloads, duration_us, warmup_us)
-    # Monitored run: the simulation shares the monitor's live-sink trace
-    # recorder and metrics registry, so streaming windows see every event
-    # regardless of ring-buffer capacity.
-    monitor = session.begin_run()
+    monitor = session.begin_run() if session is not None else None
     env = build_env(
         scheduler, seed=seed, costs=costs, gpu_params=gpu_params,
-        fault_plan=fault_plan, trace=monitor.trace, metrics=monitor.metrics,
+        trace=monitor.trace if monitor is not None else None,
+        metrics=monitor.metrics if monitor is not None else None,
+        fault_plan=fault_plan, devices=devices, placement=placement,
+        policy=policy,
     )
     workloads = [factory() for factory in factories]
     try:
-        return run_workloads(env, workloads, duration_us, warmup_us)
+        return run_workloads(env, workloads, duration_us, warmup_us, moves)
     finally:
-        session.end_run(monitor)
+        if monitor is not None:
+            session.end_run(monitor)
 
 
 def solo_baseline(

@@ -8,8 +8,9 @@ boundary as the rest of the tree:
 * :mod:`repro.fleet.placement` — deterministic task→device placement;
 * :mod:`repro.fleet.share` — the trace-sink coordinator feeding digests
   to the policy and re-weighting local DFQs at engagement ticks;
-* :mod:`repro.fleet.registry` — N device stacks in one simulator,
-  device loss, reincarnation;
+* :mod:`repro.fleet.registry` — the run path: N device stacks in one
+  simulator (one is the paper's system), device loss, reincarnation,
+  and the run loop;
 * :mod:`repro.fleet.migration` — planned moves at engagement boundaries;
 * :mod:`repro.fleet.tenants` — migration-aware tenant workloads;
 * :mod:`repro.fleet.experiment` — farm cells, tables, chaos invariants;
@@ -17,7 +18,6 @@ boundary as the rest of the tree:
 """
 
 from repro.fleet.experiment import (
-    FleetCellSpec,
     check_fleet_invariants,
     device_loss_plan,
     format_fleet_table,
@@ -41,20 +41,13 @@ from repro.fleet.policies import (
     global_policy_registry,
     register_global_policy,
 )
-from repro.fleet.registry import (
-    DeviceStack,
-    FleetEnv,
-    build_fleet_env,
-    run_fleet,
-)
+from repro.fleet.registry import DeviceStack
 from repro.fleet.share import GlobalFairShare
 from repro.fleet.tenants import FleetTenant
 
 __all__ = [
     "DeviceDigest",
     "DeviceStack",
-    "FleetCellSpec",
-    "FleetEnv",
     "FleetFairShare",
     "FleetTenant",
     "GlobalFairShare",
@@ -66,7 +59,6 @@ __all__ = [
     "PlacementPolicy",
     "ServerArbiter",
     "TenantDigest",
-    "build_fleet_env",
     "check_fleet_invariants",
     "device_loss_plan",
     "format_fleet_table",
@@ -74,7 +66,6 @@ __all__ = [
     "placement_registry",
     "register_global_policy",
     "register_placement",
-    "run_fleet",
     "stable_hash",
     "summarize_fleet",
     "tenant_specs",

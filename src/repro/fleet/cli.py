@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.cells import CellSpec
 from repro.experiments.parallel import (
     CellTiming,
     ResultCache,
@@ -30,7 +31,6 @@ from repro.experiments.parallel import (
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.registry import FLEET_DEVICE_LOSS
 from repro.fleet.experiment import (
-    FleetCellSpec,
     check_fleet_invariants,
     device_loss_plan,
     format_fleet_table,
@@ -74,7 +74,7 @@ def _parse_losses(
 
 
 def _parse_moves(entries: Sequence[str]) -> Tuple[Tuple[float, str, int], ...]:
-    """``--migrate TENANT@MS:DST`` entries into run_fleet move tuples."""
+    """``--migrate TENANT@MS:DST`` entries into run_workloads move tuples."""
     moves = []
     for entry in entries:
         tenant, _, rest = entry.partition("@")
@@ -203,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         partitions=args.partitions,
     )
     specs = [
-        FleetCellSpec(
+        CellSpec(
             devices=args.devices,
             scheduler=args.scheduler,
             workloads=workloads,
@@ -322,12 +322,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         args.tenants, request_size_us=args.request_us,
         partitions=max(1, args.devices),
     )
-    scenarios: list[tuple[str, FleetCellSpec]] = []
+    scenarios: list[tuple[str, CellSpec]] = []
     for placement in sorted(placement_registry):
         scenarios.append(
             (
                 placement,
-                FleetCellSpec(
+                CellSpec(
                     devices=args.devices,
                     scheduler=args.scheduler,
                     workloads=workloads,
@@ -345,7 +345,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     scenarios.append(
         (
             "escalation",
-            FleetCellSpec(
+            CellSpec(
                 devices=1,
                 scheduler=args.scheduler,
                 workloads=tenant_specs(2, request_size_us=args.request_us),

@@ -1,12 +1,10 @@
 """Fleet experiment cells, tables, and chaos invariants.
 
-:class:`FleetCellSpec` is the fleet analogue of
-:class:`~repro.experiments.cells.CellSpec`: a picklable, content-keyed
-description of one complete fleet run, so fleet scenarios fan out over
-the experiment farm (``run_cells``) and share its result cache.  The
-content key namespaces itself with a ``"fleet"`` marker plus the device
-count, placement, and global policy, so fleet cells never collide with
-single-device cells.
+A fleet run is a :class:`~repro.experiments.cells.CellSpec` with
+``devices > 1`` (or planned ``moves``): it fans out over the experiment
+farm (``run_cells``) and shares its result cache like any other cell, and
+its content key adds the device count, placement, global policy and
+moves.  :func:`tenant_specs` builds its migration-aware tenants.
 
 The module also owns the fleet chaos story: device-loss fault plans and
 the invariant checker the chaos matrix (and CI smoke job) assert —
@@ -17,26 +15,20 @@ index stays above its floor.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.experiments.cells import (
+    CellSpec,
     WorkloadSpec,
-    _jsonable,
     register_workload_kind,
 )
-from repro.experiments.runner import WorkloadResult
 from repro.faults import registry as points
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.fleet.registry import build_fleet_env, run_fleet
+from repro.fleet.registry import WorkloadResult
 from repro.fleet.tenants import FleetTenant
-from repro.gpu.params import GpuParams
 from repro.metrics.fairness import jain_index
 from repro.metrics.tables import format_table
-from repro.obs.monitor import active_monitor
-from repro.osmodel.costs import CostParams
 
 register_workload_kind("tenant", FleetTenant)
 
@@ -68,111 +60,9 @@ def tenant_specs(
     return tuple(specs)
 
 
-@dataclass(frozen=True)
-class FleetCellSpec:
-    """One fleet run, declaratively — farm- and cache-compatible."""
-
-    devices: int
-    scheduler: str
-    workloads: tuple[WorkloadSpec, ...]
-    duration_us: float
-    warmup_us: float
-    seed: int = 0
-    placement: str = "least-loaded"
-    policy: str = "fleet-fair"
-    costs: Optional[CostParams] = None
-    gpu_params: Optional[GpuParams] = None
-    fault_plan: Optional[FaultPlan] = None
-    #: Planned migrations: ``(at_us, tenant, dst_device)`` requests, each
-    #: committing at the source's next engagement boundary.
-    moves: tuple = ()
-
-    @property
-    def cacheable(self) -> bool:
-        return all(workload.cacheable for workload in self.workloads)
-
-    def content_key(self) -> str:
-        """Stable content hash; namespaced apart from CellSpec keys."""
-        if not self.cacheable:
-            raise ValueError("cells with callable workload specs have no key")
-        payload = {
-            "fleet": True,
-            "devices": self.devices,
-            "scheduler": self.scheduler,
-            "placement": self.placement,
-            "policy": self.policy,
-            "workloads": [
-                {"kind": w.kind, "args": _jsonable(w.args),
-                 "kwargs": _jsonable(dict(w.kwargs))}
-                for w in self.workloads
-            ],
-            "duration_us": self.duration_us,
-            "warmup_us": self.warmup_us,
-            "seed": self.seed,
-            "costs": _jsonable(self.costs),
-            "gpu_params": _jsonable(self.gpu_params),
-        }
-        if self.fault_plan is not None:
-            payload["fault_plan"] = _jsonable(self.fault_plan)
-        if self.moves:
-            payload["moves"] = _jsonable(self.moves)
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-        return digest.hexdigest()
-
-    def label(self) -> str:
-        tag = (
-            f"fleet{self.devices}:{self.scheduler}:"
-            f"{len(self.workloads)}ten:{self.placement}:{self.policy}"
-            f":s{self.seed}"
-        )
-        if self.fault_plan is not None:
-            tag += f"+{self.fault_plan.name}"
-        return tag
-
-    def run(self) -> dict[str, WorkloadResult]:
-        """Execute this fleet cell and return its per-tenant results."""
-        session = active_monitor()
-        if session is None:
-            env = build_fleet_env(
-                devices=self.devices,
-                scheduler=self.scheduler,
-                seed=self.seed,
-                costs=self.costs,
-                gpu_params=self.gpu_params,
-                fault_plan=self.fault_plan,
-                placement=self.placement,
-                policy=self.policy,
-            )
-            tenants = [workload.build() for workload in self.workloads]
-            return run_fleet(
-                env, tenants, self.duration_us, self.warmup_us,
-                moves=self.moves,
-            )
-        # Monitored run: share the monitor's live-sink trace recorder and
-        # metrics registry (cf. repro.experiments.runner.measure).
-        monitor = session.begin_run()
-        env = build_fleet_env(
-            devices=self.devices,
-            scheduler=self.scheduler,
-            seed=self.seed,
-            costs=self.costs,
-            gpu_params=self.gpu_params,
-            fault_plan=self.fault_plan,
-            placement=self.placement,
-            policy=self.policy,
-            trace=monitor.trace,
-            metrics=monitor.metrics,
-        )
-        tenants = [workload.build() for workload in self.workloads]
-        try:
-            return run_fleet(
-                env, tenants, self.duration_us, self.warmup_us,
-                moves=self.moves,
-            )
-        finally:
-            session.end_run(monitor)
+#: Fleet cells are plain :class:`CellSpec` cells with ``devices > 1``.
+#: The alias remains only for the benchmark harness, which imports it.
+FleetCellSpec = CellSpec
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.obs import events
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.registry import FleetEnv
+    from repro.fleet.registry import SimulationEnv
     from repro.fleet.tenants import FleetTenant
     from repro.sim.events import Event
 
@@ -66,7 +66,7 @@ class MigrationRecord:
 class MigrationManager:
     """Owns pending moves and the per-scheduler boundary hooks."""
 
-    def __init__(self, fleet: "FleetEnv") -> None:
+    def __init__(self, fleet: "SimulationEnv") -> None:
         self.fleet = fleet
         self.records: List[MigrationRecord] = []
         self._pending: Dict[int, List[PendingMove]] = {}

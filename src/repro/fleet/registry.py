@@ -1,33 +1,29 @@
-"""The fleet device registry: N device stacks inside one simulator.
+"""The run path: device stacks inside one simulator, and the run loop.
 
-``build_fleet_env`` instantiates *independent* GPU/kernel/scheduler
-stacks — each with its own interception state, polling, and local DFQ —
-sharing one :class:`~repro.sim.engine.Simulator`, one RNG registry, one
-metrics registry, and one trace recorder.  Device identity rides on the
-trace stream: each stack writes through a
+:func:`build_env` wires one GPU/kernel/scheduler stack per device —
+each with its own interception state, polling and local scheduler — and
+all stacks share one :class:`~repro.sim.engine.Simulator` (which also
+numbers every task, context, channel and request), one RNG registry, one
+metrics registry and one trace recorder.  :func:`run_workloads` places
+the workloads, runs the clock and summarizes each workload's steady
+state.
+
+The paper's system is the fleet of one: its lone stack writes the base
+recorder directly and nothing is placed, migrated or re-weighted, so a
+single-device run is exactly the paper's single-GPU model.  With more
+devices each stack writes through a
 :class:`~repro.sim.trace.DeviceTraceView` that tags every record with its
 ``device`` id, which is what lets the global fair-share layer (and the
 windowed observability stack) attribute events without touching ground
 truth.
-
-A fleet of one is special-cased to be *byte-identical* to the
-single-device path: the lone stack writes the base recorder directly (no
-``device`` tags), no global-share sink is attached to a disabled
-recorder, and construction order mirrors
-:func:`repro.experiments.runner.build_env` exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import SchedulerBase, scheduler_registry
-from repro.experiments.runner import (
-    DEFAULT_DURATION_US,
-    DEFAULT_WARMUP_US,
-    WorkloadResult,
-)
 from repro.faults.injector import Injector
 from repro.faults.plan import FaultPlan
 from repro.faults.registry import FLEET_DEVICE_LOSS
@@ -37,6 +33,7 @@ from repro.fleet.policies import GlobalPolicy, global_policy_registry
 from repro.fleet.share import GlobalFairShare
 from repro.gpu.device import GpuDevice
 from repro.gpu.params import GpuParams
+from repro.metrics.rounds import RoundStats
 from repro.obs import events
 from repro.obs.metrics import MetricsRegistry
 from repro.osmodel.costs import CostParams
@@ -46,9 +43,33 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import DeviceTraceView, NullRecorder, TraceRecorder
 from repro.workloads.base import Workload
 
-SchedulerSpec = Union[str, Callable[[], SchedulerBase]]
+#: Default measurement horizon (µs of virtual time) and warmup.
+DEFAULT_DURATION_US = 400_000.0
+DEFAULT_WARMUP_US = 60_000.0
+
+SchedulerSpec = Union[str, SchedulerBase]
 PlacementSpec = Union[str, PlacementPolicy]
 PolicySpec = Union[str, GlobalPolicy, None]
+
+
+@dataclass(frozen=True)
+class WorkloadResult:
+    """Per-workload outcome of one simulation run."""
+
+    name: str
+    rounds: RoundStats
+    killed: bool
+    kill_reason: Optional[str]
+    mean_request_us: float
+    requests_submitted: int
+    ground_truth_usage_us: float
+    #: Flat per-task metrics snapshot (counters, histogram summaries, and
+    #: engaged/disengaged channel time) taken at the end of the run.
+    metrics: dict = field(default_factory=dict)
+
+    @property
+    def mean_round_us(self) -> float:
+        return self.rounds.mean_us
 
 
 @dataclass
@@ -65,8 +86,8 @@ class DeviceStack:
     lost: bool = False
 
 
-class FleetEnv:
-    """A wired fleet: stacks, placement, migration, global shares."""
+class SimulationEnv:
+    """One wired system: device stacks, placement, migration, shares."""
 
     def __init__(
         self,
@@ -84,13 +105,14 @@ class FleetEnv:
         self.rng = rng
         self.trace = trace
         self.metrics = metrics
+        #: Fault injector, when a fault plan is installed (repro.faults).
         self.faults = faults
         self.stacks = stacks
         self.placement = placement
         self.share = share
         self.costs = costs
         self.migrations = MigrationManager(self)
-        #: Tenants in placement order.
+        #: Workloads in placement order.
         self.tenants: List[Workload] = []
         #: Tenant name -> current device id.
         self.tenant_device: Dict[str, int] = {}
@@ -99,6 +121,29 @@ class FleetEnv:
         self.tenant_tasks: Dict[str, List[Tuple[int, object]]] = {}
         #: Devices lost to fault injection, in loss order.
         self.lost_devices: List[int] = []
+
+    # ------------------------------------------------------------------
+    # The single device's stack
+    # ------------------------------------------------------------------
+    def _only_stack(self) -> DeviceStack:
+        if len(self.stacks) != 1:
+            raise AttributeError(
+                f"this env has {len(self.stacks)} devices; "
+                "pick one from env.stacks"
+            )
+        return self.stacks[0]
+
+    @property
+    def device(self) -> GpuDevice:
+        return self._only_stack().device
+
+    @property
+    def kernel(self) -> Kernel:
+        return self._only_stack().kernel
+
+    @property
+    def scheduler(self) -> SchedulerBase:
+        return self._only_stack().scheduler
 
     # ------------------------------------------------------------------
     # Placement
@@ -125,8 +170,8 @@ class FleetEnv:
         self.tenant_device[tenant.name] = device_id
         self.placement.placed(device_id)
         tenant.fleet = self
-        # A fleet of one never emits fleet events: its trace must stay
-        # record-for-record identical to the plain runner's.
+        # A fleet of one makes no placement decision worth tracing: its
+        # stream is exactly the single-device model's.
         if stack.trace.enabled and len(self.stacks) > 1:
             stack.trace.emit(
                 self.sim.now, "fleet", events.FLEET_PLACE,
@@ -260,45 +305,61 @@ class FleetEnv:
 
 
 def _make_scheduler(spec: SchedulerSpec) -> SchedulerBase:
-    if isinstance(spec, str):
-        try:
-            return scheduler_registry[spec]()
-        except KeyError:
-            known = ", ".join(sorted(scheduler_registry))
-            raise KeyError(
-                f"unknown scheduler {spec!r}; known: {known}"
-            ) from None
-    return spec()
+    if not isinstance(spec, str):
+        return spec
+    try:
+        return scheduler_registry[spec]()
+    except KeyError:
+        known = ", ".join(sorted(scheduler_registry))
+        raise KeyError(f"unknown scheduler {spec!r}; known: {known}") from None
 
 
-def build_fleet_env(
-    devices: int = 1,
-    scheduler: SchedulerSpec = "dfq",
+def build_env(
+    scheduler: SchedulerSpec = "direct",
     seed: int = 0,
     costs: Optional[CostParams] = None,
     gpu_params: Optional[GpuParams] = None,
     quota: Optional[ChannelQuotaPolicy] = None,
     memory_quota: Optional[MemoryQuotaPolicy] = None,
+    trace_kinds: Optional[Iterable[str]] = None,
     trace: Optional[TraceRecorder] = None,
     metrics: Optional[MetricsRegistry] = None,
     fault_plan: Optional[FaultPlan] = None,
+    devices: int = 1,
     placement: PlacementSpec = "least-loaded",
     policy: PolicySpec = "fleet-fair",
-) -> FleetEnv:
-    """Wire up ``devices`` independent stacks in one simulator.
+) -> SimulationEnv:
+    """Wire up ``devices`` independent device stacks in one simulator.
 
-    Defaults follow :func:`repro.experiments.runner.build_env`: no trace
-    means a :class:`NullRecorder` for a fleet of one (byte-identity with
-    the plain path) and a non-retaining streaming recorder otherwise
-    (the global share layer consumes the stream live; nothing is
-    buffered).  ``policy=None`` disables global re-weighting entirely.
+    ``scheduler`` names a registered scheduler, built once per device; a
+    ready-made instance can drive a single device only.  ``trace`` (a
+    ready-made recorder, e.g. a capped ring buffer) takes precedence over
+    ``trace_kinds`` (record only the listed kinds); without either, one
+    device runs with the null recorder, which keeps tracing cost off the
+    run, and a fleet with a non-retaining streaming recorder, which the
+    global share layer consumes live.  ``fault_plan`` installs a
+    :class:`repro.faults.Injector` at every registered injection point;
+    without one the injector simply does not exist (zero cost, like
+    tracing).  ``placement`` picks each workload's device and ``policy``
+    re-weights the local schedulers across devices (``None`` disables
+    it); a fleet of one has nothing to re-weight and gets no share layer.
     """
     if devices < 1:
         raise ValueError("a fleet needs at least one device")
-    sim = Simulator()
+    if devices > 1 and not isinstance(scheduler, str):
+        raise ValueError(
+            "a scheduler instance drives a single device; "
+            "name a registered scheduler for a fleet"
+        )
+    # The runs of one monitor session record into one stream, so they share
+    # an entity numbering; any other run numbers its entities from 1.
+    monitor = getattr(trace, "monitor", None)
+    sim = Simulator(monitor.id_counters if monitor is not None else None)
     rng = RngRegistry(seed)
     if trace is None:
-        if devices == 1:
+        if trace_kinds is not None:
+            trace = TraceRecorder(trace_kinds)
+        elif devices == 1:
             trace = NullRecorder()
         else:
             trace = TraceRecorder(retain=False)
@@ -340,19 +401,19 @@ def build_fleet_env(
                 f"unknown global policy {policy!r}; known: {known}"
             ) from None
     share = None
-    if policy is not None and trace.enabled:
+    if policy is not None and devices > 1 and trace.enabled:
         share = GlobalFairShare(policy, trace)
         trace.add_sink(share)
         for stack in stacks:
             share.watch(stack.device_id, stack.scheduler)
-    env = FleetEnv(
+    env = SimulationEnv(
         sim, rng, trace, metrics, faults, stacks, placement, share, costs
     )
     env.spawn_loss_controller()
     return env
 
 
-def _move_controller(env: FleetEnv, moves: Sequence[Tuple[float, str, int]]):
+def _move_controller(env: SimulationEnv, moves: Sequence[Tuple[float, str, int]]):
     """Request planned migrations at their scheduled virtual times."""
     last = 0.0
     for at_us, tenant_name, dst in sorted(moves):
@@ -373,25 +434,24 @@ def _move_controller(env: FleetEnv, moves: Sequence[Tuple[float, str, int]]):
             pass
 
 
-def run_fleet(
-    env: FleetEnv,
-    tenants: Sequence[Workload],
+def run_workloads(
+    env: SimulationEnv,
+    workloads: Sequence[Workload],
     duration_us: float = DEFAULT_DURATION_US,
     warmup_us: float = DEFAULT_WARMUP_US,
     moves: Sequence[Tuple[float, str, int]] = (),
 ) -> dict[str, WorkloadResult]:
-    """Place and start the tenants, run the clock, summarize.
+    """Place and start the workloads, run the clock, summarize steady state.
 
-    Mirrors :func:`repro.experiments.runner.run_workloads` — a fleet of
-    one returns field-identical results — and for larger fleets adds
-    ``fleet_*`` keys to each tenant's metrics snapshot (current/initial
-    device, migration count, fleet size, devices lost) so farm-cached
-    results carry enough to render fleet tables.  ``moves`` schedules
-    planned migrations as ``(at_us, tenant, dst_device)`` requests; each
-    commits at its source's next engagement boundary.
+    On a fleet — more than one device, or any device lost — each
+    workload's metrics snapshot also carries ``fleet_*`` keys
+    (current/initial device, migration count, fleet size, devices lost)
+    so farm-cached results carry enough to render fleet tables.  ``moves``
+    schedules planned migrations as ``(at_us, tenant, dst_device)``
+    requests; each commits at its source's next engagement boundary.
     """
-    for tenant in tenants:
-        env.place(tenant)
+    for workload in workloads:
+        env.place(workload)
     if moves:
         env.sim.spawn(
             _move_controller(env, moves), name="fleet.move-controller"
@@ -399,9 +459,14 @@ def run_fleet(
     env.sim.run(until=duration_us)
     monitor = getattr(env.trace, "monitor", None)
     if monitor is not None:
+        # Close the final (possibly partial) streaming window before the
+        # per-task metric snapshots below, so windows_closed / slo_*
+        # counters cover the whole run.
         monitor.finalize(env.sim.now)
     dropped = getattr(env.trace, "dropped", 0)
     if dropped:
+        # Ring-buffer evictions make the trace partial; surface that in
+        # the cross-run record when one is being collected.
         from repro.obs.store import active_collector
 
         collector = active_collector()
@@ -413,39 +478,36 @@ def run_fleet(
     }
     fleet_size = len(env.stacks)
     results: dict[str, WorkloadResult] = {}
-    for tenant in tenants:
-        final_device = env.tenant_device[tenant.name]
-        task_metrics = env.metrics.task_view(tenant.task.name)
+    for workload in workloads:
+        final_device = env.tenant_device[workload.name]
+        task_metrics = env.metrics.task_view(workload.task.name)
         task_metrics.update(
-            engagement[final_device].get(tenant.task.name, {})
+            engagement[final_device].get(workload.task.name, {})
         )
-        history = env.tenant_tasks.get(tenant.name, [])
+        history = env.tenant_tasks.get(workload.name, [])
         usage = sum(
             env.stacks[device_id].device.task_usage(task)
             for device_id, task in history
         )
-        # A fleet of one adds these only when a loss actually happened,
-        # keeping fault-free single-device results field-identical to
-        # the plain runner.
         if fleet_size > 1 or env.lost_devices:
             task_metrics["fleet_device"] = float(final_device)
             task_metrics["fleet_device_initial"] = float(
                 history[0][0] if history else final_device
             )
-            moves = getattr(tenant, "migrations", ())
-            task_metrics["fleet_moves"] = float(len(moves))
+            migrations = getattr(workload, "migrations", ())
+            task_metrics["fleet_moves"] = float(len(migrations))
             task_metrics["fleet_loss_moves"] = float(
-                sum(1 for move in moves if move.reason == "device_loss")
+                sum(1 for move in migrations if move.reason == "device_loss")
             )
             task_metrics["fleet_devices"] = float(fleet_size)
             task_metrics["fleet_devices_lost"] = float(len(env.lost_devices))
-        results[tenant.name] = WorkloadResult(
-            name=tenant.name,
-            rounds=tenant.round_stats(warmup_us, duration_us),
-            killed=tenant.killed,
-            kill_reason=tenant.task.kill_reason,
-            mean_request_us=tenant.mean_request_size(),
-            requests_submitted=len(tenant.requests),
+        results[workload.name] = WorkloadResult(
+            name=workload.name,
+            rounds=workload.round_stats(warmup_us, duration_us),
+            killed=workload.killed,
+            kill_reason=workload.task.kill_reason,
+            mean_request_us=workload.mean_request_size(),
+            requests_submitted=len(workload.requests),
             ground_truth_usage_us=usage,
             metrics=task_metrics,
         )

@@ -13,7 +13,6 @@ hardware bumps on each completion.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -24,14 +23,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.context import GpuContext
     from repro.osmodel.task import Task
 
-_channel_ids = itertools.count(1)
-
 
 class Channel:
     """One hardware request queue owned by a single context/task."""
 
-    def __init__(self, context: "GpuContext", kind: RequestKind) -> None:
-        self.channel_id = next(_channel_ids)
+    def __init__(
+        self, context: "GpuContext", kind: RequestKind, channel_id: int
+    ) -> None:
+        self.channel_id = channel_id
         self.context = context
         self.kind = kind
         self.register_page = RegisterPage(self.channel_id)

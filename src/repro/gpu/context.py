@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
     from repro.osmodel.task import Task
-
-_context_ids = itertools.count(1)
 
 
 class GpuContext:
@@ -20,8 +17,8 @@ class GpuContext:
     The device serializes context cleanup when a context is killed.
     """
 
-    def __init__(self, task: "Task") -> None:
-        self.context_id = next(_context_ids)
+    def __init__(self, task: "Task", context_id: int) -> None:
+        self.context_id = context_id
         self.task = task
         self.channels: list["Channel"] = []
         self.dead = False

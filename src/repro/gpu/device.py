@@ -85,7 +85,7 @@ class GpuDevice:
             raise OutOfResourcesError(
                 f"device supports at most {self.params.max_contexts} contexts"
             )
-        context = GpuContext(task)
+        context = GpuContext(task, next(self.sim.id_counter("context")))
         self.contexts.append(context)
         task.contexts.append(context)
         return context
@@ -98,7 +98,7 @@ class GpuDevice:
             raise OutOfResourcesError(
                 f"device supports at most {self.params.total_channels} channels"
             )
-        channel = Channel(context, kind)
+        channel = Channel(context, kind, next(self.sim.id_counter("channel")))
         context.add_channel(channel)
         self.channels[channel.channel_id] = channel
         self._engine_for(kind).register_channel(channel)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import TYPE_CHECKING, Optional
 
@@ -18,9 +17,6 @@ class RequestKind(enum.Enum):
     COMPUTE = "compute"
     GRAPHICS = "graphics"
     DMA = "dma"
-
-
-_request_ids = itertools.count(1)
 
 
 class Request:
@@ -59,7 +55,9 @@ class Request:
     ) -> None:
         if size_us < 0:
             raise ValueError(f"request size must be non-negative: {size_us}")
-        self.request_id = next(_request_ids)
+        #: Assigned by the kernel at submission, from its simulator's
+        #: ``"request"`` id counter; 0 until then.
+        self.request_id = 0
         self.kind = kind
         self.size_us = float(size_us)
         #: Unserved work; shrinks across preempted execution segments.

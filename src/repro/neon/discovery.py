@@ -11,8 +11,8 @@ runs it on the mmap events of channel setup.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class VmaKind(enum.Enum):
@@ -27,7 +27,9 @@ class DiscoveryState(enum.Enum):
     ACTIVE = "active"
 
 
-_vma_addresses = itertools.count(0x7F00_0000_0000, 0x1000)
+#: Address of a simulation's first mapped VMA; each later one is a page up.
+VMA_BASE = 0x7F00_0000_0000
+VMA_PAGE = 0x1000
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,21 @@ class Vma:
     address: int
 
     @classmethod
-    def fresh(cls, kind: VmaKind, channel_id: int) -> "Vma":
-        return cls(kind, channel_id, next(_vma_addresses))
+    def fresh(cls, kind: VmaKind, channel_id: int, serial: int) -> "Vma":
+        """The ``serial``-th mapping (counting from 1) of a simulation."""
+        return cls(kind, channel_id, VMA_BASE + VMA_PAGE * (serial - 1))
 
 
 class ChannelDiscovery:
-    """Tracks mmap events for one channel until all three VMAs are known."""
+    """Tracks mmap events for one channel until all three VMAs are known.
 
-    def __init__(self, channel_id: int) -> None:
+    ``vma_ids`` numbers the mappings :meth:`run_full_setup` creates; the
+    kernel passes its simulator's ``"vma"`` id counter.
+    """
+
+    def __init__(self, channel_id: int, vma_ids: Iterator[int]) -> None:
         self.channel_id = channel_id
+        self.vma_ids = vma_ids
         self.state = DiscoveryState.INIT
         self.vmas: dict[VmaKind, Vma] = {}
 
@@ -90,4 +98,6 @@ class ChannelDiscovery:
             VmaKind.RING_BUFFER,
             VmaKind.CHANNEL_REGISTER,
         ):
-            self.observe_mmap(Vma.fresh(kind, self.channel_id))
+            self.observe_mmap(
+                Vma.fresh(kind, self.channel_id, next(self.vma_ids))
+            )

@@ -74,8 +74,12 @@ class Monitor:
         line_sink: Optional[Callable[[str], None]] = None,
         render_windows: bool = True,
         keep_snapshots: Optional[int] = None,
+        id_counters: Optional[dict] = None,
     ) -> None:
         self.label = label
+        #: Entity numbering for the run's simulator (``Simulator``'s
+        #: ``id_counters``); a session passes one dict to all its runs.
+        self.id_counters = id_counters if id_counters is not None else {}
         self.line_sink = line_sink
         self.render_windows = render_windows
         self.trace = TraceRecorder(retain=False)
@@ -86,8 +90,9 @@ class Monitor:
         self.slo_events: list[SloEvent] = []
         self.aggregator.on_window(self._window_closed)
         self.trace.add_sink(self.aggregator)
-        # Back-reference the runner uses to finalize before snapshotting
-        # metrics (duck-typed: the runner must not import this module).
+        # Back-reference the runner uses to number the run's entities and
+        # to finalize before snapshotting metrics (duck-typed: the runner
+        # must not import this module).
         self.trace.monitor = self
 
     # -- window-close fan-out ------------------------------------------
@@ -236,6 +241,9 @@ class MonitorSession:
         #: exported by ``--trace-out`` for offline span reconstruction.
         self.record_stream = record_stream
         self.monitors: list[Monitor] = []
+        #: One entity numbering for all the session's runs: their records
+        #: meet in ``record_stream``, where no two channels may share an id.
+        self.id_counters: dict = {}
         self.reused: list[dict[str, str]] = []
         # Label the cell farm announces for the next run (one-shot).
         self._next_label: Optional[str] = None
@@ -257,6 +265,7 @@ class MonitorSession:
             line_sink=self.line_sink,
             render_windows=self.render_windows,
             keep_snapshots=self.keep_snapshots,
+            id_counters=self.id_counters,
         )
         if self.record_stream is not None:
             monitor.trace.add_sink(self.record_stream.append)

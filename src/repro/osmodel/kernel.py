@@ -124,6 +124,7 @@ class Kernel:
         self.fault_count = 0
         self.fault_count_by_task: dict[int, int] = {}
         self.submit_count = 0
+        self._request_ids = sim.id_counter("request")
 
     # ------------------------------------------------------------------
     # Scheduler attachment
@@ -137,7 +138,7 @@ class Kernel:
     # Task lifecycle
     # ------------------------------------------------------------------
     def create_task(self, name: str) -> Task:
-        task = Task(name)
+        task = Task(name, next(self.sim.id_counter("task")))
         self.tasks.append(task)
         if self.scheduler is not None:
             self.scheduler.on_task_start(task)
@@ -195,7 +196,9 @@ class Kernel:
         if self.quota is not None:
             self.quota.admit_channel(self, task)
         channel = self.device.create_channel(context, kind)
-        discovery = ChannelDiscovery(channel.channel_id)
+        discovery = ChannelDiscovery(
+            channel.channel_id, self.sim.id_counter("vma")
+        )
         self.discoveries[channel.channel_id] = discovery
         if self.faults is not None:
             corrupted = self.faults.arm(
@@ -279,6 +282,7 @@ class Kernel:
         scheduler may hold the task blocked inside the handler arbitrarily
         long (or forever, if the task gets killed while waiting).
         """
+        request.request_id = next(self._request_ids)
         page = channel.register_page
         if self.faults is not None:
             lag = self.faults.arm(fault_points.KERNEL_SUBMIT_LATENCY, task.name)
@@ -380,6 +384,8 @@ class Kernel:
         if channel.dead or not task.alive:
             # Torn down while paying the submit cost; wait for the kill.
             yield self.sim.event()
+        for request in requests:
+            request.request_id = next(self._request_ids)
         completions = self.device.submit_batch(channel, requests)
         self.submit_count += len(requests)
         return completions
@@ -390,6 +396,7 @@ class Kernel:
         """The Section 3 comparison stack: every request traps to the kernel
         (AMD-Catalyst-style), optionally with nontrivial driver-routine
         processing.  No scheduling — pure cost model."""
+        request.request_id = next(self._request_ids)
         cost = self.costs.syscall_us
         if driver_work:
             cost += self.costs.driver_work_us

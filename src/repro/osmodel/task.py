@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.context import GpuContext
     from repro.sim.process import Process
-
-_task_ids = itertools.count(1)
 
 
 class TaskState(enum.Enum):
@@ -23,11 +20,12 @@ class Task:
     """An OS process (or VM) using the accelerator.
 
     The schedulers see tasks only as opaque principals; all per-scheduler
-    state lives in the scheduler's own tables keyed by ``task_id``.
+    state lives in the scheduler's own tables keyed by ``task_id``, which
+    the kernel draws from its simulator's ``"task"`` id counter.
     """
 
-    def __init__(self, name: str) -> None:
-        self.task_id = next(_task_ids)
+    def __init__(self, name: str, task_id: int) -> None:
+        self.task_id = task_id
         self.name = name
         self.state = TaskState.RUNNING
         self.contexts: list["GpuContext"] = []

@@ -29,13 +29,20 @@ loops (:meth:`Simulator.run`, :meth:`Simulator.step`) call ``heapq``
 directly on ``Simulator._heap``: event dispatch is the simulator's hot
 path.  ``run`` holds the heap list in a local, which is why compaction
 rewrites the list in place instead of rebinding it.
+
+The simulator also numbers the entities of the system it runs: tasks,
+contexts, channels, requests and channel mappings draw their ids from
+:meth:`Simulator.id_counter`, so a run's ids depend on nothing outside
+its own simulator — unless it is given an ``id_counters`` dict shared
+with other simulations whose records meet in one stream.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import inf
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.sim.events import Event, TimerHandle
 from repro.sim.process import Process
@@ -62,7 +69,9 @@ class Simulator:
     #: O(n) rebuild amortized.
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self) -> None:
+    def __init__(
+        self, id_counters: Optional[dict[str, Iterator[int]]] = None
+    ) -> None:
         self.now: float = 0.0
         self._heap: list[tuple] = []
         #: Cancelled entries still stored in ``_heap``.
@@ -70,6 +79,9 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._processes: list[Process] = []
+        #: Entity id sequences by kind; simulators handed the same dict
+        #: share one numbering.
+        self._id_counters = id_counters if id_counters is not None else {}
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -121,6 +133,17 @@ class Simulator:
         process = Process(self, generator, name=name)
         self._processes.append(process)
         return process
+
+    def id_counter(self, kind: str) -> Iterator[int]:
+        """This simulation's id sequence for ``kind``: 1, 2, 3, ...
+
+        Every caller asking for the same kind shares one sequence, so the
+        stacks of a multi-device fleet never hand out the same id twice.
+        """
+        counter = self._id_counters.get(kind)
+        if counter is None:
+            counter = self._id_counters[kind] = count(1)
+        return counter
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping

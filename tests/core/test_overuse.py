@@ -8,7 +8,7 @@ from repro.osmodel.task import Task
 
 @pytest.fixture
 def task():
-    return Task("t")
+    return Task("t", 1)
 
 
 def test_no_skip_without_charge(task):

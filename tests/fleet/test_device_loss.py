@@ -5,14 +5,14 @@ from repro.fleet.experiment import (
     device_loss_plan,
     summarize_fleet,
 )
-from repro.fleet.registry import build_fleet_env, run_fleet
+from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
 from repro.sim.trace import TraceRecorder
 
 
 def lossy_fleet(devices=3, tenants=6, lose=0, at_us=30_000.0,
                 duration_us=100_000.0, trace=None):
-    env = build_fleet_env(
+    env = build_env(
         devices=devices, scheduler="dfq", seed=0, trace=trace,
         fault_plan=device_loss_plan(lose, at_us),
     )
@@ -20,7 +20,7 @@ def lossy_fleet(devices=3, tenants=6, lose=0, at_us=30_000.0,
         FleetTenant(f"t{i:03d}", request_size_us=800.0)
         for i in range(tenants)
     ]
-    results = run_fleet(env, workloads, duration_us, 10_000.0)
+    results = run_workloads(env, workloads, duration_us, 10_000.0)
     return env, results
 
 

@@ -1,6 +1,6 @@
 """Per-device trace tagging and device-aware tenant grouping."""
 
-from repro.fleet.registry import build_fleet_env, run_fleet
+from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
 from repro.obs.summary import task_key
 from repro.obs.windows import tenant_key
@@ -47,10 +47,10 @@ def test_tenant_keys_group_by_device_only_when_tagged():
 
 def test_multi_device_trace_separates_tenants_per_device():
     trace = TraceRecorder()
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=0, trace=trace)
+    env = build_env(devices=2, scheduler="dfq", seed=0, trace=trace)
     tenants = [FleetTenant(f"t{i:03d}", request_size_us=800.0)
                for i in range(4)]
-    run_fleet(env, tenants, 40_000.0, 5_000.0)
+    run_workloads(env, tenants, 40_000.0, 5_000.0)
     keys = set()
     for record in trace.records():
         if "task" not in record.payload:

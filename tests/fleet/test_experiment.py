@@ -1,4 +1,4 @@
-"""FleetCellSpec: content keys, labels, farm compatibility."""
+"""Fleet cells: content keys, labels, farm compatibility."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.parallel import run_cells
 from repro.faults.registry import FLEET_DEVICE_LOSS
 from repro.fleet.experiment import (
-    FleetCellSpec,
     device_loss_plan,
     summarize_fleet,
     tenant_specs,
@@ -22,7 +21,7 @@ def spec(**overrides):
         warmup_us=5_000.0,
     )
     base.update(overrides)
-    return FleetCellSpec(**base)
+    return CellSpec(**base)
 
 
 def test_content_key_is_stable_across_instances():
@@ -42,16 +41,6 @@ def test_content_key_is_stable_across_instances():
 ])
 def test_content_key_tracks_every_field(field, value):
     assert spec(**{field: value}).content_key() != spec().content_key()
-
-
-def test_content_key_never_collides_with_single_device_cells():
-    # Same workloads, duration, seed — the "fleet" namespace marker keeps
-    # the shared result cache partitioned.
-    plain = CellSpec(
-        scheduler="dfq", workloads=tenant_specs(4),
-        duration_us=40_000.0, warmup_us=5_000.0, seed=0,
-    )
-    assert spec(devices=1).content_key() != plain.content_key()
 
 
 def test_uncacheable_workloads_have_no_key():

@@ -1,4 +1,4 @@
-"""End-to-end fleet runs: identity at N=1, fleet metrics at N>1."""
+"""End-to-end fleet runs: fleet metrics at N>1, builder validation."""
 
 import math
 
@@ -10,46 +10,16 @@ from repro.fleet.experiment import (
     summarize_fleet,
     tenant_specs,
 )
-from repro.fleet.registry import build_fleet_env, run_fleet
 from repro.fleet.tenants import FleetTenant
 
 
-def make_tenants():
-    return [
-        FleetTenant("p0.t000", request_size_us=800.0),
-        FleetTenant("p0.t001", request_size_us=400.0, sleep_ratio=0.25),
-        FleetTenant("p1.t002", request_size_us=1200.0, jitter_sigma=0.2),
-    ]
-
-
-def test_fleet_of_one_matches_the_plain_runner_exactly():
-    # The acceptance bar for the whole subsystem: with one device, the
-    # fleet path must reproduce repro.experiments.runner field for field
-    # (same sim event order, same RNG draws, same metrics snapshots).
-    plain_env = build_env("dfq", seed=3)
-    plain = run_workloads(plain_env, make_tenants(), 80_000.0, 20_000.0)
-
-    fleet_env = build_fleet_env(devices=1, scheduler="dfq", seed=3)
-    fleet = run_fleet(fleet_env, make_tenants(), 80_000.0, 20_000.0)
-
-    assert sorted(plain) == sorted(fleet)
-    for name in plain:
-        assert plain[name] == fleet[name], name
-    # In particular: no fleet_* keys leak into single-device metrics.
-    assert not any(
-        key.startswith("fleet_")
-        for result in fleet.values()
-        for key in result.metrics
-    )
-
-
 def test_multi_device_run_isolates_and_annotates():
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=1)
+    env = build_env("dfq", seed=1, devices=2)
     tenants = [
         FleetTenant(f"p{i % 2}.t{i:03d}", request_size_us=800.0)
         for i in range(4)
     ]
-    results = run_fleet(env, tenants, 60_000.0, 10_000.0)
+    results = run_workloads(env, tenants, 60_000.0, 10_000.0)
     assert len(results) == 4
     devices_seen = set()
     for result in results.values():
@@ -62,9 +32,9 @@ def test_multi_device_run_isolates_and_annotates():
 
 
 def test_least_loaded_default_placement_balances_counts():
-    env = build_fleet_env(devices=3, scheduler="dfq", seed=0)
+    env = build_env("dfq", seed=0, devices=3)
     tenants = [FleetTenant(f"t{i:03d}") for i in range(9)]
-    results = run_fleet(env, tenants, 30_000.0, 5_000.0)
+    results = run_workloads(env, tenants, 30_000.0, 5_000.0)
     population = {}
     for result in results.values():
         device = result.metrics["fleet_device"]
@@ -73,10 +43,10 @@ def test_least_loaded_default_placement_balances_counts():
 
 
 def test_summary_and_table_roundtrip():
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=0)
+    env = build_env("dfq", seed=0, devices=2)
     tenants = [FleetTenant(f"t{i:03d}", request_size_us=600.0)
                for i in range(4)]
-    results = run_fleet(env, tenants, 60_000.0, 10_000.0)
+    results = run_workloads(env, tenants, 60_000.0, 10_000.0)
     summary = summarize_fleet(results)
     assert summary.devices == 2
     assert summary.tenants == 4
@@ -93,15 +63,15 @@ def test_summary_and_table_roundtrip():
         assert line in table
 
 
-def test_build_fleet_env_validation():
+def test_build_env_validation():
     with pytest.raises(ValueError, match="at least one device"):
-        build_fleet_env(devices=0)
+        build_env("dfq", devices=0)
     with pytest.raises(KeyError, match="unknown placement"):
-        build_fleet_env(devices=2, placement="nope")
+        build_env("dfq", devices=2, placement="nope")
     with pytest.raises(KeyError, match="unknown global policy"):
-        build_fleet_env(devices=2, policy="nope")
+        build_env("dfq", devices=2, policy="nope")
     with pytest.raises(KeyError, match="unknown scheduler"):
-        build_fleet_env(devices=2, scheduler="nope")
+        build_env("nope", devices=2)
 
 
 def test_tenant_specs_shapes_and_validation():

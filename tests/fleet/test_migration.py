@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.fleet.registry import build_fleet_env, run_fleet
+from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
 from repro.sim.trace import TraceRecorder
 
 
 def traced_fleet(devices=2, tenants=4, seed=0, moves=(), duration_us=120_000.0):
     trace = TraceRecorder()
-    env = build_fleet_env(
+    env = build_env(
         devices=devices, scheduler="dfq", seed=seed, trace=trace
     )
     workloads = [
         FleetTenant(f"t{i:03d}", request_size_us=800.0)
         for i in range(tenants)
     ]
-    results = run_fleet(env, workloads, duration_us, 10_000.0, moves=moves)
+    results = run_workloads(env, workloads, duration_us, 10_000.0, moves=moves)
     return env, trace, results
 
 

@@ -25,7 +25,7 @@ def make_channel(device):
     """Create (task, context, channel) triples on demand."""
 
     def factory(name: str = "task", kind: RequestKind = RequestKind.COMPUTE):
-        task = Task(name)
+        task = Task(name, next(device.sim.id_counter("task")))
         context = device.create_context(task)
         channel = device.create_channel(context, kind)
         return task, context, channel

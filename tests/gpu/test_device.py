@@ -11,13 +11,13 @@ from tests.gpu.conftest import submit
 
 def test_context_limit_enforced(device):
     for index in range(device.params.max_contexts):
-        device.create_context(Task(f"t{index}"))
+        device.create_context(Task(f"t{index}", index + 1))
     with pytest.raises(OutOfResourcesError):
-        device.create_context(Task("overflow"))
+        device.create_context(Task("overflow", 99))
 
 
 def test_channel_limit_enforced(device):
-    task = Task("hog")
+    task = Task("hog", 1)
     contexts = [
         device.create_context(task) for _ in range(device.params.max_contexts)
     ]
@@ -31,7 +31,7 @@ def test_channel_limit_enforced(device):
 
 
 def test_dead_context_rejects_channels(device):
-    task = Task("t")
+    task = Task("t", 1)
     context = device.create_context(task)
     device.kill_context(context)
     with pytest.raises(RuntimeError):
@@ -39,10 +39,10 @@ def test_dead_context_rejects_channels(device):
 
 
 def test_killing_context_frees_slots(device):
-    tasks = [Task(f"t{i}") for i in range(device.params.max_contexts)]
+    tasks = [Task(f"t{i}", i + 1) for i in range(device.params.max_contexts)]
     contexts = [device.create_context(task) for task in tasks]
     device.kill_context(contexts[0])
-    device.create_context(Task("reuse"))  # no raise
+    device.create_context(Task("reuse", 99))  # no raise
 
 
 def test_kill_context_triggers_pending_completions(sim, device, make_channel):
@@ -71,7 +71,7 @@ def test_double_kill_emits_context_killed_once(sim):
 
     trace = TraceRecorder()
     device = GpuDevice(sim, GpuParams(), trace)
-    context = device.create_context(Task("t"))
+    context = device.create_context(Task("t", 1))
     device.create_channel(context, RequestKind.COMPUTE)
     device.kill_context(context)
     device.kill_context(context)
@@ -143,7 +143,7 @@ def test_single_engine_mode_serves_dma(sim):
     params.separate_copy_engine = False
     device = GpuDevice(sim, params)
     assert device.copy_engine is None
-    task = Task("t")
+    task = Task("t", 1)
     context = device.create_context(task)
     channel = device.create_channel(context, RequestKind.DMA)
     request = submit(device, channel, 25.0)

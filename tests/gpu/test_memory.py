@@ -10,7 +10,7 @@ from repro.osmodel.task import Task
 
 @pytest.fixture
 def context():
-    return GpuContext(Task("t"))
+    return GpuContext(Task("t", 1), 1)
 
 
 def test_accounting(context):
@@ -71,7 +71,7 @@ def test_kill_context_releases_memory(sim):
     from repro.gpu.device import GpuDevice
 
     device = GpuDevice(sim)
-    task = Task("t")
+    task = Task("t", 1)
     context = device.create_context(task)
     device.memory.allocate(context, 1000.0)
     device.kill_context(context)

@@ -20,7 +20,7 @@ def preemptive_device(sim):
 
 
 def _make_channel(device, name="task"):
-    task = Task(name)
+    task = Task(name, next(device.sim.id_counter("task")))
     context = device.create_context(task)
     channel = device.create_channel(context, RequestKind.COMPUTE)
     return task, context, channel

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from repro.gpu.device import GpuDevice
 from repro.gpu.request import Request, RequestKind
+from repro.osmodel.kernel import Kernel
+from repro.sim.engine import Simulator
 
 
 def test_negative_size_rejected():
@@ -13,9 +16,24 @@ def test_negative_size_rejected():
 
 
 def test_ids_are_unique():
+    # Ids are assigned at submission, from the simulator's request counter.
+    sim = Simulator()
+    kernel = Kernel(sim, GpuDevice(sim))
+    task = kernel.create_task("t")
+    channel = kernel.open_channel(
+        task, kernel.open_context(task), RequestKind.COMPUTE
+    )
     a = Request(RequestKind.COMPUTE, 1.0)
     b = Request(RequestKind.COMPUTE, 1.0)
-    assert a.request_id != b.request_id
+    assert a.request_id == b.request_id == 0
+
+    def body():
+        yield from kernel.submit(task, channel, a)
+        yield from kernel.submit(task, channel, b)
+
+    sim.spawn(body())
+    sim.run(until=100.0)
+    assert (a.request_id, b.request_id) == (1, 2)
 
 
 def test_infinite_request_never_completes():

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.fleet.registry import build_fleet_env, run_fleet
+from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.spans import (
@@ -192,11 +192,11 @@ def test_system_spans_cover_engagement_episodes(span_run):
 
 def fleet_spans(moves=()):
     trace = TraceRecorder()
-    env = build_fleet_env(devices=2, scheduler="dfq", seed=0, trace=trace)
+    env = build_env(devices=2, scheduler="dfq", seed=0, trace=trace)
     workloads = [
         FleetTenant(f"t{i:03d}", request_size_us=800.0) for i in range(4)
     ]
-    run_fleet(env, workloads, 120_000.0, 10_000.0, moves=list(moves))
+    run_workloads(env, workloads, 120_000.0, 10_000.0, moves=list(moves))
     return build_spans(trace, env.sim.now)
 
 

@@ -10,7 +10,7 @@ def _make_channel(sim):
     from repro.gpu.device import GpuDevice
 
     device = GpuDevice(sim)
-    task = Task("t")
+    task = Task("t", 1)
     context = device.create_context(task)
     return device, device.create_channel(context, RequestKind.COMPUTE)
 

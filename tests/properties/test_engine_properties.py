@@ -24,7 +24,7 @@ def _run_plan(plan):
     device = GpuDevice(sim)
     channels = []
     for index in range(3):
-        task = Task(f"t{index}")
+        task = Task(f"t{index}", index + 1)
         context = device.create_context(task)
         channels.append(device.create_channel(context, RequestKind.COMPUTE))
     requests = []

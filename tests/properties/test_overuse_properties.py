@@ -18,7 +18,7 @@ charges = st.lists(
 def test_conservation_of_charged_overuse(charge_list, timeslice):
     """Total skips x timeslice + residual accrual == total charged."""
     ledger = OveruseLedger(timeslice)
-    task = Task("t")
+    task = Task("t", 1)
     skips = 0
     for charge in charge_list:
         ledger.charge(task, charge)
@@ -34,7 +34,7 @@ def test_conservation_of_charged_overuse(charge_list, timeslice):
 @settings(max_examples=60)
 def test_accrual_never_negative(charge_list, timeslice):
     ledger = OveruseLedger(timeslice)
-    task = Task("t")
+    task = Task("t", 1)
     for charge in charge_list:
         ledger.charge(task, charge)
         ledger.should_skip(task)
@@ -44,6 +44,6 @@ def test_accrual_never_negative(charge_list, timeslice):
 @given(st.floats(min_value=0.0, max_value=0.999))
 def test_sub_slice_overuse_never_skips(fraction):
     ledger = OveruseLedger(1000.0)
-    task = Task("t")
+    task = Task("t", 1)
     ledger.charge(task, fraction * 1000.0)
     assert not ledger.should_skip(task)

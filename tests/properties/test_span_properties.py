@@ -24,7 +24,6 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.experiment import device_loss_plan
-from repro.fleet.registry import build_fleet_env, run_fleet
 from repro.fleet.tenants import FleetTenant
 from repro.obs import events
 from repro.obs.spans import TERMINALS, build_spans
@@ -117,7 +116,7 @@ def test_closure_holds_across_seeds(seed):
 
 def test_device_loss_closes_every_span_on_the_lost_device():
     trace = TraceRecorder()
-    env = build_fleet_env(
+    env = build_env(
         devices=2,
         scheduler="dfq",
         seed=0,
@@ -127,7 +126,7 @@ def test_device_loss_closes_every_span_on_the_lost_device():
     tenants = [
         FleetTenant(f"t{i:03d}", request_size_us=800.0) for i in range(4)
     ]
-    run_fleet(env, tenants, 150_000.0, 10_000.0)
+    run_workloads(env, tenants, 150_000.0, 10_000.0)
     span_set = build_spans(trace, env.sim.now)
     assert_closure(trace, span_set)
     lost = span_set.select(device=0)
