@@ -9,7 +9,8 @@ The observability layer sits *beside* the simulation, not inside it:
   histograms (:class:`MetricsRegistry`), snapshotted into experiment
   results.
 * :mod:`repro.obs.engagement` — per-task engaged vs. disengaged time
-  accounting, fed by the interception layer's page flips.
+  accounting, fed by the interception layer's page flips, and its one
+  replay from a recorded trace.
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto)
   export/import.
 * :mod:`repro.obs.overhead` — reconstructs the paper's engagement
@@ -22,7 +23,7 @@ The observability layer sits *beside* the simulation, not inside it:
   (``repro perf``: record / history / compare / gate).
 * :mod:`repro.obs.windows` — streaming tumbling/sliding windows of
   per-tenant metrics over the live trace stream (shares, engaged time,
-  throughput, fixed-bin latency quantiles, per-window Jain index).
+  throughput, nearest-rank latency quantiles, per-window Jain index).
 * :mod:`repro.obs.slo` — declarative SLO rules evaluated at window
   close (starvation, fairness floor, tail latency, overuse budget).
 * :mod:`repro.obs.monitor` — glue + the ``repro monitor`` subcommand

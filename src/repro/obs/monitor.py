@@ -42,25 +42,16 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.obs import events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine, SloEvent, SloRule, load_rules
-from repro.obs.windows import WindowAggregator, WindowConfig, WindowSnapshot
+from repro.obs.windows import (
+    WindowAggregator,
+    WindowConfig,
+    WindowSnapshot,
+    split_tenant,
+)
 from repro.sim.trace import TraceRecorder
 
 #: Default window width for the CLI (µs).
 DEFAULT_WINDOW_US = 5_000.0
-
-
-def _tenant_device(tenant: Optional[str]) -> Optional[int]:
-    """Device id from a fleet tenant key (``name@dN``), else None.
-
-    Single-device runs never produce suffixed keys, so their monitor
-    events carry no device field and stay byte-identical.
-    """
-    if not tenant:
-        return None
-    _name, sep, suffix = tenant.rpartition("@d")
-    if sep and suffix.isdigit():
-        return int(suffix)
-    return None
 
 
 class Monitor:
@@ -99,10 +90,12 @@ class Monitor:
     def _window_closed(self, snapshot: WindowSnapshot) -> None:
         self.metrics.inc("windows_closed")
         trace = self.trace
+        # Single-device runs never produce ``name@dN`` keys, so their
+        # monitor events carry no device field and stay byte-identical.
         devices = sorted({
             device
             for tenant in snapshot.tenants
-            if (device := _tenant_device(tenant)) is not None
+            if (device := split_tenant(tenant)[1]) is not None
         })
         window_extra: dict[str, Any] = {"devices": devices} if devices else {}
         trace.emit(
@@ -122,7 +115,7 @@ class Monitor:
                 "slo_violations" if violated else "slo_recoveries",
                 event.task,
             )
-            device = _tenant_device(event.task)
+            device = split_tenant(event.task)[1]
             slo_extra: dict[str, Any] = (
                 {"device": device} if device is not None else {}
             )
@@ -187,13 +180,15 @@ def format_window_line(snapshot: WindowSnapshot, label: str = "") -> str:
     ]
     shown = 0
     for name in sorted(snapshot.tenants):
-        latency = snapshot.tenants[name].latency
-        if latency is None or not latency.count:
+        p99 = snapshot.tenants[name].latency_quantile(
+            0.99, snapshot.latency_bin_us
+        )
+        if p99 is None:
             continue
         if shown >= 4:
             parts.append("...")
             break
-        parts.append(f"p99[{name}]={latency.quantile(0.99):.0f}us")
+        parts.append(f"p99[{name}]={p99:.0f}us")
         shown += 1
     prefix = f"[{label}] " if label else ""
     return prefix + " ".join(parts)

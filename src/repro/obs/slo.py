@@ -210,10 +210,9 @@ class SloEngine:
                         and stats.share_usage_us <= rule.threshold):
                     offenders[task] = stats.share_usage_us
             elif rule.kind == "tail_latency":
-                latency = stats.latency
-                if latency is None or not latency.count:
-                    continue
-                value = latency.quantile(rule.quantile)
+                value = stats.latency_quantile(
+                    rule.quantile, snapshot.latency_bin_us
+                )
                 if value is not None and value > rule.threshold:
                     offenders[task] = value
             elif rule.kind == "overuse_budget":

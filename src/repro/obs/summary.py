@@ -2,9 +2,8 @@
 
 A :class:`TaskSummary` is reconstructed from the trace alone: request and
 fault counts directly from their events, engaged/disengaged time by
-replaying the interception layer's protection flips per channel.  A
-channel is accounted from its first appearance in the trace; pages start
-unprotected (disengaged), matching device discovery.
+replaying the interception layer's protection flips per channel through
+the live ledger's :class:`~repro.obs.engagement.EngagementClock`.
 """
 
 from __future__ import annotations
@@ -13,21 +12,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs import events
+from repro.obs.engagement import EngagementClock
 from repro.obs.overhead import overhead_breakdown
+from repro.obs.windows import tenant_key
 from repro.sim.trace import TraceRecorder
-
-
-def task_key(payload: dict) -> Optional[str]:
-    """Grouping key for a record's task: ``name``, or ``name@dN`` when
-    the record carries a fleet ``device`` tag.  Single-device traces
-    carry no tag and summarize exactly as before."""
-    task = payload.get("task")
-    if not isinstance(task, str):
-        return None
-    device = payload.get("device")
-    if device is None:
-        return task
-    return f"{task}@d{device}"
 
 
 @dataclass
@@ -130,30 +118,12 @@ class TraceSummary:
         }
 
 
-@dataclass
-class _ChannelReplay:
-    task: str
-    engaged: bool
-    since: float
-    totals: TaskSummary
-
-    def settle(self, now: float) -> None:
-        elapsed = now - self.since
-        if elapsed > 0:
-            if self.engaged:
-                self.totals.engaged_us += elapsed
-            else:
-                self.totals.disengaged_us += elapsed
-        self.since = now
-
-
 def summarize(trace: TraceRecorder, end_us: Optional[float] = None) -> TraceSummary:
     """Build a :class:`TraceSummary` by replaying the trace."""
     if end_us is None:
         end_us = trace.span_us[1]
 
     tasks: dict[str, TaskSummary] = {}
-    channels: dict[int, _ChannelReplay] = {}
     timeline: list[FaultIncident] = []
 
     def task_summary(name: str) -> TaskSummary:
@@ -163,27 +133,18 @@ def summarize(trace: TraceRecorder, end_us: Optional[float] = None) -> TraceSumm
             tasks[name] = summary
         return summary
 
-    def sight_channel(record) -> None:
-        """First sighting of a channel starts its engagement accounting."""
-        channel_id = record.payload.get("channel")
-        task = task_key(record.payload)
-        if not isinstance(channel_id, int) or task is None:
-            return
-        if channel_id not in channels:
-            channels[channel_id] = _ChannelReplay(
-                task, False, record.time, task_summary(task)
-            )
+    engagement = EngagementClock(task_summary)
 
     def fault_event(record, detail: str) -> None:
-        task = task_key(record.payload)
+        task = tenant_key(record.payload)
         timeline.append(
             FaultIncident(record.time, record.kind, task or "", detail)
         )
 
     for record in trace.records():
         payload = record.payload
-        task = task_key(payload)
-        sight_channel(record)
+        task = tenant_key(payload)
+        engagement.observe(record, tenant_key)
         if record.kind == events.FAULT_INJECTED:
             fault_event(record, payload.get("point", ""))
             if task:
@@ -231,16 +192,8 @@ def summarize(trace: TraceRecorder, end_us: Optional[float] = None) -> TraceSumm
             task_summary(task).killed = True
         elif record.kind == events.TASK_EXIT:
             task_summary(task).exited = True
-        elif record.kind in (events.CHANNEL_ENGAGED, events.CHANNEL_DISENGAGED):
-            channel_id = payload.get("channel")
-            replay = channels.get(channel_id)
-            engaged = record.kind == events.CHANNEL_ENGAGED
-            if replay is not None and replay.engaged != engaged:
-                replay.settle(record.time)
-                replay.engaged = engaged
 
-    for channel_id in sorted(channels):
-        channels[channel_id].settle(end_us)
+    engagement.settle(end_us)
 
     return TraceSummary(
         span_us=trace.span_us,

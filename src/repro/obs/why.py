@@ -49,6 +49,7 @@ from repro.obs.spans import (
     build_spans,
 )
 from repro.obs.summary import summarize
+from repro.obs.windows import nearest_rank, split_tenant
 
 #: Default attribution window width (µs) when no report pins one.
 DEFAULT_WINDOW_US = 10_000.0
@@ -147,13 +148,6 @@ def build_compare_parser() -> argparse.ArgumentParser:
 # Window/victim selection
 # ----------------------------------------------------------------------
 
-def _quantile(values: list[float], q: float) -> float:
-    """Deterministic empirical quantile (no interpolation)."""
-    ordered = sorted(values)
-    index = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[index]
-
-
 def _span_latency(span: Span) -> float:
     """The latency a span contributes to windowed quantiles: the full
     lifecycle duration.  Deliberately NOT the device-observed
@@ -187,7 +181,7 @@ def worst_window(
         ):
             by_task.setdefault(span.task, []).append(_span_latency(span))
         for name in sorted(by_task):
-            p99 = _quantile(by_task[name], 0.99)
+            p99 = nearest_rank(by_task[name], 0.99)
             if worst is None or p99 > worst[3]:
                 worst = (name, start, end, p99)
     return worst
@@ -204,7 +198,7 @@ def _report_violation(
     for event in events:
         if event.get("event") != "violation":
             continue
-        if task is not None and _split_tenant(event.get("task") or "")[0] != task:
+        if task is not None and split_tenant(event.get("task") or "")[0] != task:
             continue
         return event
     return None
@@ -225,14 +219,6 @@ def _window_bounds_from_report(
     end = float(event.get("end_us", 0.0))
     width = float(report.get("window_us", fallback_us))
     return end - width, end
-
-
-def _split_tenant(tenant: str) -> tuple[str, Optional[int]]:
-    """``name@dN`` -> (name, N); plain names -> (name, None)."""
-    name, sep, suffix = tenant.rpartition("@d")
-    if sep and suffix.isdigit():
-        return name, int(suffix)
-    return tenant, None
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +258,7 @@ def attribute_window(
         "window": [start_us, end_us],
         "spans": len(spans),
         "total_us": total,
-        "p99_us": _quantile(latencies, 0.99) if latencies else None,
+        "p99_us": nearest_rank(latencies, 0.99) if latencies else None,
         "components": components,
         "dominant": dominant,
         "dominant_share_pct": share,
@@ -411,7 +397,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         )
         victim = args.task
         if victim is None:
-            victim, event_device = _split_tenant(event.get("task") or "")
+            victim, event_device = split_tenant(event.get("task") or "")
             if device is None:
                 device = event_device
         if not victim:

@@ -7,20 +7,22 @@ time windows:
 
 * device shares — integrated from ``share_sample`` events the schedulers
   emit at engagement boundaries (episode settlement, slice end);
-* engaged / disengaged channel-time — integrated from the interception
-  layer's ``channel_engaged`` / ``channel_disengaged`` flips with a
-  per-window mini-ledger (same settle-on-flip scheme as
-  :class:`~repro.obs.engagement.EngagementLedger`);
+* engaged / disengaged channel-time — the interception layer's
+  ``channel_engaged`` / ``channel_disengaged`` flips, replayed through
+  the live ledger's :class:`~repro.obs.engagement.EngagementClock` and
+  split at every bucket boundary;
 * completion throughput and service time — from ``request_complete``;
-* deterministic fixed-bin latency quantiles (p50/p95/p99) — from the
-  ``latency_us`` payload, binned by :class:`FixedBinLatency`;
+* deterministic latency quantiles (p50/p95/p99) — the nearest-rank
+  value of the window's observed ``latency_us``, reported at the upper
+  edge of its ``latency_bin_us`` bin;
 * per-window Jain's fairness index — reusing
   :func:`repro.metrics.fairness.jain_index` over the tenants' shares.
 
 Windows are built from *slide*-width buckets kept in a bounded deque
-(``window / slide`` of them), so memory is O(tenants × window/slide)
-regardless of run length: ring-buffer eviction in the recorder never
-affects window aggregates because sinks see the full stream.
+(``window / slide`` of them).  Each bucket keeps the latencies it
+observed, so memory is O(completions per window) regardless of run
+length: ring-buffer eviction in the recorder never affects window
+aggregates because sinks see the full stream.
 
 Everything here is deterministic and import-free with respect to the
 simulation: the aggregator consumes :class:`TraceRecord` values only, so
@@ -37,14 +39,11 @@ from typing import Callable, Iterable, Optional
 
 from repro.metrics.fairness import jain_index
 from repro.obs import events
+from repro.obs.engagement import EngagementClock
 from repro.sim.trace import TraceRecord
 
-#: Latency quantiles every window reports.
-REPORT_QUANTILES = (0.50, 0.95, 0.99)
-
-
-def tenant_key(payload: dict) -> str:
-    """Window/SLO tenant key for a record's payload.
+def tenant_key(payload: dict) -> Optional[str]:
+    """The tenant a record's payload belongs to, or None without a task.
 
     Single-device runs carry no ``device`` field and key tenants by bare
     task name — unchanged byte-for-byte.  Fleet runs tag every record
@@ -52,11 +51,31 @@ def tenant_key(payload: dict) -> str:
     same task name on different devices aggregates separately as
     ``name@dN`` (a migrated tenant's service is attributed per device).
     """
-    task = payload["task"]
+    task = payload.get("task")
+    if not isinstance(task, str):
+        return None
     device = payload.get("device")
     if device is None:
         return task
     return f"{task}@d{device}"
+
+
+def split_tenant(key: str) -> tuple[str, Optional[int]]:
+    """Inverse of :func:`tenant_key`: ``name@dN`` -> (name, N); a bare
+    name -> (name, None)."""
+    name, sep, suffix = key.rpartition("@d")
+    if sep and suffix.isdigit():
+        return name, int(suffix)
+    return key, None
+
+
+def nearest_rank(values: list[float], q: float) -> float:
+    """The nearest-rank ``q`` quantile of a non-empty list: the
+    ``max(1, ceil(q*n))``-th smallest value (no interpolation)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    rank = max(1, math.ceil(q * len(values)))
+    return sorted(values)[rank - 1]
 
 
 @dataclass(frozen=True)
@@ -69,12 +88,9 @@ class WindowConfig:
 
     window_us: float
     slide_us: Optional[float] = None
-    #: Fixed latency bin width; quantiles are deterministic to this
-    #: resolution (a quantile is the upper edge of its bin).
+    #: Latency bin width; a quantile is reported as the upper edge of
+    #: the bin holding the nearest-rank observation.
     latency_bin_us: float = 50.0
-    #: Values at or above this go to the overflow bin (reported as the
-    #: exact tracked maximum).
-    latency_max_us: float = 1_000_000.0
 
     def __post_init__(self) -> None:
         if self.window_us <= 0:
@@ -90,8 +106,6 @@ class WindowConfig:
                 )
         if self.latency_bin_us <= 0:
             raise ValueError("latency_bin_us must be > 0")
-        if self.latency_max_us < self.latency_bin_us:
-            raise ValueError("latency_max_us must be >= latency_bin_us")
 
     @property
     def effective_slide_us(self) -> float:
@@ -100,79 +114,6 @@ class WindowConfig:
     @property
     def buckets_per_window(self) -> int:
         return int(round(self.window_us / self.effective_slide_us))
-
-
-class FixedBinLatency:
-    """Deterministic fixed-width-bin latency distribution.
-
-    Bins are ``[i*bin_us, (i+1)*bin_us)``; a quantile is the *upper edge*
-    of the bin holding the ``ceil(q*n)``-th observation, so it
-    over-estimates by at most one bin width (the tolerance the tests
-    assert against exact sorted quantiles).  Overflow observations
-    (``>= max_us``) report the exact tracked maximum instead, so extreme
-    tails are never under-stated.  Mergeable, for sliding windows.
-    """
-
-    __slots__ = ("bin_us", "max_us", "counts", "count", "total", "min", "max")
-
-    def __init__(self, bin_us: float, max_us: float) -> None:
-        self.bin_us = float(bin_us)
-        self.max_us = float(max_us)
-        self.counts = [0] * (int(math.ceil(max_us / bin_us)) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        index = int(value // self.bin_us)
-        if value < 0:
-            index = 0
-        elif index >= len(self.counts) - 1:
-            index = len(self.counts) - 1
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def merge(self, other: "FixedBinLatency") -> None:
-        if (other.bin_us, other.max_us) != (self.bin_us, self.max_us):
-            raise ValueError("cannot merge histograms with different bins")
-        for index, bucket in enumerate(other.counts):
-            self.counts[index] += bucket
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
-    def mean(self) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return self.total / self.count
-
-    def quantile(self, q: float) -> Optional[float]:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return None
-        rank = max(1, int(math.ceil(q * self.count)))
-        seen = 0
-        for index, bucket in enumerate(self.counts):
-            seen += bucket
-            if seen >= rank:
-                if index == len(self.counts) - 1:
-                    return self.max  # overflow: exact tracked maximum
-                return (index + 1) * self.bin_us
-        return self.max
-
-    def copy(self) -> "FixedBinLatency":
-        out = FixedBinLatency(self.bin_us, self.max_us)
-        out.merge(self)
-        return out
 
 
 @dataclass
@@ -193,7 +134,11 @@ class TenantWindow:
     #: Last virtual time observed for the tenant (``vt_update``); not
     #: additive — merged windows keep the most recent value.
     vt: Optional[float] = None
-    latency: Optional[FixedBinLatency] = None
+    #: Every completion's ``latency_us``, in record order.
+    latencies: list[float] = field(default_factory=list)
+    #: Their running total: ``+=`` per completion, then bucket totals in
+    #: bucket order (``sum()`` would round differently on some Pythons).
+    latency_total_us: float = 0.0
 
     def merge(self, other: "TenantWindow") -> None:
         self.submits += other.submits
@@ -209,13 +154,19 @@ class TenantWindow:
         self.kills += other.kills
         if other.vt is not None:
             self.vt = other.vt
-        if other.latency is not None:
-            if self.latency is None:
-                self.latency = other.latency.copy()
-            else:
-                self.latency.merge(other.latency)
+        self.latencies += other.latencies
+        self.latency_total_us += other.latency_total_us
 
-    def to_dict(self, span_us: float) -> dict:
+    def latency_quantile(self, q: float, bin_us: float) -> Optional[float]:
+        """Upper edge of the ``bin_us``-wide bin holding the nearest-rank
+        ``q`` latency (negative values fall in bin 0): at most one bin
+        above the exact value.  None before any completion."""
+        if not self.latencies:
+            return None
+        index = max(0, int(nearest_rank(self.latencies, q) // bin_us))
+        return (index + 1) * bin_us
+
+    def to_dict(self, span_us: float, bin_us: float) -> dict:
         out = {
             "submits": self.submits,
             "completions": self.completions,
@@ -234,15 +185,15 @@ class TenantWindow:
         }
         if self.vt is not None:
             out["vt"] = self.vt
-        latency = self.latency
-        if latency is not None and latency.count:
+        latencies = self.latencies
+        if latencies:
             out["latency"] = {
-                "count": latency.count,
-                "mean_us": latency.mean(),
-                "p50_us": latency.quantile(0.50),
-                "p95_us": latency.quantile(0.95),
-                "p99_us": latency.quantile(0.99),
-                "max_us": latency.max,
+                "count": len(latencies),
+                "mean_us": self.latency_total_us / len(latencies),
+                "p50_us": self.latency_quantile(0.50, bin_us),
+                "p95_us": self.latency_quantile(0.95, bin_us),
+                "p99_us": self.latency_quantile(0.99, bin_us),
+                "max_us": max(latencies),
             }
         return out
 
@@ -267,6 +218,8 @@ class WindowSnapshot:
     jain: float
     #: Which per-tenant quantity the Jain computation used.
     share_basis: str
+    #: Width of the bins latency quantiles are reported at.
+    latency_bin_us: float
     partial: bool = False
 
     @property
@@ -282,17 +235,12 @@ class WindowSnapshot:
             "jain": None if math.isnan(self.jain) else self.jain,
             "share_basis": self.share_basis,
             "tenants": {
-                name: self.tenants[name].to_dict(self.span_us)
+                name: self.tenants[name].to_dict(
+                    self.span_us, self.latency_bin_us
+                )
                 for name in sorted(self.tenants)
             },
         }
-
-
-@dataclass
-class _ChannelLedger:
-    task: str
-    engaged: bool
-    since: float
 
 
 class WindowAggregator:
@@ -311,7 +259,7 @@ class WindowAggregator:
         slide = config.effective_slide_us
         self._bucket = _Bucket(start_us, start_us + slide)
         self._pending: list[_Bucket] = []
-        self._channels: dict[int, _ChannelLedger] = {}
+        self._engagement = EngagementClock(self._tenant)
         self._callbacks: list[Callable[[WindowSnapshot], None]] = []
         self.windows_closed = 0
         self.snapshots: list[WindowSnapshot] = []
@@ -333,6 +281,7 @@ class WindowAggregator:
         if kind.startswith("window.") or kind.startswith("slo."):
             return
         self._advance(record.time)
+        self._engagement.observe(record, tenant_key)
         self._consume(record)
 
     # -- time machinery ------------------------------------------------
@@ -341,7 +290,8 @@ class WindowAggregator:
             self._close_bucket(self._bucket.end_us)
 
     def _close_bucket(self, boundary: float) -> None:
-        self._settle_engagement(boundary)
+        # Split every running channel clock at the bucket boundary.
+        self._engagement.settle(boundary)
         self._pending.append(self._bucket)
         slide = self.config.effective_slide_us
         self._bucket = _Bucket(boundary, boundary + slide)
@@ -379,6 +329,7 @@ class WindowAggregator:
             tenants=merged,
             jain=jain_index(shares.values()),
             share_basis=basis,
+            latency_bin_us=self.config.latency_bin_us,
             partial=partial,
         )
         self.windows_closed += 1
@@ -400,7 +351,7 @@ class WindowAggregator:
         self._advance(end_us)
         bucket = self._bucket
         if end_us > bucket.start_us:
-            self._settle_engagement(end_us)
+            self._engagement.settle(end_us)
             partial = _Bucket(bucket.start_us, end_us, bucket.tenants)
             tail = (self._pending + [partial])[-self.config.buckets_per_window:]
             self._emit_window(tail, partial=True)
@@ -416,84 +367,37 @@ class WindowAggregator:
         return stats
 
     def _consume(self, record: TraceRecord) -> None:
-        kind = record.kind
         payload = record.payload
+        tenant = tenant_key(payload)
+        if tenant is None:
+            return
+        kind = record.kind
         if kind == events.REQUEST_COMPLETE:
-            stats = self._tenant(tenant_key(payload))
+            stats = self._tenant(tenant)
             stats.completions += 1
             stats.service_us += payload.get("service_us", 0.0)
             latency = payload.get("latency_us")
             if latency is not None:
-                if stats.latency is None:
-                    stats.latency = FixedBinLatency(
-                        self.config.latency_bin_us, self.config.latency_max_us
-                    )
-                stats.latency.observe(latency)
+                stats.latencies.append(latency)
+                stats.latency_total_us += latency
         elif kind == events.REQUEST_SUBMIT:
-            self._tenant(tenant_key(payload)).submits += 1
+            self._tenant(tenant).submits += 1
         elif kind == events.SHARE_SAMPLE:
-            self._tenant(tenant_key(payload)).share_usage_us += payload[
-                "usage_us"
-            ]
+            self._tenant(tenant).share_usage_us += payload["usage_us"]
         elif kind == events.VT_UPDATE:
-            self._tenant(tenant_key(payload)).vt = payload.get("vt")
+            self._tenant(tenant).vt = payload.get("vt")
         elif kind == events.OVERUSE_CHARGE:
-            self._tenant(tenant_key(payload)).overuse_us += payload.get(
-                "excess_us", 0.0
-            )
+            self._tenant(tenant).overuse_us += payload.get("excess_us", 0.0)
         elif kind == events.FAULT:
-            self._tenant(tenant_key(payload)).faults += 1
+            self._tenant(tenant).faults += 1
         elif kind == events.DENIAL:
-            self._tenant(tenant_key(payload)).denials += 1
+            self._tenant(tenant).denials += 1
         elif kind == events.FAULT_ESCALATED:
-            self._tenant(tenant_key(payload)).escalations += 1
+            self._tenant(tenant).escalations += 1
         elif kind == events.TASK_KILLED:
-            self._tenant(tenant_key(payload)).kills += 1
-        elif kind == events.CHANNEL_ENGAGED:
-            self._flip(payload, engaged=True, now=record.time)
-        elif kind == events.CHANNEL_DISENGAGED:
-            self._flip(payload, engaged=False, now=record.time)
-        elif kind == events.TASK_EXIT:
-            self._drop_task(tenant_key(payload), record.time)
-        # Everything else carries no per-tenant window quantity.
-
-    # -- engagement mini-ledger ----------------------------------------
-    def _flip(self, payload: dict, engaged: bool, now: float) -> None:
-        channel_id = payload.get("channel")
-        if channel_id is None:
-            return
-        state = self._channels.get(channel_id)
-        if state is None:
-            self._channels[channel_id] = _ChannelLedger(
-                tenant_key(payload), engaged, now
-            )
-            return
-        if state.engaged != engaged:
-            self._settle_channel(state, now)
-            state.engaged = engaged
-
-    def _settle_channel(self, state: _ChannelLedger, now: float) -> None:
-        elapsed = now - state.since
-        if elapsed > 0:
-            stats = self._tenant(state.task)
-            if state.engaged:
-                stats.engaged_us += elapsed
-            else:
-                stats.disengaged_us += elapsed
-        state.since = now
-
-    def _settle_engagement(self, boundary: float) -> None:
-        # The current bucket is about to close: account every channel's
-        # open span into it so spans crossing buckets split correctly.
-        for channel_id in sorted(self._channels):
-            self._settle_channel(self._channels[channel_id], boundary)
-
-    def _drop_task(self, task: str, now: float) -> None:
-        for channel_id in sorted(self._channels):
-            state = self._channels[channel_id]
-            if state.task == task:
-                self._settle_channel(state, now)
-                del self._channels[channel_id]
+            self._tenant(tenant).kills += 1
+        # Everything else carries no per-tenant window quantity; channel
+        # flips, exits and kills also feed the engagement clock.
 
 
 def aggregate_trace(

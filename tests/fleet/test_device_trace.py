@@ -2,8 +2,7 @@
 
 from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
-from repro.obs.summary import task_key
-from repro.obs.windows import tenant_key
+from repro.obs.windows import split_tenant, tenant_key
 from repro.sim.trace import DeviceTraceView, TraceRecord, TraceRecorder
 
 
@@ -39,10 +38,12 @@ def test_tenant_keys_group_by_device_only_when_tagged():
     # Single-device payloads carry no device field: bare names, so all
     # pre-fleet window/summary output is unchanged.
     assert tenant_key({"task": "glxgears"}) == "glxgears"
-    assert task_key({"task": "glxgears"}) == "glxgears"
     assert tenant_key({"task": "t0", "device": 2}) == "t0@d2"
-    assert task_key({"task": "t0", "device": 2}) == "t0@d2"
-    assert task_key({"device": 2}) is None  # no task, no key
+    assert tenant_key({"device": 2}) is None  # no task, no key
+    # split_tenant inverts the key, bare names included.
+    assert split_tenant("glxgears") == ("glxgears", None)
+    assert split_tenant("t0@d2") == ("t0", 2)
+    assert split_tenant("p0.t000@d10") == ("p0.t000", 10)
 
 
 def test_multi_device_trace_separates_tenants_per_device():

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.obs.slo import SloEngine, SloRule, load_rules
-from repro.obs.windows import FixedBinLatency, TenantWindow, WindowSnapshot
+from repro.obs.windows import TenantWindow, WindowSnapshot
 
 
 def _snapshot(index, tenants, jain=1.0):
@@ -17,17 +17,8 @@ def _snapshot(index, tenants, jain=1.0):
         tenants=tenants,
         jain=jain,
         share_basis="share_usage_us",
+        latency_bin_us=50.0,
     )
-
-
-def _tenant(**kwargs):
-    latency_values = kwargs.pop("latencies", None)
-    stats = TenantWindow(**kwargs)
-    if latency_values is not None:
-        stats.latency = FixedBinLatency(50.0, 10_000.0)
-        for value in latency_values:
-            stats.latency.observe(value)
-    return stats
 
 
 # ----------------------------------------------------------------------
@@ -82,12 +73,12 @@ def test_fairness_floor_fires_on_low_jain():
 
 def test_starvation_requires_demand_without_progress():
     engine = SloEngine([SloRule("starve", "starvation", 100.0)])
-    starving = _tenant(submits=5, completions=0, share_usage_us=0.0)
+    starving = TenantWindow(submits=5, completions=0, share_usage_us=0.0)
     events = engine.observe(_snapshot(0, {"victim": starving}))
     assert [e.task for e in events] == ["victim"]
     # Progress (completions) clears it; no demand never fires.
-    fine = _tenant(submits=5, completions=2, share_usage_us=0.0)
-    idle = _tenant()
+    fine = TenantWindow(submits=5, completions=2, share_usage_us=0.0)
+    idle = TenantWindow()
     engine2 = SloEngine([SloRule("starve", "starvation", 100.0)])
     assert engine2.observe(_snapshot(0, {"a": fine, "b": idle})) == []
 
@@ -96,7 +87,7 @@ def test_tail_latency_uses_rule_quantile():
     engine = SloEngine([
         SloRule("p50", "tail_latency", 100.0, quantile=0.5),
     ])
-    slow = _tenant(completions=4, latencies=[10.0, 400.0, 400.0, 400.0])
+    slow = TenantWindow(completions=4, latencies=[10.0, 400.0, 400.0, 400.0])
     events = engine.observe(_snapshot(0, {"slow": slow}))
     assert [e.event for e in events] == ["violation"]
     # p50 (2nd of 4 observations) sits in the 400 bin (upper edge 450).
@@ -108,13 +99,13 @@ def test_tail_latency_uses_rule_quantile():
 
 def test_overuse_budget_checks_both_time_and_escalations():
     rules = [SloRule("budget", "overuse_budget", 50.0, max_escalations=0)]
-    over_time = _tenant(overuse_us=80.0)
+    over_time = TenantWindow(overuse_us=80.0)
     events = SloEngine(rules).observe(_snapshot(0, {"hog": over_time}))
     assert [e.task for e in events] == ["hog"]
-    escalated = _tenant(escalations=2)
+    escalated = TenantWindow(escalations=2)
     events = SloEngine(rules).observe(_snapshot(0, {"bad": escalated}))
     assert [e.task for e in events] == ["bad"]
-    clean = _tenant(overuse_us=10.0)
+    clean = TenantWindow(overuse_us=10.0)
     assert SloEngine(rules).observe(_snapshot(0, {"ok": clean})) == []
 
 
@@ -158,11 +149,11 @@ def test_recovery_fires_once_and_reports_last_value():
 
 def test_per_task_state_is_independent():
     engine = SloEngine([SloRule("starve", "starvation", 100.0)])
-    starving = {"a": _tenant(submits=3), "b": _tenant(submits=3)}
+    starving = {"a": TenantWindow(submits=3), "b": TenantWindow(submits=3)}
     events = engine.observe(_snapshot(0, starving))
     assert sorted(e.task for e in events) == ["a", "b"]
     # b recovers, a stays violated.
-    mixed = {"a": _tenant(submits=3), "b": _tenant(submits=3, completions=1)}
+    mixed = {"a": TenantWindow(submits=3), "b": TenantWindow(submits=3, completions=1)}
     events = engine.observe(_snapshot(1, mixed))
     assert [(e.event, e.task) for e in events] == [("recovered", "b")]
     assert engine.active_violations == [("starve", "a")]

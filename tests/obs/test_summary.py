@@ -8,7 +8,11 @@ the same run through independent hooks.
 
 import pytest
 
+from repro.experiments.runner import build_env, run_workloads
+from repro.fleet.experiment import tenant_specs
 from repro.obs.summary import TaskSummary, diff_counts, diff_tasks, summarize
+from repro.obs.windows import split_tenant
+from repro.sim.trace import TraceRecorder
 from tests.obs.conftest import traced_run
 
 
@@ -50,6 +54,31 @@ def test_engagement_replay_matches_ledger(dfq_run):
             expected["disengaged_us"]), name
         # DFQ keeps tasks disengaged most of the time — that's the point.
         assert task.disengaged_us > task.engaged_us
+
+
+def test_engagement_replay_stops_at_exit_like_the_ledger():
+    # A planned migration: p0.t000 exits device 0 (at 84.4 ms, an
+    # engagement boundary) and resumes on device 1.  Its device-0
+    # channels stop accruing at that exit, in the summary as in the
+    # device's live ledger.
+    trace = TraceRecorder()
+    env = build_env("dfq", seed=0, trace=trace, devices=2)
+    workloads = [spec.build() for spec in tenant_specs(4)]
+    run_workloads(env, workloads, 120_000.0, 30_000.0,
+                  moves=((30_000.0, "p0.t000", 1),))
+    summary = summarize(trace, end_us=env.sim.now)
+    ledgers = {
+        stack.device_id: stack.scheduler.neon.engagement.snapshot(env.sim.now)
+        for stack in env.stacks
+    }
+    assert "p0.t000@d0" in summary.tasks and "p0.t000@d1" in summary.tasks
+    for key, task in summary.tasks.items():
+        name, device = split_tenant(key)
+        expected = ledgers[device].get(name)
+        assert expected is not None, key
+        assert task.engaged_us == pytest.approx(expected["engaged_us"]), key
+        assert task.disengaged_us == pytest.approx(
+            expected["disengaged_us"]), key
 
 
 def test_summary_rollup_fields(dfq_run):

@@ -1,16 +1,24 @@
 """Tests for the streaming window aggregator (repro.obs.windows)."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.runner import build_env, run_workloads
+from repro.obs.monitor import MonitorSession, monitoring
+from repro.obs.slo import SloRule
 from repro.obs.windows import (
-    FixedBinLatency,
+    TenantWindow,
     WindowAggregator,
     WindowConfig,
     aggregate_trace,
+    nearest_rank,
 )
 from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.workloads.apps import make_app
 
 
 def _rec(time, kind, **payload):
@@ -39,7 +47,7 @@ def test_config_validates_window():
 
 
 # ----------------------------------------------------------------------
-# FixedBinLatency: deterministic quantiles vs exact sorted quantiles
+# Latency quantiles: nearest rank over the observations, at the bin edge
 # ----------------------------------------------------------------------
 
 def _exact_quantile(values, q):
@@ -48,47 +56,64 @@ def _exact_quantile(values, q):
     return ordered[rank - 1]
 
 
+def _observed(values):
+    """One tenant's window as the aggregator builds it from completions."""
+    aggregator = WindowAggregator(WindowConfig(1_000.0))
+    for value in values:
+        aggregator(_completion(1.0, "a", latency_us=value))
+    aggregator.finish(1_000.0)
+    return aggregator.snapshots[0].tenants["a"]
+
+
+def test_nearest_rank_matches_exact_sorted_rank():
+    values = [5.0, 1.0, 4.0, 2.0, 3.0]
+    for q in (0.0, 0.2, 0.21, 0.5, 0.99, 1.0):
+        assert nearest_rank(values, q) == _exact_quantile(values, q)
+    with pytest.raises(ValueError):
+        nearest_rank(values, 1.5)
+
+
 def test_fixed_bin_quantiles_within_bin_width_of_exact():
     # A deterministic but irregular stream of latencies.
     values = [((i * 7919) % 997) / 2.0 + 1.0 for i in range(500)]
     bin_us = 25.0
-    histogram = FixedBinLatency(bin_us, max_us=10_000.0)
-    for value in values:
-        histogram.observe(value)
+    stats = _observed(values)
     for q in (0.5, 0.9, 0.95, 0.99, 1.0):
         exact = _exact_quantile(values, q)
-        binned = histogram.quantile(q)
+        binned = stats.latency_quantile(q, bin_us)
         # Upper-edge convention: never understates, overshoots by < 1 bin.
         assert exact <= binned <= exact + bin_us
-    assert histogram.mean() == pytest.approx(sum(values) / len(values))
+    latency = stats.to_dict(1_000.0, bin_us)["latency"]
+    assert latency["mean_us"] == pytest.approx(sum(values) / len(values))
+    assert latency["max_us"] == max(values)
 
 
-def test_fixed_bin_overflow_reports_exact_maximum():
-    histogram = FixedBinLatency(50.0, max_us=100.0)
-    histogram.observe(10.0)
-    histogram.observe(12_345.0)
-    assert histogram.quantile(1.0) == 12_345.0
-    assert histogram.max == 12_345.0
+def test_quantiles_far_in_the_tail_keep_their_own_bin_edge():
+    # No overflow bin: a huge latency reports its own bin's upper edge,
+    # and negative values fall in bin 0.
+    stats = _observed([-3.0, 10.0, 12_345_678.0])
+    assert stats.latency_quantile(1.0, 50.0) == 12_345_700.0
+    assert stats.latency_quantile(0.0, 50.0) == 50.0
 
 
 def test_fixed_bin_empty_quantile_is_none():
-    histogram = FixedBinLatency(50.0, max_us=100.0)
-    assert histogram.quantile(0.5) is None
-    assert histogram.mean() is None
+    stats = TenantWindow()
+    assert stats.latency_quantile(0.5, 50.0) is None
+    assert "latency" not in stats.to_dict(100.0, 50.0)
 
 
 def test_fixed_bin_merge_matches_combined_stream():
-    left = FixedBinLatency(10.0, 1_000.0)
-    right = FixedBinLatency(10.0, 1_000.0)
-    combined = FixedBinLatency(10.0, 1_000.0)
+    left, right, combined = TenantWindow(), TenantWindow(), TenantWindow()
     for i in range(40):
         value = float((i * 13) % 700)
-        (left if i % 2 else right).observe(value)
-        combined.observe(value)
+        for stats in ((left if i % 2 else right), combined):
+            stats.latencies.append(value)
+            stats.latency_total_us += value
     left.merge(right)
-    assert left.counts == combined.counts
-    assert left.count == combined.count
-    assert left.quantile(0.95) == combined.quantile(0.95)
+    assert sorted(left.latencies) == sorted(combined.latencies)
+    for q in (0.5, 0.95, 1.0):
+        assert (left.latency_quantile(q, 10.0)
+                == combined.latency_quantile(q, 10.0))
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +186,47 @@ def test_engagement_ledger_splits_spans_across_buckets():
     assert second.tenants["a"].disengaged_us == pytest.approx(50.0)
 
 
+def test_exit_and_kill_stop_a_channels_clock():
+    aggregator = WindowAggregator(WindowConfig(100.0))
+    aggregator(_rec(10.0, "channel_engaged", task="a", channel=1))
+    aggregator(_rec(10.0, "channel_engaged", task="b", channel=2))
+    aggregator(_rec(30.0, "task_killed", task="a", reason="overuse"))
+    aggregator(_rec(40.0, "task_exit", task="b"))
+    # A record after the stop does not restart the clock.
+    aggregator(_rec(60.0, "channel_disengaged", task="a", channel=1))
+    aggregator.finish(200.0)
+    first, second = aggregator.snapshots
+    assert first.tenants["a"].engaged_us == pytest.approx(20.0)
+    assert first.tenants["a"].disengaged_us == 0.0
+    assert first.tenants["b"].engaged_us == pytest.approx(30.0)
+    assert set(second.tenants) == set()
+
+
+def test_direct_windows_account_every_channel_us():
+    # Under direct access the pages never flip: a channel's clock starts,
+    # disengaged, at its first record and runs through every window.
+    config = WindowConfig(5_000.0)
+    trace = TraceRecorder()
+    aggregator = WindowAggregator(config)
+    trace.add_sink(aggregator)
+    env = build_env("direct", seed=0, trace=trace)
+    run_workloads(env, [make_app("glxgears")], duration_us=60_000.0)
+    aggregator.finish(env.sim.now)
+    first_submit = min(
+        record.time for record in trace.records()
+        if record.kind == "request_submit"
+    )
+    full = [
+        snapshot for snapshot in aggregator.snapshots
+        if not snapshot.partial and snapshot.start_us >= first_submit
+    ]
+    assert len(full) >= 10
+    for snapshot in full:
+        stats = snapshot.tenants["glxgears"]
+        assert stats.engaged_us == 0.0
+        assert stats.disengaged_us == pytest.approx(snapshot.span_us)
+
+
 def test_monitor_emits_are_ignored_by_the_sink():
     aggregator = WindowAggregator(WindowConfig(100.0))
     aggregator(_rec(500.0, "window.close", window=0))
@@ -224,8 +290,9 @@ def _snapshot_fingerprint(snapshot):
         snapshot.index, snapshot.start_us, snapshot.end_us, snapshot.partial,
         None if math.isnan(snapshot.jain) else snapshot.jain,
         snapshot.share_basis,
-        {name: snapshot.tenants[name].to_dict(snapshot.span_us)
-         for name in sorted(snapshot.tenants)},
+        {name: snapshot.tenants[name].to_dict(
+            snapshot.span_us, snapshot.latency_bin_us
+        ) for name in sorted(snapshot.tenants)},
     )
 
 
@@ -296,8 +363,9 @@ def test_long_horizon_thousand_windows():
     for snapshot in aggregator.snapshots:
         assert set(snapshot.tenants) == {"a", "b"}
         for stats in snapshot.tenants.values():
-            assert stats.latency is not None
-            assert stats.latency.quantile(0.99) is not None
+            assert stats.latencies
+            assert stats.latency_quantile(0.99, config.latency_bin_us) \
+                is not None
         assert not math.isnan(snapshot.jain)
 
 
@@ -310,3 +378,49 @@ def test_keep_snapshots_caps_memory():
     assert len(aggregator.snapshots) == 3
     # windows_closed keeps counting even though old snapshots dropped.
     assert aggregator.snapshots[-1].index == aggregator.windows_closed - 1
+
+
+# ----------------------------------------------------------------------
+# Golden monitor reports: recorded from the dense-histogram windows,
+# each in a fresh interpreter.  Observation lists report the same bytes.
+# ----------------------------------------------------------------------
+
+#: sha256 of ``Monitor.report()`` (canonical JSON) for :func:`_report`.
+GOLDEN_REPORTS = {
+    "tumbling": (
+        WindowConfig(5_000.0),
+        "076550eeaa475207fefdaf11df2bfc9a72e51879035fe55f9a46099bfd44762d",
+    ),
+    "sliding": (
+        WindowConfig(10_000.0, slide_us=2_500.0),
+        "8929cbd093a2f94e7fc4837b1ffac7212974bbd85eb3a61733884ab219e4c6ac",
+    ),
+}
+
+
+def _report(window: WindowConfig) -> dict:
+    """DFQ, glxgears against three BitonicSort, under a p99 400 us rule."""
+    workloads = (WorkloadSpec.app("glxgears"), WorkloadSpec.app("BitonicSort"))
+    workloads += tuple(
+        WorkloadSpec.app("BitonicSort", instance=f"BitonicSort.{n}")
+        for n in (2, 3)
+    )
+    spec = CellSpec(
+        scheduler="dfq", workloads=workloads, duration_us=200_000.0,
+        warmup_us=50_000.0, seed=0,
+    )
+    rule = SloRule("p99-ceiling", "tail_latency", 400.0, quantile=0.99)
+    session = MonitorSession(window, (rule,), line_sink=lambda line: None)
+    with monitoring(session):
+        spec.run()
+    (monitor,) = session.monitors
+    return monitor.report()
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_REPORTS))
+def test_monitor_report_matches_golden_digest(shape):
+    window, digest = GOLDEN_REPORTS[shape]
+    report = _report(window)
+    assert report["violations"] >= 1
+    payload = json.dumps(report, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == digest
