@@ -41,6 +41,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.obs.cli import _obtain_trace
 from repro.obs.spans import (
     COMPONENT_LABELS,
     COMPONENTS,
@@ -346,35 +347,8 @@ def blame_line(attribution: dict[str, Any]) -> str:
 # Commands
 # ----------------------------------------------------------------------
 
-def _obtain(args: argparse.Namespace):
-    """(trace, end_us) from the file argument or an inline recording."""
-    from repro.obs.cli import (
-        DEFAULT_RECORD_DURATION_US,
-        _parse_apps,
-        record_trace,
-    )
-    from repro.obs.export import load_trace
-
-    if args.trace is not None:
-        return load_trace(args.trace), None
-    duration_us = (
-        args.duration_ms * 1000.0
-        if args.duration_ms is not None
-        else DEFAULT_RECORD_DURATION_US
-    )
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.faults.plan import FaultPlan
-
-        fault_plan = FaultPlan.load(args.fault_plan)
-    return record_trace(
-        args.scheduler, _parse_apps(args.apps), duration_us, args.seed,
-        args.max_records, fault_plan,
-    )
-
-
 def cmd_why(args: argparse.Namespace) -> int:
-    trace, end_us = _obtain(args)
+    trace, end_us = _obtain_trace(args)
     if trace.dropped:
         print(
             f"warning: trace is PARTIAL ({trace.dropped} records evicted); "

@@ -30,12 +30,13 @@ Five rule families, in two layers:
 
 Run it with ``python -m repro.staticcheck src`` or ``repro staticcheck``;
 ``--format sarif`` exports to code scanning, ``--fix`` applies mechanical
-autofixes, ``neonlint-baseline.json`` ratchets grandfathered findings.
-See ``docs/STATIC_ANALYSIS.md`` for the full rule catalog, the baseline
-workflow, and the whole-program-rule authoring guide.
+autofixes.  Every finding fails the run; the one way to excuse a finding
+is an inline ``# neonlint: allow[RULE] reason`` pragma on the flagged
+line.  See ``docs/STATIC_ANALYSIS.md`` for the full rule catalog, the
+suppression audit, and the whole-program-rule authoring guide.
 """
 
-from repro.staticcheck.config import Config, load_config
+from repro.staticcheck.config import Config
 from repro.staticcheck.core import Violation, analyze_paths, collect_files
 from repro.staticcheck.engine import AnalysisResult, AnalysisStats, run_analysis
 from repro.staticcheck.rules import RULES
@@ -48,6 +49,5 @@ __all__ = [
     "Violation",
     "analyze_paths",
     "collect_files",
-    "load_config",
     "run_analysis",
 ]

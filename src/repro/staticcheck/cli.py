@@ -2,21 +2,19 @@
 
 Modes layered on the analysis engine:
 
-* default — full run (per-file + whole-program rules), findings matched
-  against the committed baseline when one is discoverable; only *new*
-  findings fail.
+* default — full run (per-file + whole-program rules); every finding
+  fails the run.  The only way to excuse one is an inline
+  ``# neonlint: allow[RULE] reason`` pragma on the flagged line.
 * ``--changed`` — pre-commit mode: report only findings anchored in
   files changed since ``git merge-base HEAD main`` (the project model
   still links everything, so whole-program rules stay sound).
 * ``--fix`` — apply the mechanical autofixes (NEON401/403/505), then
   re-analyze and report what remains.
-* ``--update-baseline`` — regenerate the baseline from current findings.
 * ``--stats`` — print engine timing/coverage counters and append them to
   the run-record store (``repro perf`` reads the same store).
 
-Exit codes: 0 clean (or all findings baselined), 1 new violations (or
-stale baseline entries under ``--strict-baseline``), 2 usage error
-(unknown path, unreadable config/baseline, git failure in --changed).
+Exit codes: 0 no finding, 1 any finding, 2 usage error (unknown path,
+git failure in ``--changed``).
 """
 
 from __future__ import annotations
@@ -27,13 +25,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.staticcheck.baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    BaselineResult,
-    discover_baseline,
-)
-from repro.staticcheck.config import load_config
+from repro.staticcheck.config import Config
 from repro.staticcheck.engine import run_analysis
 from repro.staticcheck.fix import apply_fixes
 from repro.staticcheck.report import format_report
@@ -60,33 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        help="TOML config overriding [tool.neonlint] discovery",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: discover {BASELINE_FILENAME} upward)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="fail when the baseline carries stale (unmatched) entries",
     )
     parser.add_argument(
         "--fix",
@@ -170,23 +135,6 @@ def _changed_files(paths: Sequence[Path]) -> Optional[list[Path]]:
     return changed
 
 
-def _resolve_baseline(
-    args: argparse.Namespace, paths: Sequence[Path]
-) -> tuple[Optional[Baseline], Optional[Path]]:
-    if args.no_baseline:
-        return None, None
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = discover_baseline(paths)
-    if baseline_path is None:
-        return None, None
-    if not Path(baseline_path).is_file():
-        if args.update_baseline:
-            return None, Path(baseline_path)
-        raise OSError(f"baseline file not found: {baseline_path}")
-    return Baseline.load(Path(baseline_path)), Path(baseline_path)
-
-
 def _record_stats(args: argparse.Namespace, stats) -> None:
     from repro.obs.store import RunCollector, RunStore, build_record
 
@@ -218,11 +166,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in missing:
             print(f"error: no such file or directory: {path}", file=sys.stderr)
         return 2
-    try:
-        config = load_config(explicit=args.config, near=paths)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: could not load config: {exc}", file=sys.stderr)
-        return 2
 
     restrict_to: Optional[list[Path]] = None
     if args.changed:
@@ -241,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def analyze():
         return run_analysis(
             paths,
-            config,
+            Config(),
             workers=args.workers,
             whole_program=not args.no_whole_program,
             restrict_to=restrict_to,
@@ -262,68 +205,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
 
-    try:
-        baseline, baseline_path = _resolve_baseline(args, paths)
-    except (OSError, ValueError) as exc:
-        print(f"error: could not load baseline: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        target = baseline_path or (
-            Path(args.baseline)
-            if args.baseline is not None
-            else Path(BASELINE_FILENAME)
-        )
-        Baseline.from_violations(result.violations).write(target)
-        print(
-            f"baseline updated: {len(result.violations)} entr"
-            f"{'y' if len(result.violations) == 1 else 'ies'} -> {target}"
-        )
-        if args.stats:
-            print(result.stats.render(), file=sys.stderr)
-            _record_stats(args, result.stats)
-        return 0
-
-    if baseline is not None:
-        matched: BaselineResult = baseline.apply(result.violations)
-        reported = matched.new
-        suppressed = len(matched.suppressed)
-        stale = matched.stale
-    else:
-        reported = result.violations
-        suppressed = 0
-        stale = {}
-
     print(
         format_report(
-            reported,
+            result.violations,
             result.stats.files_checked,
             args.format,
             rules=RULES,
         )
     )
-    if suppressed:
-        print(
-            f"{suppressed} finding(s) suppressed by baseline "
-            f"({baseline_path})",
-            file=sys.stderr,
-        )
-    exit_code = 1 if reported else 0
-    if stale:
-        total = sum(stale.values())
-        print(
-            f"warning: {total} stale baseline entr"
-            f"{'y' if total == 1 else 'ies'} no longer match any finding "
-            f"(regenerate with --update-baseline)",
-            file=sys.stderr,
-        )
-        if args.strict_baseline:
-            exit_code = max(exit_code, 1)
-
     if args.stats:
         print(result.stats.render(), file=sys.stderr)
         _record_stats(args, result.stats)
-    return exit_code
+    return 1 if result.violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,25 +1,23 @@
-"""Configuration and allowlist loading for neonlint.
+"""The project contract neonlint checks against.
 
-Defaults encode the repo's own contract; a ``[tool.neonlint]`` table in
-``pyproject.toml`` (auto-discovered upward from the checked paths) or an
-explicit ``--config file.toml`` can override any field.  Audited
-exceptions are granted per line, either with an inline pragma::
+:class:`Config`'s defaults encode the repo's own layout: which modules sit
+behind the interception boundary, which attributes are ground truth, who
+may own randomness or read the wall clock.  They are code, not a file a
+checkout can override; tests build variants with keyword arguments, e.g.
+``Config(rng_modules=("rng",))``.
+
+An audited exception is granted on the flagged line itself, with an
+inline pragma naming the rule and the reason::
 
     cumulative = device.task_usage(task)  # neonlint: allow[NEON102] vendor-statistics ablation
 
-or with an ``allow`` entry in the config file::
-
-    allow = ["repro/core/disengaged_fq.py:472:NEON102"]
-
-Entries are ``<path-suffix>:<line>:<RULE>``; ``*`` matches any line.
+The pragma is the only way to excuse a finding.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import tomllib
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 #: Channel/device attributes that constitute ground truth: queue contents,
 #: in-flight request state, engine internals, and the vendor usage
@@ -158,8 +156,6 @@ class Config:
     #: project, so partial scans never produce false "dead" findings.
     event_registry_module: str = "repro.obs.events"
     fault_registry_module: str = "repro.faults.registry"
-    #: File allowlist entries: ``path-suffix:line:RULE`` (line may be ``*``).
-    allow: tuple[str, ...] = ()
 
     def is_boundary_module(self, module: str) -> bool:
         return _has_prefix(module, self.boundary_modules)
@@ -188,85 +184,8 @@ class Config:
     def is_observation_client_module(self, module: str) -> bool:
         return _has_prefix(module, self.observation_client_modules)
 
-    def allowlisted(self, path: Path, line: int, rule_id: str) -> bool:
-        """True when a config-file allow entry covers this violation."""
-        posix = path.as_posix()
-        for entry in self.allow:
-            try:
-                suffix, entry_line, entry_rule = entry.rsplit(":", 2)
-            except ValueError:
-                continue
-            if entry_rule != rule_id:
-                continue
-            if entry_line not in ("*", str(line)):
-                continue
-            if posix.endswith(suffix):
-                return True
-        return False
-
 
 def _has_prefix(module: str, prefixes: Iterable[str]) -> bool:
     return any(
         module == prefix or module.startswith(prefix + ".") for prefix in prefixes
     )
-
-
-_TUPLE_FIELDS = (
-    "boundary_modules",
-    "internal_import_prefixes",
-    "rng_modules",
-    "host_clock_modules",
-    "generator_methods",
-    "flip_methods",
-    "trace_emit_modules",
-    "fault_arm_modules",
-    "sanctioned_modules",
-    "rng_client_modules",
-    "rng_constructors",
-    "observation_client_modules",
-    "allow",
-)
-
-
-def _config_from_table(table: dict) -> Config:
-    kwargs: dict = {}
-    for field in _TUPLE_FIELDS:
-        if field in table:
-            kwargs[field] = tuple(str(item) for item in table[field])
-    for field in ("ground_truth_attributes", "observation_api"):
-        if field in table:
-            kwargs[field] = frozenset(str(item) for item in table[field])
-    for field in ("event_registry_module", "fault_registry_module"):
-        if field in table:
-            kwargs[field] = str(table[field])
-    return Config(**kwargs)
-
-
-def load_config(
-    explicit: Optional[Path] = None, near: Iterable[Path] = ()
-) -> Config:
-    """Build the effective configuration.
-
-    ``explicit`` names a TOML file whose top level (or ``[tool.neonlint]``
-    table) overrides the defaults.  Otherwise the directories of ``near``
-    are walked upward looking for a ``pyproject.toml`` with a
-    ``[tool.neonlint]`` table; absent that, defaults apply.
-    """
-    if explicit is not None:
-        data = tomllib.loads(Path(explicit).read_text())
-        table = data.get("tool", {}).get("neonlint", data)
-        return _config_from_table(table)
-    for start in near:
-        base = Path(start).resolve()
-        if not base.is_dir():
-            base = base.parent
-        for candidate_dir in [base, *base.parents]:
-            candidate = candidate_dir / "pyproject.toml"
-            if not candidate.is_file():
-                continue
-            data = tomllib.loads(candidate.read_text())
-            table = data.get("tool", {}).get("neonlint")
-            if table is not None:
-                return _config_from_table(table)
-            return Config()
-    return Config()

@@ -2,9 +2,10 @@
 
 Checkers are pure functions of a parsed module: they receive a
 :class:`ModuleContext` (path, dotted module name, AST, raw source lines)
-and yield :class:`Violation` records.  Suppression — inline pragmas and
-config-file allow entries — is applied centrally here so every rule gets
-it for free.
+and yield :class:`Violation` records.  Suppression — the inline
+``# neonlint: allow[RULE] reason`` pragma on the flagged line, the only
+way to excuse a finding — is applied centrally here so every rule gets it
+for free.
 """
 
 from __future__ import annotations
@@ -141,8 +142,6 @@ def analyze_file(path: Path, config: "Config") -> list[Violation]:
     for checker in build_checkers(config):
         for violation in checker.check(ctx, config):
             if ctx.pragma_allows(violation.line, violation.rule_id):
-                continue
-            if config.allowlisted(path, violation.line, violation.rule_id):
                 continue
             violations.append(violation)
     return violations

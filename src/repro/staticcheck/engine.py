@@ -12,9 +12,9 @@ The engine is the one place that orchestrates a full neonlint run:
    :class:`~repro.staticcheck.graph.ProjectModel` linked from the same
    contexts — never per file, so their transitive guarantees hold.
 
-Suppression (inline pragmas, config allow entries) is applied centrally
-to both layers, so ``# neonlint: allow[NEON501] reason`` works exactly
-like it does for the per-file families.
+Suppression (the inline pragma) is applied centrally to both layers, so
+``# neonlint: allow[NEON501] reason`` works exactly like it does for the
+per-file families.
 
 Timing uses :func:`repro.obs.profile.host_clock` — the audited host
 wall-clock accessor — so neonlint stays clean under its own NEON201.
@@ -84,7 +84,7 @@ class AnalysisStats:
                 f"  -> {self.violations_by_rule.get(rule_id, 0)} finding(s)"
             )
         if self.suppressed:
-            lines.append(f"  {self.suppressed} finding(s) suppressed by pragma/allowlist")
+            lines.append(f"  {self.suppressed} finding(s) suppressed by pragma")
         return "\n".join(lines)
 
 
@@ -175,9 +175,6 @@ def _run_whole_program(
         for violation in found:
             ctx = ctx_by_path.get(violation.path)
             if ctx is not None and ctx.pragma_allows(violation.line, violation.rule_id):
-                stats.suppressed += 1
-                continue
-            if config.allowlisted(Path(violation.path), violation.line, violation.rule_id):
                 stats.suppressed += 1
                 continue
             violations.append(violation)

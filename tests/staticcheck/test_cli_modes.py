@@ -1,4 +1,4 @@
-"""CLI modes: --changed, baselines, --stats recording, --workers parity."""
+"""CLI modes: --changed, --stats recording, --workers parity, SARIF."""
 
 import json
 import subprocess
@@ -40,7 +40,7 @@ def test_changed_reports_only_touched_files(tmp_path, monkeypatch, capsys):
     repo = _make_repo(tmp_path)
     (repo / "touched.py").write_text("import sys\n\ndef go():\n    return 2\n")
     monkeypatch.chdir(repo)
-    code = staticcheck_main([str(repo), "--changed", "--no-baseline"])
+    code = staticcheck_main([str(repo), "--changed"])
     out = capsys.readouterr().out
     assert code == 1
     assert "touched.py" in out
@@ -51,7 +51,7 @@ def test_changed_reports_only_touched_files(tmp_path, monkeypatch, capsys):
 def test_changed_with_no_changes_is_clean(tmp_path, monkeypatch, capsys):
     repo = _make_repo(tmp_path)
     monkeypatch.chdir(repo)
-    code = staticcheck_main([str(repo), "--changed", "--no-baseline"])
+    code = staticcheck_main([str(repo), "--changed"])
     assert code == 0
     assert "no changed python files" in capsys.readouterr().out
 
@@ -67,42 +67,6 @@ def test_changed_outside_git_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "--changed requires a git worktree" in capsys.readouterr().err
 
 
-def test_baseline_ratchet_flow(tmp_path, capsys):
-    project = tmp_path / "project"
-    project.mkdir()
-    (project / "mod.py").write_text(DIRTY)
-    baseline = tmp_path / "neonlint-baseline.json"
-
-    # 1. Grandfather the existing finding.
-    assert staticcheck_main(
-        [str(project), "--update-baseline", "--baseline", str(baseline)]
-    ) == 0
-    assert len(json.loads(baseline.read_text())["entries"]) == 1
-    capsys.readouterr()
-
-    # 2. Clean run against the baseline: suppressed, exit 0.
-    assert staticcheck_main([str(project), "--baseline", str(baseline)]) == 0
-    captured = capsys.readouterr()
-    assert "suppressed by baseline" in captured.err
-
-    # 3. A new finding fails even though the old one stays suppressed.
-    (project / "fresh.py").write_text("import sys\n")
-    assert staticcheck_main([str(project), "--baseline", str(baseline)]) == 1
-    captured = capsys.readouterr()
-    assert "fresh.py" in captured.out
-
-    # 4. Paying down the debt makes the entry stale; --strict-baseline
-    #    turns that into a failure so the baseline shrinks in the same PR.
-    (project / "fresh.py").unlink()
-    (project / "mod.py").write_text(CLEAN)
-    assert staticcheck_main([str(project), "--baseline", str(baseline)]) == 0
-    assert staticcheck_main(
-        [str(project), "--baseline", str(baseline), "--strict-baseline"]
-    ) == 1
-    captured = capsys.readouterr()
-    assert "stale baseline" in captured.err
-
-
 def test_stats_are_recorded_in_the_run_store(tmp_path, capsys):
     project = tmp_path / "project"
     project.mkdir()
@@ -110,7 +74,7 @@ def test_stats_are_recorded_in_the_run_store(tmp_path, capsys):
     store_dir = tmp_path / "runs"
     code = staticcheck_main(
         [
-            str(project), "--no-baseline", "--stats",
+            str(project), "--stats",
             "--store-dir", str(store_dir),
         ]
     )
@@ -154,9 +118,7 @@ def test_sarif_format_from_cli(tmp_path, capsys):
     project = tmp_path / "project"
     project.mkdir()
     (project / "mod.py").write_text(DIRTY)
-    code = staticcheck_main(
-        [str(project), "--no-baseline", "--format", "sarif"]
-    )
+    code = staticcheck_main([str(project), "--format", "sarif"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"

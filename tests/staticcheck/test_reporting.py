@@ -71,21 +71,6 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
 
 
-def test_cli_config_allowlist_suppresses(tmp_path, capsys):
-    config = tmp_path / "neonlint.toml"
-    config.write_text(
-        'allow = [\n'
-        '  "bad_determinism.py:*:NEON202",\n'
-        '  "bad_determinism.py:10:NEON201",\n'
-        ']\n'
-    )
-    assert staticcheck_main([str(BAD), "--config", str(config)]) == 1
-    out = capsys.readouterr().out
-    assert "NEON202" not in out
-    assert "NEON201" not in out
-    assert "NEON203" in out  # not allowlisted: still reported
-
-
 def test_repro_cli_delegates_staticcheck_subcommand(capsys):
     from repro.cli import main as repro_main
 

@@ -1,11 +1,11 @@
-"""SARIF 2.1.0 export: structural conformance and chain rendering."""
+"""SARIF 2.1.0 export: structural conformance, chain rendering, fingerprints."""
 
 import json
 
 from repro.staticcheck.core import Violation
 from repro.staticcheck.report import format_report
 from repro.staticcheck.rules import RULES
-from repro.staticcheck.sarif import SARIF_SCHEMA, SARIF_VERSION, to_sarif
+from repro.staticcheck.sarif import SARIF_SCHEMA, SARIF_VERSION, fingerprint, to_sarif
 
 
 def _chained(path):
@@ -75,3 +75,34 @@ def test_sarif_columns_are_one_based(tmp_path):
     log = to_sarif([shifted], RULES, root=tmp_path)
     region = log["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
     assert region["startColumn"] == 5
+
+
+def _violation(path, line, rule="NEON505", message="'json' is unused"):
+    return Violation(path=str(path), line=line, col=0, rule_id=rule, message=message)
+
+
+def test_fingerprint_survives_line_drift(tmp_path):
+    before = tmp_path / "before.py"
+    before.write_text("import json\n")
+    drifted = tmp_path / "before.py"  # same file, edited above the finding
+    old = fingerprint(_violation(before, 1))
+    before.write_text("# a new comment pushed everything down\n\nimport json\n")
+    new = fingerprint(_violation(drifted, 3))
+    assert old == new
+
+
+def test_fingerprint_distinguishes_rule_and_source(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import json\nimport sys\n")
+    assert fingerprint(_violation(path, 1)) != fingerprint(_violation(path, 2))
+    assert fingerprint(_violation(path, 1)) != fingerprint(
+        _violation(path, 1, rule="NEON202")
+    )
+
+
+def test_fingerprint_normalizes_embedded_line_numbers(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import json\n")
+    left = _violation(path, 1, message="created at rng.py:17 flows in")
+    right = _violation(path, 1, message="created at rng.py:99 flows in")
+    assert fingerprint(left) == fingerprint(right)

@@ -8,17 +8,14 @@ test.  If it fails, either route the new device knowledge through
 docs/STATIC_ANALYSIS.md.
 """
 
-import json
 from pathlib import Path
 
 from repro.staticcheck import Config, analyze_paths, collect_files
-from repro.staticcheck.baseline import Baseline, fingerprint
 from repro.staticcheck.cli import main as staticcheck_main
 from repro.staticcheck.engine import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "neonlint-baseline.json"
 
 
 def test_repo_sources_are_violation_free():
@@ -31,20 +28,7 @@ def test_repo_passes_the_whole_program_rules():
     # streams, observation clients on the declared API, no dead registry
     # entries, no unused imports — transitively, over the linked model.
     result = run_analysis([SRC], Config())
-    baseline = Baseline.load(BASELINE) if BASELINE.is_file() else Baseline()
-    matched = baseline.apply(result.violations)
-    assert matched.new == [], "\n".join(v.render() for v in matched.new)
-
-
-def test_committed_baseline_is_minimal():
-    # The ratchet only ratchets if stale entries die with the debt they
-    # grandfathered: every committed entry must match a live finding.
-    entries = json.loads(BASELINE.read_text())["entries"]
-    result = run_analysis([SRC], Config())
-    source_cache = {}
-    live = {fingerprint(v, source_cache) for v in result.violations}
-    stale = [e for e in entries if e["fingerprint"] not in live]
-    assert stale == [], f"stale baseline entries: {stale}"
+    assert result.violations == [], "\n".join(v.render() for v in result.violations)
 
 
 def test_the_scan_actually_covers_the_tree():
