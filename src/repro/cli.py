@@ -4,8 +4,7 @@ Runs any paper experiment and prints its table.  ``repro list`` shows the
 catalog; ``repro all`` regenerates everything (slow).  ``repro staticcheck``
 runs the neonlint static analyzer (see docs/STATIC_ANALYSIS.md).
 ``repro trace`` records, summarizes, filters, exports, and diffs
-structured traces; ``repro perf`` records, tabulates, diffs, and gates
-cross-run performance records; ``repro monitor`` runs any experiment
+structured traces; ``repro monitor`` runs any experiment
 with streaming windowed metrics and SLO monitors over the live trace
 stream (see docs/OBSERVABILITY.md); ``repro why`` attributes tail
 latency (or a fired SLO) to its dominant delay component and the
@@ -134,6 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warmup_us(runner: Callable[..., str]) -> Optional[float]:
+    """The longest ``warmup_us`` default among the driver module's functions.
+
+    Drivers run their cells with these defaults, so a horizon at or below
+    it leaves no measured rounds.
+    """
+    module = inspect.getmodule(runner)
+    defaults = [
+        param.default
+        for function in vars(module).values()
+        if inspect.isfunction(function)
+        and function.__module__ == module.__name__
+        for param in [inspect.signature(function).parameters.get("warmup_us")]
+        if param is not None and isinstance(param.default, (int, float))
+    ]
+    return max(defaults, default=None)
+
+
 def _call_experiment(
     runner: Callable[..., str],
     args: argparse.Namespace,
@@ -143,11 +160,21 @@ def _call_experiment(
     """Invoke a driver, passing only the keywords its signature accepts.
 
     Non-cell experiments (table1, protection, …) simply never see the
-    farm parameters.
+    farm parameters.  A ``--duration-ms`` inside the driver's warmup gets
+    one warning on stderr; stdout is unchanged.
     """
     kwargs: dict = {"seed": args.seed}
     if args.duration_ms is not None:
         kwargs["duration_us"] = args.duration_ms * 1000.0
+        warmup_us = _warmup_us(runner)
+        if warmup_us is not None and kwargs["duration_us"] <= warmup_us:
+            print(
+                f"warning: {runner.__module__.rsplit('.', 1)[-1]}: "
+                f"--duration-ms {args.duration_ms:g} is inside its "
+                f"{warmup_us / 1000.0:g} ms warmup; rows with no measured "
+                "rounds print '-'",
+                file=sys.stderr,
+            )
     accepted = inspect.signature(runner).parameters
     if "workers" in accepted:
         kwargs["workers"] = args.workers
@@ -160,7 +187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "staticcheck":
         # Delegate to the neonlint CLI, which owns its own flags
-        # (--format, --config, --list-rules) and exit-code contract.
+        # (--format, --changed, --list-rules) and exit-code contract.
         from repro.staticcheck.cli import main as staticcheck_main
 
         return staticcheck_main(argv[1:])
@@ -169,11 +196,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.obs.cli import main as trace_main
 
         return trace_main(argv[1:])
-    if argv and argv[0] == "perf":
-        # And the cross-run telemetry CLI (record/history/compare/gate).
-        from repro.obs.perf import main as perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "monitor":
         # Streaming windowed metrics + SLO monitors over a live run.
         from repro.obs.monitor import main as monitor_main
@@ -187,8 +209,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return chaos_main(argv[1:])
     if argv and argv[0] == "why":
-        # Root-cause attribution from reconstructed lifecycle spans:
-        # ``repro why`` (tail latency) and ``repro why compare`` (runs).
+        # Root-cause attribution for tail latency from reconstructed
+        # lifecycle spans.
         from repro.obs.why import main as why_main
 
         return why_main(argv[1:])

@@ -21,15 +21,14 @@ cells measure it inside the worker, so it is the cell's own cost, not a
 collection-order artifact — and persisted alongside the cached result,
 so a warm-cache run still reports what its cells originally cost.  Three
 optional observers hook the same resolution points, all inert unless a
-run installs them (``repro perf record``, ``--progress``):
+run installs them:
 
-* the host-phase profiler (:mod:`repro.obs.profile`) attributes wall
-  time to spec-build / cache-read / cache-write / cell-execute /
-  result-merge spans;
-* the run-record collector (:mod:`repro.obs.store`) captures per-cell
-  timings and metric snapshots for the append-only run store;
-* the progress renderer (:mod:`repro.experiments.progress`) shows live
-  per-cell status on stderr.
+* the cell collector (:mod:`repro.obs.store`) receives each resolved
+  cell's results, in resolution order;
+* the progress renderer (:mod:`repro.experiments.progress`,
+  ``--progress``) shows live per-cell status on stderr;
+* a monitoring session (:mod:`repro.obs.monitor`, ``repro monitor``)
+  streams windowed metrics from cells executed in this process.
 
 This module is host-side orchestration, not simulation: it deliberately
 reads the wall clock (see ``host_clock_modules`` in neonlint's config) —
@@ -50,7 +49,6 @@ from repro.experiments.cells import CellSpec
 from repro.experiments.progress import active_progress
 from repro.experiments.runner import WorkloadResult
 from repro.metrics.rounds import RoundStats
-from repro.obs import profile as phases
 from repro.obs.monitor import active_monitor
 from repro.obs.store import RunCollector, active_collector
 
@@ -135,12 +133,11 @@ class ResultCache:
             return found
         path = self._path(key)
         if path is not None and path.is_file():
-            with phases.get_profiler().span(phases.CACHE_READ):
-                payload = json.loads(path.read_text())
-                found = {
-                    name: result_from_jsonable(entry)
-                    for name, entry in payload["results"].items()
-                }
+            payload = json.loads(path.read_text())
+            found = {
+                name: result_from_jsonable(entry)
+                for name, entry in payload["results"].items()
+            }
             self._memory[key] = found
             self._wall[key] = payload.get("wall_s")
             self.hits += 1
@@ -160,15 +157,14 @@ class ResultCache:
             self._wall[key] = wall_s
         path = self._path(key)
         if path is not None:
-            with phases.get_profiler().span(phases.CACHE_WRITE):
-                payload = {
-                    "results": {
-                        name: result_to_jsonable(result)
-                        for name, result in results.items()
-                    },
-                    "wall_s": self._wall[key],
-                }
-                path.write_text(json.dumps(payload))
+            payload = {
+                "results": {
+                    name: result_to_jsonable(result)
+                    for name, result in results.items()
+                },
+                "wall_s": self._wall[key],
+            }
+            path.write_text(json.dumps(payload))
 
 
 @dataclass(frozen=True)
@@ -234,34 +230,22 @@ def _picklable(spec: CellSpec) -> bool:
 
 def _collect_cell(
     collector: Optional[RunCollector],
-    collected: set[int],
     spec: CellSpec,
     index: int,
-    key: Optional[str],
     source: str,
-    wall_s: float,
-    cached_wall_s: float,
     results: CellResults,
 ) -> None:
-    """Report one resolved cell to the run-record collector, once."""
-    if collector is None or index in collected:
+    """Report one resolved cell to the installed collector, if any."""
+    if collector is None:
         return
-    collected.add(index)
     collector.add_cell(
         index=index,
         label=spec.label(),
-        key=key,
         source=source,
-        wall_s=wall_s,
-        cached_wall_s=cached_wall_s,
-        duration_us=spec.duration_us,
         workloads={
             name: result_to_jsonable(result)
             for name, result in results.items()
         },
-        fault_plan=(
-            spec.fault_plan.name if spec.fault_plan is not None else None
-        ),
     )
 
 
@@ -277,17 +261,14 @@ def run_cells(
     serial execution; output is identical either way.
     """
     clock = time.perf_counter
-    profiler = phases.get_profiler()
     collector = active_collector()
     progress = active_progress()
     monitor_session = active_monitor()
-    collected: set[int] = set()
 
     results: list[Optional[CellResults]] = [None] * len(specs)
-    with profiler.span(phases.SPEC_BUILD):
-        keys: list[Optional[str]] = [
-            spec.content_key() if spec.cacheable else None for spec in specs
-        ]
+    keys: list[Optional[str]] = [
+        spec.content_key() if spec.cacheable else None for spec in specs
+    ]
 
     if progress is not None:
         progress.begin(len(specs))
@@ -309,8 +290,7 @@ def run_cells(
                         CellTiming(index, spec.label(), 0.0, "cache",
                                    cached_wall)
                     )
-                _collect_cell(collector, collected, spec, index, key,
-                              "cache", 0.0, cached_wall, cached)
+                _collect_cell(collector, spec, index, "cache", cached)
                 if monitor_session is not None:
                     monitor_session.cell_reused(spec.label(), "cache")
                 if progress is not None:
@@ -333,45 +313,47 @@ def run_cells(
     computed_wall: dict[int, float] = {}
 
     if use_pool and pending:
+        timings_mark = len(timings) if timings is not None else 0
+        collected_mark = len(collector.cells) if collector is not None else 0
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                with profiler.span(phases.CELL_EXECUTE):
-                    futures = {
-                        pool.submit(_execute_cell, specs[index]): index
-                        for index in pending
-                    }
-                    remaining = set(futures)
-                    while remaining:
-                        done, remaining = wait(
-                            remaining, return_when=FIRST_COMPLETED
-                        )
-                        for future in sorted(
-                            done, key=lambda f: futures[f]
-                        ):
-                            index = futures[future]
-                            cell_results, wall = future.result()
-                            results[index] = cell_results
-                            computed_wall[index] = wall
-                            if timings is not None:
-                                timings.append(
-                                    CellTiming(
-                                        index, specs[index].label(), wall,
-                                        "pool",
-                                    )
+                futures = {
+                    pool.submit(_execute_cell, specs[index]): index
+                    for index in pending
+                }
+                remaining = set(futures)
+                while remaining:
+                    done, remaining = wait(
+                        remaining, return_when=FIRST_COMPLETED
+                    )
+                    for future in sorted(done, key=lambda f: futures[f]):
+                        index = futures[future]
+                        cell_results, wall = future.result()
+                        results[index] = cell_results
+                        computed_wall[index] = wall
+                        if timings is not None:
+                            timings.append(
+                                CellTiming(
+                                    index, specs[index].label(), wall, "pool"
                                 )
-                            _collect_cell(
-                                collector, collected, specs[index], index,
-                                keys[index], "pool", wall, 0.0, cell_results,
                             )
-                            if progress is not None:
-                                progress.cell_done(
-                                    index, specs[index].label(), "pool", wall
-                                )
+                        _collect_cell(collector, specs[index], index, "pool",
+                                      cell_results)
+                        if progress is not None:
+                            progress.cell_done(
+                                index, specs[index].label(), "pool", wall
+                            )
         except Exception:
             # Broken pool, pickling edge case, interpreter without fork…
             # recompute everything serially; determinism makes this safe.
+            # Forget what the failed attempt reported, so each cell is
+            # reported once, by the serial run that really produced it.
             for index in pending:
                 results[index] = None
+            if timings is not None:
+                del timings[timings_mark:]
+            if collector is not None:
+                del collector.cells[collected_mark:]
             use_pool = False
             if progress is not None:
                 progress.note("worker pool failed; falling back to serial")
@@ -386,8 +368,7 @@ def run_cells(
                 progress.cell_running(index, spec.label())
             started = clock()
             try:
-                with profiler.span(phases.CELL_EXECUTE):
-                    results[index] = spec.run()
+                results[index] = spec.run()
             except Exception:
                 if progress is not None:
                     progress.cell_failed(index, spec.label())
@@ -396,33 +377,31 @@ def run_cells(
             computed_wall[index] = wall
             if timings is not None:
                 timings.append(CellTiming(index, spec.label(), wall, "run"))
-            _collect_cell(collector, collected, spec, index, keys[index],
-                          "run", wall, 0.0, results[index])
+            _collect_cell(collector, spec, index, "run", results[index])
             if progress is not None:
                 progress.cell_done(index, spec.label(), "run", wall)
 
     # Fill caches and duplicate slots from the computed owners.
-    with profiler.span(phases.RESULT_MERGE):
-        for index in pending:
-            key = keys[index]
-            if key is not None and cache is not None:
-                cache.put(key, results[index], wall_s=computed_wall.get(index))
-        for index, key in enumerate(keys):
-            if results[index] is None and key is not None:
-                owner = first_owner[key]
-                results[index] = results[owner]
-                owner_wall = computed_wall.get(owner, 0.0)
-                if timings is not None:
-                    timings.append(
-                        CellTiming(index, specs[index].label(), 0.0, "dup",
-                                   owner_wall)
-                    )
-                _collect_cell(collector, collected, specs[index], index, key,
-                              "dup", 0.0, owner_wall, results[index])
-                if monitor_session is not None:
-                    monitor_session.cell_reused(specs[index].label(), "dup")
-                if progress is not None:
-                    progress.cell_done(index, specs[index].label(), "dup", 0.0)
+    for index in pending:
+        key = keys[index]
+        if key is not None and cache is not None:
+            cache.put(key, results[index], wall_s=computed_wall.get(index))
+    for index, key in enumerate(keys):
+        if results[index] is None and key is not None:
+            owner = first_owner[key]
+            results[index] = results[owner]
+            owner_wall = computed_wall.get(owner, 0.0)
+            if timings is not None:
+                timings.append(
+                    CellTiming(index, specs[index].label(), 0.0, "dup",
+                               owner_wall)
+                )
+            _collect_cell(collector, specs[index], index, "dup",
+                          results[index])
+            if monitor_session is not None:
+                monitor_session.cell_reused(specs[index].label(), "dup")
+            if progress is not None:
+                progress.cell_done(index, specs[index].label(), "dup", 0.0)
 
     if progress is not None:
         progress.end()

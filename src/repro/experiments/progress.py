@@ -8,10 +8,10 @@ degrades to a plain line per completed cell so logs stay greppable.
 
 Progress never touches stdout (experiment tables stay byte-identical)
 and reads the host clock only through
-:func:`repro.obs.profile.host_clock`, the single neonlint-whitelisted
-accessor.  Installation mirrors the telemetry collector: the CLI wraps
-the run in :func:`progressing` and the farm asks :func:`active_progress`
-per batch, paying one ``is None`` check when the flag is off.
+:func:`repro.obs.clock.host_clock`, the sanctioned accessor.  The CLI
+wraps the run in :func:`progressing` and the farm asks
+:func:`active_progress` per batch, paying one ``is None`` check when the
+flag is off.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Iterator, Optional
 
-from repro.obs.profile import host_clock
+from repro.obs.clock import host_clock
 
 
 class CellProgress:

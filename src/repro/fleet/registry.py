@@ -463,15 +463,6 @@ def run_workloads(
         # per-task metric snapshots below, so windows_closed / slo_*
         # counters cover the whole run.
         monitor.finalize(env.sim.now)
-    dropped = getattr(env.trace, "dropped", 0)
-    if dropped:
-        # Ring-buffer evictions make the trace partial; surface that in
-        # the cross-run record when one is being collected.
-        from repro.obs.store import active_collector
-
-        collector = active_collector()
-        if collector is not None:
-            collector.note_trace_dropped(dropped)
     engagement = {
         stack.device_id: stack.scheduler.neon.engagement.snapshot(env.sim.now)
         for stack in env.stacks

@@ -17,10 +17,10 @@ The observability layer sits *beside* the simulation, not inside it:
   overhead breakdown (drain wait / sampling / other engagement /
   free-run) from a trace alone.
 * :mod:`repro.obs.summary` — per-task trace summaries and trace diffs.
-* :mod:`repro.obs.profile` — host-phase wall-time profiler (the single
-  neonlint-whitelisted host-clock owner besides the cell farm).
-* :mod:`repro.obs.store` — append-only cross-run record store
-  (``repro perf``: record / history / compare / gate).
+* :mod:`repro.obs.clock` — the sanctioned host wall-clock accessor (the
+  one neonlint-whitelisted host-clock module besides the cell farm).
+* :mod:`repro.obs.store` — per-cell result collection from the cell
+  farm (the benchmark in ``perfbench/`` reads figures through it).
 * :mod:`repro.obs.windows` — streaming tumbling/sliding windows of
   per-tenant metrics over the live trace stream (shares, engaged time,
   throughput, nearest-rank latency quantiles, per-window Jain index).
@@ -30,7 +30,7 @@ The observability layer sits *beside* the simulation, not inside it:
   (NOT imported here: it is imported by the experiments layer, which
   the core schedulers must never transitively reach).
 * :mod:`repro.obs.cli` — the ``repro trace`` subcommand.
-* :mod:`repro.obs.perf` — the ``repro perf`` subcommand.
+* :mod:`repro.obs.why` — the ``repro why`` subcommand.
 
 Nothing here imports :mod:`repro.gpu` or :mod:`repro.osmodel`: analyses
 operate on recorded traces and snapshots, never on live ground truth.
@@ -39,9 +39,8 @@ operate on recorded traces and snapshots, never on live ground truth.
 from repro.obs.engagement import EngagementLedger
 from repro.obs.events import EVENT_KINDS, EventKindSpec, registered_kinds
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.obs.profile import NullProfiler, PhaseProfiler, profiling
 from repro.obs.slo import SloEngine, SloRule
-from repro.obs.store import RunCollector, RunStore, collecting
+from repro.obs.store import RunCollector, collecting
 from repro.obs.windows import WindowAggregator, WindowConfig
 
 __all__ = [
@@ -56,10 +55,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "EngagementLedger",
-    "PhaseProfiler",
-    "NullProfiler",
-    "profiling",
     "RunCollector",
-    "RunStore",
     "collecting",
 ]

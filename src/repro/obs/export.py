@@ -18,7 +18,6 @@ import json
 from typing import IO, Optional
 
 from repro.obs import events
-from repro.obs import profile as phases
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 JSONL_FORMAT = "repro-trace"
@@ -89,9 +88,8 @@ def load_trace(path: str) -> TraceRecorder:
 
 
 def save_trace(trace: TraceRecorder, path: str) -> int:
-    with phases.get_profiler().span(phases.TRACE_EXPORT):
-        with open(path, "w", encoding="utf-8") as handle:
-            return write_jsonl(trace, handle)
+    with open(path, "w", encoding="utf-8") as handle:
+        return write_jsonl(trace, handle)
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,8 @@ Glue between the pure aggregation layers and the rest of the system:
   process-pool boundary).
 * the ``repro monitor`` CLI — run any experiment or an inline
   simulation with ``--window-us`` windows, live per-window stderr
-  rendering (through the ``--progress`` ticker when installed), a JSON
-  report, and optional persistence into the run-record store as the
-  additive ``monitor`` key.
+  rendering (through the ``--progress`` ticker when installed) and a
+  JSON report.
 
 The monitored experiment's stdout tables stay byte-identical to the
 unmonitored run: every monitor line goes to stderr, the report to a
@@ -297,20 +296,6 @@ class MonitorSession:
             "runs": [monitor.report() for monitor in self.monitors],
         }
 
-    def summary(self) -> dict[str, Any]:
-        """Compact form persisted into run records (additive ``monitor``
-        key): totals only, windows elided."""
-        return {
-            "window_us": self.window.window_us,
-            "slide_us": self.window.effective_slide_us,
-            "rules": [rule.to_dict() for rule in self.rules],
-            "windows_closed": self.windows_closed,
-            "violations": self.violations,
-            "recoveries": self.recoveries,
-            "runs": len(self.monitors),
-            "reused_cells": len(self.reused),
-        }
-
 
 #: Module-level active session; None unless ``repro monitor`` installs one.
 _ACTIVE: Optional[MonitorSession] = None
@@ -425,17 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retain at most N window snapshots per run in memory and in "
         "the report (default: all)",
     )
-    store = parser.add_argument_group("run-record store")
-    store.add_argument(
-        "--store", action="store_true",
-        help="append a run record (with the additive 'monitor' summary "
-        "key) to the run store",
-    )
-    store.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="store directory (default: .repro/runs)",
-    )
-    store.add_argument("--note", default=None, help="note saved in the record")
     run = parser.add_argument_group("simulation (experiment and 'run' mode)")
     run.add_argument(
         "--duration-ms", type=float, default=None,
@@ -637,25 +611,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     session = session_from_args(args)
-    collector = None
-    profiler = None
-    started = None
     with ExitStack() as stack:
         if args.progress:
             from repro.experiments.progress import CellProgress, progressing
 
             stack.enter_context(progressing(CellProgress()))
-        if args.store:
-            from repro.obs.profile import PhaseProfiler, host_clock, profiling
-            from repro.obs.store import RunCollector, collecting
-
-            collector = RunCollector(
-                args.target if args.target != "run" else "monitor-run"
-            )
-            profiler = PhaseProfiler()
-            stack.enter_context(collecting(collector))
-            stack.enter_context(profiling(profiler))
-            started = host_clock()
         stack.enter_context(monitoring(session))
         if args.target == "run":
             _run_inline(args, session)
@@ -680,28 +640,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         count = save_trace(session.record_stream, args.trace_out)
         print(
             f"monitor: {count} trace records written to {args.trace_out}",
-            file=sys.stderr,
-        )
-    if args.store and collector is not None:
-        from repro.obs.profile import host_clock
-        from repro.obs.store import RunStore, build_record
-
-        wall = host_clock() - started if started is not None else 0.0
-        record = build_record(
-            collector,
-            profiler,
-            wall_s=wall,
-            params={
-                "duration_ms": args.duration_ms,
-                "seed": args.seed,
-                "window_us": args.window_us,
-            },
-            note=args.note,
-            monitor=session.summary(),
-        )
-        stored = RunStore(args.store_dir).append(record)
-        print(
-            f"monitor: run record {stored['run_id']} appended",
             file=sys.stderr,
         )
     if args.fail_on_violation and session.violations:

@@ -1,153 +1,44 @@
-"""Append-only run-record store: the repo's performance trajectory.
+"""Per-cell result collection for the cell farm.
 
-Every telemetered experiment run produces one JSON **run record** —
-wall-clock totals, host-phase profile, per-cell timings and metric
-snapshots, cache effectiveness, and an environment fingerprint — appended
-as one line to ``<store-dir>/runs.jsonl`` (default ``.repro/runs/``).
-Records accumulate across PRs, so ``repro perf history`` can finally
-answer "did this change slow the evaluation down?" and ``repro perf
-gate`` can fail a build when it did.
-
-Three design rules keep the store boring and durable:
-
-* **Plain dicts, additive schema.**  A record is JSON all the way down;
-  readers ignore unknown fields, writers only ever *add* fields
-  (``RECORD_SCHEMA`` bumps only for incompatible changes, which the
-  compatibility rule forbids).  Old records stay loadable forever.
-* **Skip-and-warn on corruption.**  A crashed run can leave a truncated
-  trailing line; :meth:`RunStore.load` skips undecodable lines with a
-  warning on stderr instead of poisoning the whole history.
-* **No host clock here.**  Timestamps come from
-  :func:`repro.obs.profile.unix_now` — the single module neonlint
-  whitelists for wall-clock access.
-
-Collection is push-based: the cell farm calls
+The cell farm (:func:`repro.experiments.parallel.run_cells`) calls
 :meth:`RunCollector.add_cell` for every cell it resolves (computed,
 pooled, cache hit, or duplicate) when a collector is installed via
 :func:`collecting`; with none installed (the default) the farm pays one
-``is None`` check per cell and stdout stays byte-identical to an
-untelemetered run.
+``is None`` check per cell and stdout stays byte-identical.  The
+benchmark in ``perfbench/`` reads each figure's cell results this way.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import platform
-import subprocess
-import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator, Optional
 
-from repro.obs.profile import PhaseProfiler, unix_now
-
-#: Record schema version.  Bumping this is an incompatible change and is
-#: forbidden by the compatibility rule (add fields instead).
-RECORD_SCHEMA = 1
-
-#: Default store location, relative to the working directory.
-DEFAULT_STORE_DIR = Path(".repro") / "runs"
-
-RUNS_FILENAME = "runs.jsonl"
-
-
-# ----------------------------------------------------------------------
-# Environment fingerprint
-# ----------------------------------------------------------------------
-
-def _git_sha() -> Optional[str]:
-    """Best-effort ``git rev-parse HEAD``; None outside a checkout."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if completed.returncode != 0:
-        return None
-    sha = completed.stdout.strip()
-    return sha or None
-
-
-def environment_fingerprint() -> dict[str, Any]:
-    """Where a record was produced: stable within one machine + checkout."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count() or 1,
-        "git_sha": _git_sha(),
-    }
-
-
-# ----------------------------------------------------------------------
-# Collection
-# ----------------------------------------------------------------------
 
 class RunCollector:
-    """Accumulates one run's telemetry as the cell farm executes it.
+    """Accumulates one run's resolved cells as the cell farm executes it.
 
     The farm serializes results itself (it owns the JSON-able form of a
-    :class:`WorkloadResult`), so the collector — and the whole store —
-    never imports the experiments layer.
+    :class:`WorkloadResult`), so the collector never imports the
+    experiments layer.  Cells arrive in resolution order, which under a
+    pool is completion order; sort by ``index`` for spec order.
     """
 
     def __init__(self, experiment: str = "") -> None:
         self.experiment = experiment
         self.cells: list[dict[str, Any]] = []
-        self.trace_dropped = 0
-        self._fault_plans: list[str] = []
 
     def add_cell(
-        self,
-        index: int,
-        label: str,
-        key: Optional[str],
-        source: str,
-        wall_s: float,
-        cached_wall_s: float,
-        duration_us: float,
-        workloads: dict[str, Any],
-        fault_plan: Optional[str] = None,
+        self, index: int, label: str, source: str, workloads: dict[str, Any]
     ) -> None:
-        """One resolved cell: identity, cost, and its metric snapshot."""
+        """One resolved cell: its spec index, label, source and results."""
         self.cells.append(
             {
                 "index": index,
                 "label": label,
-                "key": key,
                 "source": source,
-                "wall_s": wall_s,
-                "cached_wall_s": cached_wall_s,
-                "duration_us": duration_us,
                 "workloads": workloads,
             }
         )
-        if fault_plan is not None and fault_plan not in self._fault_plans:
-            self._fault_plans.append(fault_plan)
-
-    def note_trace_dropped(self, dropped: int) -> None:
-        """Ring-buffer evictions seen by this run's trace recorders."""
-        self.trace_dropped += int(dropped)
-
-    @property
-    def sim_time_us(self) -> float:
-        """Total virtual time simulated across computed cells (not reuse)."""
-        return sum(
-            cell["duration_us"]
-            for cell in self.cells
-            if cell["source"] in ("run", "pool")
-        )
-
-    @property
-    def fault_plans(self) -> list[str]:
-        return list(self._fault_plans)
 
 
 #: Module-level active collector; None unless a run installs one.
@@ -155,7 +46,7 @@ _ACTIVE: Optional[RunCollector] = None
 
 
 def active_collector() -> Optional[RunCollector]:
-    """The installed collector, or None when telemetry is off."""
+    """The installed collector, or None when collection is off."""
     return _ACTIVE
 
 
@@ -169,305 +60,3 @@ def collecting(collector: RunCollector) -> Iterator[RunCollector]:
         yield collector
     finally:
         _ACTIVE = previous
-
-
-# ----------------------------------------------------------------------
-# Record construction
-# ----------------------------------------------------------------------
-
-def build_record(
-    collector: RunCollector,
-    profiler: Optional[PhaseProfiler] = None,
-    wall_s: float = 0.0,
-    wall_all_s: Optional[list[float]] = None,
-    params: Optional[dict[str, Any]] = None,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    output_sha256: Optional[str] = None,
-    note: Optional[str] = None,
-    monitor: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
-    """Assemble one JSON-able run record (``run_id`` is assigned on append).
-
-    ``wall_s`` is the min-of-N wall time when the run was repeated
-    (``wall_all_s`` keeps every repeat, so noise is inspectable later).
-
-    Cells are sorted by their farm spec index: collection order follows
-    pool *completion* order, which varies run to run, but flattened
-    paths (``cells.N.…``) address by list position — so the list must be
-    in a canonical order for two runs of the same experiment to align.
-
-    ``monitor`` (a :meth:`repro.obs.monitor.MonitorSession.summary` dict)
-    is an additive key: absent entirely on unmonitored runs, so gating a
-    monitored record against a pre-monitor baseline still works.
-    """
-    record = {
-        "schema": RECORD_SCHEMA,
-        "run_id": None,
-        "experiment": collector.experiment,
-        "unix_time": unix_now(),
-        "params": dict(params or {}),
-        "env": environment_fingerprint(),
-        "wall_s": wall_s,
-        "wall_all_s": list(wall_all_s) if wall_all_s is not None else [wall_s],
-        "phases": profiler.snapshot() if profiler is not None else {},
-        "cells": sorted(collector.cells, key=lambda cell: cell["index"]),
-        "sim_time_us": collector.sim_time_us,
-        "cache": {"hits": cache_hits, "misses": cache_misses},
-        "trace": {"dropped": collector.trace_dropped},
-        "fault_plans": collector.fault_plans,
-        "output_sha256": output_sha256,
-        "note": note,
-    }
-    if monitor is not None:
-        record["monitor"] = monitor
-    return record
-
-
-# ----------------------------------------------------------------------
-# The store
-# ----------------------------------------------------------------------
-
-class RunStore:
-    """Append-only JSONL store of run records under one directory."""
-
-    def __init__(self, directory: Optional[Path] = None) -> None:
-        self.directory = Path(directory) if directory is not None else DEFAULT_STORE_DIR
-        self.path = self.directory / RUNS_FILENAME
-
-    def load(self, experiment: Optional[str] = None) -> list[dict[str, Any]]:
-        """Every readable record, oldest first; corrupt lines skip-and-warn."""
-        if not self.path.is_file():
-            return []
-        records: list[dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError:
-                    print(
-                        f"warning: {self.path}:{lineno}: skipping corrupt "
-                        "run-record line (truncated write?)",
-                        file=sys.stderr,
-                    )
-                    continue
-                if not isinstance(record, dict):
-                    print(
-                        f"warning: {self.path}:{lineno}: skipping non-object "
-                        "run-record line",
-                        file=sys.stderr,
-                    )
-                    continue
-                if experiment is not None and record.get("experiment") != experiment:
-                    continue
-                records.append(record)
-        return records
-
-    def append(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Assign a ``run_id`` and append the record; returns the record."""
-        existing = self.load(experiment=record.get("experiment") or None)
-        record = dict(record)
-        record["run_id"] = (
-            f"{record.get('experiment') or 'run'}-{len(existing) + 1:04d}"
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return record
-
-    def resolve(
-        self, token: str, experiment: Optional[str] = None
-    ) -> dict[str, Any]:
-        """A record by run id, ``last``, or (negative) integer index."""
-        records = self.load(experiment=experiment)
-        if not records:
-            raise LookupError(f"no run records in {self.path}")
-        if token in ("last", "latest"):
-            return records[-1]
-        try:
-            index = int(token)
-        except ValueError:
-            for record in records:
-                if record.get("run_id") == token:
-                    return record
-            known = ", ".join(
-                str(record.get("run_id")) for record in records[-5:]
-            )
-            raise LookupError(
-                f"no run record {token!r} (most recent: {known})"
-            ) from None
-        try:
-            return records[index]
-        except IndexError:
-            raise LookupError(
-                f"run index {index} out of range ({len(records)} records)"
-            ) from None
-
-
-# ----------------------------------------------------------------------
-# Comparison and gating
-# ----------------------------------------------------------------------
-
-def flatten_record(record: dict[str, Any], prefix: str = "") -> dict[str, float]:
-    """Dotted-path map of every numeric leaf in a record.
-
-    Cells are addressed by index (``cells.0.workloads.t0.metrics.submits``)
-    so runs of the same experiment with the same parameters align
-    position-for-position.
-    """
-    flat: dict[str, float] = {}
-    if isinstance(record, dict):
-        for name in sorted(record):
-            path = f"{prefix}.{name}" if prefix else str(name)
-            flat.update(flatten_record(record[name], path))
-    elif isinstance(record, list):
-        for position, item in enumerate(record):
-            path = f"{prefix}.{position}" if prefix else str(position)
-            flat.update(flatten_record(item, path))
-    elif isinstance(record, bool):
-        flat[prefix] = 1.0 if record else 0.0
-    elif isinstance(record, (int, float)):
-        flat[prefix] = float(record)
-    return flat
-
-
-def is_metric_path(path: str) -> bool:
-    """Paths gated as simulation metrics (deterministic per seed).
-
-    Everything under ``cells.*`` except the host-side timing fields,
-    which vary run to run by construction.
-    """
-    if not path.startswith("cells."):
-        return False
-    leaf = path.rsplit(".", 1)[-1]
-    return leaf not in ("wall_s", "cached_wall_s", "index")
-
-
-def _same_value(left: Optional[float], right: Optional[float]) -> bool:
-    """Equality where NaN == NaN (short horizons yield NaN round means)."""
-    if left is None or right is None:
-        return left is right
-    if math.isnan(left) and math.isnan(right):
-        return True
-    return left == right
-
-
-def compare_records(
-    left: dict[str, Any], right: dict[str, Any]
-) -> dict[str, tuple[Optional[float], Optional[float]]]:
-    """Numeric leaves that differ between two records (wall, phases, metrics).
-
-    Identity fields (``run_id``, timestamps, environment, cache traffic)
-    are excluded: they differ between any two runs by construction.
-    """
-    skip_prefixes = ("env.", "unix_time", "schema", "output_sha256")
-    left_flat = flatten_record(left)
-    right_flat = flatten_record(right)
-    out: dict[str, tuple[Optional[float], Optional[float]]] = {}
-    for path in sorted(set(left_flat) | set(right_flat)):
-        if path.startswith(skip_prefixes):
-            continue
-        left_value = left_flat.get(path)
-        right_value = right_flat.get(path)
-        if not _same_value(left_value, right_value):
-            out[path] = (left_value, right_value)
-    return out
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One gate finding: a path whose drift exceeds its threshold."""
-
-    path: str
-    baseline: float
-    current: float
-    delta_pct: float
-    kind: str  # "wall" | "metric"
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind:6s} {self.path}: "
-            f"{self.baseline:g} -> {self.current:g} "
-            f"({self.delta_pct:+.1f}%)"
-        )
-
-
-class GateMismatch(Exception):
-    """The two records are not comparable (different experiment/params)."""
-
-
-def _relative_delta_pct(baseline: float, current: float) -> float:
-    if math.isnan(baseline) or math.isnan(current):
-        # NaN -> NaN is "still undefined", not drift; NaN <-> number is a
-        # shape change worth failing on.
-        return 0.0 if math.isnan(baseline) and math.isnan(current) else float("inf")
-    if baseline == 0.0:
-        return 0.0 if current == 0.0 else float("inf")
-    return (current - baseline) / abs(baseline) * 100.0
-
-
-def gate_records(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    wall_threshold_pct: float = 20.0,
-    metric_threshold_pct: Optional[float] = None,
-) -> list[Regression]:
-    """Regressions of ``current`` against ``baseline``.
-
-    * **wall** — ``wall_s`` (already min-of-N per record) may only grow by
-      ``wall_threshold_pct`` percent; getting *faster* never fails.
-    * **metric** — every shared numeric leaf under ``cells.*`` may drift
-      by at most ``metric_threshold_pct`` percent in *either* direction
-      (simulations are deterministic per seed, so real drift means the
-      figure itself moved).  Defaults to the wall threshold.
-
-    Raises :class:`GateMismatch` when the records ran different
-    experiments or different simulation parameters — comparing those
-    would gate noise, not regressions.
-    """
-    if metric_threshold_pct is None:
-        metric_threshold_pct = wall_threshold_pct
-    if current.get("experiment") != baseline.get("experiment"):
-        raise GateMismatch(
-            f"experiment mismatch: current={current.get('experiment')!r} "
-            f"baseline={baseline.get('experiment')!r}"
-        )
-    for param in ("duration_ms", "seed"):
-        current_value = (current.get("params") or {}).get(param)
-        baseline_value = (baseline.get("params") or {}).get(param)
-        if current_value != baseline_value:
-            raise GateMismatch(
-                f"param {param!r} mismatch: current={current_value!r} "
-                f"baseline={baseline_value!r}"
-            )
-
-    regressions: list[Regression] = []
-    baseline_wall = baseline.get("wall_s")
-    current_wall = current.get("wall_s")
-    if isinstance(baseline_wall, (int, float)) and isinstance(
-        current_wall, (int, float)
-    ) and baseline_wall > 0:
-        delta_pct = _relative_delta_pct(baseline_wall, current_wall)
-        if delta_pct > wall_threshold_pct:
-            regressions.append(
-                Regression("wall_s", baseline_wall, current_wall,
-                           delta_pct, "wall")
-            )
-
-    baseline_flat = flatten_record(baseline)
-    current_flat = flatten_record(current)
-    for path in sorted(baseline_flat):
-        if not is_metric_path(path):
-            continue
-        if path not in current_flat:
-            continue  # additive schema: baselines may trail the code
-        delta_pct = _relative_delta_pct(baseline_flat[path], current_flat[path])
-        if abs(delta_pct) > metric_threshold_pct:
-            regressions.append(
-                Regression(path, baseline_flat[path], current_flat[path],
-                           delta_pct, "metric")
-            )
-    return regressions

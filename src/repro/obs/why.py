@@ -1,4 +1,4 @@
-"""``repro why``: root-cause attribution for tail latency and regressions.
+"""``repro why``: root-cause attribution for tail latency.
 
 The PR-8 monitors *detect* (a violated p99, a fairness-floor breach);
 this command answers **why**, from the causal span layer
@@ -26,10 +26,6 @@ model as ``repro trace summary --json``).
 The last stdout line is stable and greppable (CI asserts on it)::
 
     WHY dominant=<component> share=<pct>% task=<task> window=<s>-<e>us top=<tenant>
-
-``repro why compare LEFT RIGHT`` attributes a cross-run regression
-instead: it resolves two PR-5 run records and diffs them phase-by-phase,
-naming the host phase that moved the most.
 """
 
 from __future__ import annotations
@@ -119,29 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None, metavar="FILE",
         help="JSON fault plan to install for the inline run",
     )
-    return parser
-
-
-def build_compare_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro why compare",
-        description=(
-            "Attribute a cross-run regression: diff two run records "
-            "phase-by-phase and name the dominant mover."
-        ),
-    )
-    parser.add_argument("left", help="baseline run (run id, 'last', or index)")
-    parser.add_argument("right", help="current run (run id, 'last', or index)")
-    parser.add_argument(
-        "--experiment", default=None,
-        help="restrict record resolution to one experiment",
-    )
-    parser.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="run-record store directory (default: .repro/runs)",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable diff")
     return parser
 
 
@@ -406,91 +379,7 @@ def cmd_why(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.obs.store import RunStore
-
-    store = RunStore(args.store_dir)
-    left = store.resolve(args.left, experiment=args.experiment)
-    right = store.resolve(args.right, experiment=args.experiment)
-
-    phase_deltas: list[tuple[str, float, float, float]] = []
-    left_phases = left.get("phases") or {}
-    right_phases = right.get("phases") or {}
-    for phase in sorted(set(left_phases) | set(right_phases)):
-        before = float((left_phases.get(phase) or {}).get("total_s", 0.0))
-        after = float((right_phases.get(phase) or {}).get("total_s", 0.0))
-        if before != after:
-            phase_deltas.append((phase, before, after, after - before))
-    phase_deltas.sort(key=lambda entry: (-abs(entry[3]), entry[0]))
-
-    from repro.obs.store import compare_records, is_metric_path
-
-    metric_diffs = {
-        path: pair
-        for path, pair in compare_records(left, right).items()
-        if is_metric_path(path)
-    }
-    wall = (left.get("wall_s", 0.0), right.get("wall_s", 0.0))
-    dominant = phase_deltas[0] if phase_deltas else None
-
-    if args.json:
-        print(json.dumps({
-            "left": left.get("run_id"),
-            "right": right.get("run_id"),
-            "wall_s": list(wall),
-            "phases": [
-                {"phase": phase, "left_s": before, "right_s": after,
-                 "delta_s": delta}
-                for phase, before, after, delta in phase_deltas
-            ],
-            "dominant_phase": dominant[0] if dominant else None,
-            "metric_diffs": {
-                path: list(pair) for path, pair in metric_diffs.items()
-            },
-        }, indent=2, sort_keys=True))
-        return 0
-
-    print(
-        f"why compare: {left.get('run_id')} -> {right.get('run_id')} "
-        f"({left.get('experiment')})"
-    )
-    print(f"  wall: {wall[0]:.3f}s -> {wall[1]:.3f}s "
-          f"({wall[1] - wall[0]:+.3f}s)")
-    if phase_deltas:
-        print("  host phases by |delta|:")
-        for phase, before, after, delta in phase_deltas:
-            print(f"    {phase:24s} {before:9.3f}s -> {after:9.3f}s "
-                  f"({delta:+.3f}s)")
-    else:
-        print("  host phases: identical")
-    if metric_diffs:
-        print(f"  simulation metrics changed: {len(metric_diffs)} paths "
-              "(deterministic per seed — the figures themselves moved):")
-        for path in list(metric_diffs)[:10]:
-            before, after = metric_diffs[path]
-            print(f"    {path}: {before} -> {after}")
-        if len(metric_diffs) > 10:
-            print(f"    ... {len(metric_diffs) - 10} more")
-    else:
-        print("  simulation metrics: identical")
-    if dominant is not None:
-        print(
-            f"WHY-COMPARE dominant_phase={dominant[0]} "
-            f"delta_s={dominant[3]:+.3f} "
-            f"wall={wall[0]:.3f}->{wall[1]:.3f}"
-        )
-    else:
-        print(
-            f"WHY-COMPARE dominant_phase=- delta_s=+0.000 "
-            f"wall={wall[0]:.3f}->{wall[1]:.3f}"
-        )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "compare":
-        return cmd_compare(build_compare_parser().parse_args(argv[1:]))
     return cmd_why(build_parser().parse_args(argv))
 
 

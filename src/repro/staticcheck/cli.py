@@ -10,8 +10,7 @@ Modes layered on the analysis engine:
   still links everything, so whole-program rules stay sound).
 * ``--fix`` — apply the mechanical autofixes (NEON401/403/505), then
   re-analyze and report what remains.
-* ``--stats`` — print engine timing/coverage counters and append them to
-  the run-record store (``repro perf`` reads the same store).
+* ``--stats`` — print engine timing/coverage counters to stderr.
 
 Exit codes: 0 no finding, 1 any finding, 2 usage error (unknown path,
 git failure in ``--changed``).
@@ -77,13 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print engine stats to stderr and record them in the run store",
-    )
-    parser.add_argument(
-        "--store-dir",
-        type=Path,
-        default=None,
-        help="run-record store directory for --stats (default: .repro/runs)",
+        help="print engine stats to stderr",
     )
     parser.add_argument(
         "--list-rules",
@@ -133,24 +126,6 @@ def _changed_files(paths: Sequence[Path]) -> Optional[list[Path]]:
             if candidate.is_file():
                 changed.append(candidate)
     return changed
-
-
-def _record_stats(args: argparse.Namespace, stats) -> None:
-    from repro.obs.store import RunCollector, RunStore, build_record
-
-    collector = RunCollector(experiment="staticcheck")
-    record = build_record(
-        collector,
-        wall_s=stats.wall_s,
-        params=stats.as_dict(),
-        note="neonlint --stats",
-    )
-    store = RunStore(args.store_dir)
-    appended = store.append(record)
-    print(
-        f"stats recorded: {appended['run_id']} -> {store.path}",
-        file=sys.stderr,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -215,7 +190,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if args.stats:
         print(result.stats.render(), file=sys.stderr)
-        _record_stats(args, result.stats)
     return 1 if result.violations else 0
 
 

@@ -69,13 +69,13 @@ class Config:
     rng_modules: tuple[str, ...] = ("repro.sim.rng",)
     #: Host-side orchestration modules allowed to read the wall clock
     #: (NEON201 exemption).  These measure *host* execution time (worker
-    #: pools, cache bookkeeping, the phase profiler); virtual time inside
-    #: simulations stays deterministic.  Everything else gets host time
-    #: through ``repro.obs.profile.host_clock`` so the exemption surface
-    #: stays these two audited modules.
+    #: pools, the sanctioned accessor); virtual time inside simulations
+    #: stays deterministic.  Everything else gets host time through
+    #: ``repro.obs.clock.host_clock`` so the exemption surface stays
+    #: these two audited modules.
     host_clock_modules: tuple[str, ...] = (
         "repro.experiments.parallel",
-        "repro.obs.profile",
+        "repro.obs.clock",
     )
     #: Known cross-module virtual-time generator methods (NEON301/302).
     generator_methods: tuple[str, ...] = ("drain", "scan_channel")

@@ -16,7 +16,7 @@ Suppression (the inline pragma) is applied centrally to both layers, so
 ``# neonlint: allow[NEON501] reason`` works exactly like it does for the
 per-file families.
 
-Timing uses :func:`repro.obs.profile.host_clock` — the audited host
+Timing uses :func:`repro.obs.clock.host_clock` — the audited host
 wall-clock accessor — so neonlint stays clean under its own NEON201.
 """
 
@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.obs.profile import host_clock
+from repro.obs.clock import host_clock
 from repro.staticcheck.core import (
     ModuleContext,
     PARSE_ERROR_RULE,
@@ -63,9 +63,6 @@ class AnalysisStats:
     rule_wall_s: dict[str, float] = dataclasses.field(default_factory=dict)
     violations_by_rule: dict[str, int] = dataclasses.field(default_factory=dict)
     suppressed: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def render(self) -> str:
         lines = [

@@ -139,22 +139,6 @@ def test_summary_of_uncapped_trace_has_no_warning(trace_file, capsys):
     assert "WARNING" not in capsys.readouterr().out
 
 
-def test_dropped_records_reach_the_run_collector():
-    # A capped traced run under an active collector reports its evictions
-    # into the cross-run record (satellite of the perf-telemetry work).
-    from repro.experiments.runner import build_env, run_workloads
-    from repro.obs.store import RunCollector, collecting
-    from repro.sim.trace import TraceRecorder
-    from repro.workloads.apps import make_app
-
-    collector = RunCollector("traced")
-    with collecting(collector):
-        env = build_env("dfq", trace=TraceRecorder(max_records=50))
-        run_workloads(env, [make_app("glxgears")], duration_us=60_000.0)
-    assert env.trace.dropped > 0
-    assert collector.trace_dropped == env.trace.dropped
-
-
 def test_top_level_cli_delegates(capsys):
     assert repro_main(["trace", "kinds"]) == 0
     assert "barrier_begin" in capsys.readouterr().out

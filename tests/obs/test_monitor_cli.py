@@ -112,22 +112,6 @@ def test_chaos_plan_produces_violations(tmp_path, capsys):
     )
 
 
-def test_store_appends_record_with_monitor_key(tmp_path, capsys):
-    store_dir = tmp_path / "runs"
-    assert monitor_main([
-        *RUN_ARGS, "--store", "--store-dir", str(store_dir),
-        "--note", "monitored",
-    ]) == 0
-    capsys.readouterr()
-    from repro.obs.store import RunStore
-
-    (record,) = RunStore(store_dir).load()
-    assert record["note"] == "monitored"
-    assert record["monitor"]["windows_closed"] == 12
-    assert record["monitor"]["runs"] == 1
-    assert record["params"]["window_us"] == 5000.0
-
-
 def test_experiment_mode_stdout_is_byte_identical(capsys):
     assert repro_main(["figure4", "--duration-ms", "40"]) == 0
     plain = capsys.readouterr().out

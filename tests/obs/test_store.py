@@ -1,168 +1,6 @@
-"""Run-record store: round-trip, corruption handling, compare, gate."""
+"""Cell collection: installing and restoring the active collector."""
 
-import json
-import math
-
-import pytest
-
-from repro.obs.profile import PhaseProfiler
-from repro.obs.store import (
-    GateMismatch,
-    RunCollector,
-    RunStore,
-    build_record,
-    collecting,
-    active_collector,
-    compare_records,
-    environment_fingerprint,
-    flatten_record,
-    gate_records,
-    is_metric_path,
-)
-
-
-def make_record(
-    experiment="figure4",
-    wall_s=1.0,
-    submits=100,
-    duration_ms=60.0,
-    seed=0,
-    mean_us=250.0,
-):
-    collector = RunCollector(experiment)
-    collector.add_cell(
-        index=0,
-        label="solo FFT direct",
-        key="abc123",
-        source="run",
-        wall_s=wall_s / 2,
-        cached_wall_s=0.0,
-        duration_us=duration_ms * 1000.0,
-        workloads={
-            "FFT": {
-                "metrics": {"submits": submits, "faults": 3},
-                "rounds": {"mean_us": mean_us},
-            }
-        },
-    )
-    profiler = PhaseProfiler()
-    profiler.add("cell-execute", wall_s / 2)
-    return build_record(
-        collector,
-        profiler=profiler,
-        wall_s=wall_s,
-        wall_all_s=[wall_s, wall_s * 1.1],
-        params={"duration_ms": duration_ms, "seed": seed, "workers": 1},
-        cache_hits=1,
-        cache_misses=2,
-        output_sha256="0" * 64,
-    )
-
-
-# ----------------------------------------------------------------------
-# Store round-trip
-# ----------------------------------------------------------------------
-
-def test_append_assigns_sequential_run_ids_and_round_trips(tmp_path):
-    store = RunStore(tmp_path / "runs")
-    first = store.append(make_record())
-    second = store.append(make_record(wall_s=2.0))
-    assert first["run_id"] == "figure4-0001"
-    assert second["run_id"] == "figure4-0002"
-    loaded = store.load()
-    assert [record["run_id"] for record in loaded] == [
-        "figure4-0001", "figure4-0002",
-    ]
-    # Round-trip is lossless: everything except the assigned id matches.
-    assert loaded[1]["wall_s"] == 2.0
-    assert loaded[0]["cells"][0]["workloads"]["FFT"]["metrics"]["submits"] == 100
-
-
-def test_run_ids_count_per_experiment(tmp_path):
-    store = RunStore(tmp_path)
-    store.append(make_record(experiment="figure4"))
-    record = store.append(make_record(experiment="figure6"))
-    assert record["run_id"] == "figure6-0001"
-
-
-def test_load_filters_by_experiment(tmp_path):
-    store = RunStore(tmp_path)
-    store.append(make_record(experiment="figure4"))
-    store.append(make_record(experiment="figure6"))
-    assert [r["experiment"] for r in store.load(experiment="figure6")] == [
-        "figure6"
-    ]
-
-
-def test_resolve_by_id_last_and_index(tmp_path):
-    store = RunStore(tmp_path)
-    store.append(make_record(wall_s=1.0))
-    store.append(make_record(wall_s=2.0))
-    assert store.resolve("last")["wall_s"] == 2.0
-    assert store.resolve("-2")["wall_s"] == 1.0
-    assert store.resolve("figure4-0001")["wall_s"] == 1.0
-    with pytest.raises(LookupError):
-        store.resolve("figure4-9999")
-    with pytest.raises(LookupError):
-        store.resolve("17")
-
-
-def test_corrupt_trailing_line_skips_and_warns(tmp_path, capsys):
-    store = RunStore(tmp_path)
-    store.append(make_record())
-    with open(store.path, "a", encoding="utf-8") as handle:
-        handle.write('{"schema": 1, "experiment": "figu')  # truncated write
-    loaded = store.load()
-    assert len(loaded) == 1
-    assert loaded[0]["run_id"] == "figure4-0001"
-    err = capsys.readouterr().err
-    assert "skipping corrupt" in err
-    assert str(store.path) in err
-    # Appending after corruption still works and ids keep counting.
-    record = store.append(make_record())
-    assert record["run_id"] == "figure4-0002"
-
-
-def test_empty_store_loads_empty(tmp_path):
-    assert RunStore(tmp_path / "nowhere").load() == []
-
-
-# ----------------------------------------------------------------------
-# Fingerprint and record shape
-# ----------------------------------------------------------------------
-
-def test_environment_fingerprint_is_stable_within_process():
-    first = environment_fingerprint()
-    second = environment_fingerprint()
-    assert first == second
-    assert first["cpu_count"] >= 1
-    assert first["python"]
-
-
-def test_record_has_documented_top_level_fields():
-    record = make_record()
-    for field in (
-        "schema", "run_id", "experiment", "unix_time", "params", "env",
-        "wall_s", "wall_all_s", "phases", "cells", "sim_time_us", "cache",
-        "trace", "fault_plans", "output_sha256", "note",
-    ):
-        assert field in record, field
-    assert record["schema"] == 1
-    assert record["run_id"] is None  # assigned at append time
-    assert json.loads(json.dumps(record))  # JSON-able all the way down
-
-
-def test_cells_are_sorted_by_farm_index():
-    # Pool completion order varies run to run; the record must not.
-    collector = RunCollector("figure6")
-    for index in (2, 0, 1):
-        collector.add_cell(
-            index=index, label=f"cell{index}", key=None, source="pool",
-            wall_s=0.1, cached_wall_s=0.0, duration_us=1000.0,
-            workloads={},
-        )
-    record = build_record(collector)
-    assert [cell["index"] for cell in record["cells"]] == [0, 1, 2]
+from repro.obs.store import RunCollector, active_collector, collecting
 
 
 def test_collecting_installs_and_restores():
@@ -171,138 +9,3 @@ def test_collecting_installs_and_restores():
     with collecting(collector):
         assert active_collector() is collector
     assert active_collector() is None
-
-
-# ----------------------------------------------------------------------
-# Flatten / classify
-# ----------------------------------------------------------------------
-
-def test_flatten_record_addresses_cells_by_position():
-    flat = flatten_record(make_record())
-    assert flat["cells.0.workloads.FFT.metrics.submits"] == 100.0
-    assert flat["wall_s"] == 1.0
-    assert flat["phases.cell-execute.total_s"] == 0.5
-    assert flat["cache.hits"] == 1.0
-
-
-def test_is_metric_path_excludes_host_side_timing():
-    assert is_metric_path("cells.0.workloads.FFT.metrics.submits")
-    assert is_metric_path("cells.3.duration_us")
-    assert not is_metric_path("cells.0.wall_s")
-    assert not is_metric_path("cells.0.cached_wall_s")
-    assert not is_metric_path("cells.0.index")
-    assert not is_metric_path("wall_s")
-    assert not is_metric_path("phases.cell-execute.total_s")
-
-
-# ----------------------------------------------------------------------
-# Compare
-# ----------------------------------------------------------------------
-
-def test_compare_identical_records_except_identity_fields():
-    left = make_record()
-    right = json.loads(json.dumps(left))
-    right["unix_time"] += 100.0
-    right["env"]["git_sha"] = "different"
-    right["output_sha256"] = "1" * 64
-    assert compare_records(left, right) == {}
-
-
-def test_compare_reports_metric_and_wall_drift():
-    left = make_record(wall_s=1.0, submits=100)
-    right = make_record(wall_s=2.0, submits=110)
-    deltas = compare_records(left, right)
-    assert deltas["wall_s"] == (1.0, 2.0)
-    assert deltas["cells.0.workloads.FFT.metrics.submits"] == (100.0, 110.0)
-
-
-def test_compare_treats_nan_as_equal_to_nan():
-    # Zero-round cells at short horizons yield NaN means; NaN -> NaN is
-    # "still undefined", not a diff.
-    left = make_record(mean_us=float("nan"))
-    right = make_record(mean_us=float("nan"))
-    assert compare_records(left, right) == {}
-    numeric = make_record(mean_us=250.0)
-    deltas = compare_records(left, numeric)
-    path = "cells.0.workloads.FFT.rounds.mean_us"
-    assert path in deltas
-
-
-# ----------------------------------------------------------------------
-# Gate
-# ----------------------------------------------------------------------
-
-def test_gate_passes_within_thresholds():
-    baseline = make_record(wall_s=1.0, submits=100)
-    current = make_record(wall_s=1.1, submits=100)
-    assert gate_records(current, baseline, wall_threshold_pct=20.0) == []
-
-
-def test_gate_fails_on_wall_growth_only():
-    baseline = make_record(wall_s=1.0)
-    slower = make_record(wall_s=1.5)
-    regressions = gate_records(slower, baseline, wall_threshold_pct=20.0)
-    assert [r.kind for r in regressions] == ["wall"]
-    assert regressions[0].delta_pct == pytest.approx(50.0)
-    assert "wall_s" in regressions[0].describe()
-    # Getting faster never fails.
-    faster = make_record(wall_s=0.2)
-    assert gate_records(faster, baseline, wall_threshold_pct=20.0) == []
-
-
-def test_gate_fails_on_metric_drift_both_directions():
-    baseline = make_record(submits=100)
-    for drifted_submits in (90, 110):
-        current = make_record(submits=drifted_submits)
-        regressions = gate_records(
-            current, baseline, wall_threshold_pct=1000.0,
-            metric_threshold_pct=5.0,
-        )
-        assert [r.kind for r in regressions] == ["metric"]
-        assert regressions[0].path == "cells.0.workloads.FFT.metrics.submits"
-
-
-def test_gate_metric_threshold_defaults_to_wall_threshold():
-    baseline = make_record(submits=100)
-    current = make_record(submits=110)
-    assert gate_records(current, baseline, wall_threshold_pct=20.0) == []
-    regressions = gate_records(current, baseline, wall_threshold_pct=5.0)
-    assert [r.kind for r in regressions] == ["metric"]
-
-
-def test_gate_skips_nan_leaves_but_flags_nan_to_number():
-    baseline_nan = make_record(mean_us=float("nan"))
-    current_nan = make_record(mean_us=float("nan"))
-    assert gate_records(
-        current_nan, baseline_nan, wall_threshold_pct=1000.0,
-        metric_threshold_pct=1.0,
-    ) == []
-    current_numeric = make_record(mean_us=250.0)
-    regressions = gate_records(
-        current_numeric, baseline_nan, wall_threshold_pct=1000.0,
-        metric_threshold_pct=1.0,
-    )
-    paths = [r.path for r in regressions]
-    assert "cells.0.workloads.FFT.rounds.mean_us" in paths
-    assert all(math.isinf(r.delta_pct) for r in regressions)
-
-
-def test_gate_mismatch_on_experiment_or_params():
-    baseline = make_record(experiment="figure4")
-    with pytest.raises(GateMismatch):
-        gate_records(make_record(experiment="figure6"), baseline)
-    with pytest.raises(GateMismatch):
-        gate_records(make_record(duration_ms=120.0), baseline)
-    with pytest.raises(GateMismatch):
-        gate_records(make_record(seed=1), baseline)
-
-
-def test_gate_ignores_leaves_missing_from_current():
-    # Additive schema: a newer baseline may carry fields an older record
-    # lacks; only shared leaves gate.
-    baseline = make_record()
-    current = make_record()
-    del current["cells"][0]["workloads"]["FFT"]["rounds"]
-    assert gate_records(
-        current, baseline, wall_threshold_pct=1000.0, metric_threshold_pct=1.0
-    ) == []

@@ -1,4 +1,4 @@
-"""``repro why``: window selection, attribution, report mode, compare."""
+"""``repro why``: window selection, attribution, report mode."""
 
 import json
 
@@ -106,44 +106,3 @@ def test_top_level_cli_delegates(capsys):
         "--duration-ms", "40",
     ]) == 0
     assert "WHY dominant=" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# repro why compare
-# ----------------------------------------------------------------------
-
-@pytest.fixture()
-def run_store(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    from repro.obs.perf import main as perf_main
-
-    assert perf_main(["record", "figure4", "--duration-ms", "20"]) == 0
-    assert perf_main(["record", "figure4", "--duration-ms", "30"]) == 0
-    return tmp_path
-
-
-def test_compare_diffs_phases_and_metrics(run_store, capsys):
-    assert why_main(["compare", "-2", "last"]) == 0
-    out = capsys.readouterr().out
-    assert "why compare:" in out
-    assert "host phases by |delta|:" in out
-    assert "cell-execute" in out
-    assert out.strip().splitlines()[-1].startswith("WHY-COMPARE dominant_phase=")
-
-
-def test_compare_json(run_store, capsys):
-    assert why_main(["compare", "-2", "last", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["dominant_phase"]
-    assert len(payload["wall_s"]) == 2
-    assert payload["phases"]
-
-
-def test_compare_identical_runs_has_no_metric_diffs(run_store, capsys):
-    from repro.obs.perf import main as perf_main
-
-    assert perf_main(["record", "figure4", "--duration-ms", "30"]) == 0
-    capsys.readouterr()  # drain the record's own figure output
-    assert why_main(["compare", "-2", "last", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["metric_diffs"] == {}

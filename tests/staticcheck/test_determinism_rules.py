@@ -83,14 +83,14 @@ def test_host_clock_modules_exempt_from_wall_clock_rule(tmp_path):
 
 def test_default_config_exempts_audited_host_clock_surface_only():
     # Exactly two modules may read the host clock: the cell farm and the
-    # phase profiler (everything else gets time via profile.host_clock).
+    # sanctioned accessor (everything else gets time via clock.host_clock).
     config = Config()
     assert config.is_host_clock_module("repro.experiments.parallel")
-    assert config.is_host_clock_module("repro.obs.profile")
+    assert config.is_host_clock_module("repro.obs.clock")
+    assert not config.is_host_clock_module("repro.obs.profile")
     assert not config.is_host_clock_module("repro.experiments.runner")
     assert not config.is_host_clock_module("repro.experiments.progress")
     assert not config.is_host_clock_module("repro.obs.store")
-    assert not config.is_host_clock_module("repro.obs.perf")
     assert not config.is_host_clock_module("repro.sim.engine")
 
 
