@@ -32,6 +32,8 @@ class Channel:
     ) -> None:
         self.channel_id = channel_id
         self.context = context
+        #: The owning task (a context never changes hands).
+        self.task: "Task" = context.task
         self.kind = kind
         self.register_page = RegisterPage(self.channel_id)
         #: Requests submitted but not yet started by the engine.
@@ -54,10 +56,6 @@ class Channel:
         #: every refcounter advance notifies them so quiescent channels can
         #: be skipped by their passes (see repro.osmodel.polling).
         self._pollers: list = []
-
-    @property
-    def task(self) -> "Task":
-        return self.context.task
 
     @property
     def pending(self) -> int:

@@ -70,7 +70,9 @@ class GpuDevice:
         self.memory = GpuMemory(self.params.memory_mib)
         #: Ground-truth per-task engine microseconds (metrics/ablations only).
         self._usage: dict[int, float] = defaultdict(float)
-        self._usage_by_kind: dict[tuple[int, RequestKind], float] = defaultdict(float)
+        #: Keyed by ``(task_id, kind._value_)``: a plain string, because
+        #: hashing the enum member itself is a Python-level call per retire.
+        self._usage_by_kind: dict[tuple[int, str], float] = defaultdict(float)
 
     # ------------------------------------------------------------------
     # Resource allocation (the Section 6.3 protection surface)
@@ -223,15 +225,16 @@ class GpuDevice:
 
     def charge(self, task: "Task", service_us: float, kind: RequestKind) -> None:
         """Record ground-truth usage (called by engines on retirement)."""
-        self._usage[task.task_id] += service_us
-        self._usage_by_kind[(task.task_id, kind)] += service_us
+        task_id = task.task_id
+        self._usage[task_id] += service_us
+        self._usage_by_kind[(task_id, kind._value_)] += service_us
 
     def task_usage(self, task: "Task") -> float:
         """Ground-truth cumulative engine time consumed by ``task`` (µs)."""
         return self._usage[task.task_id]
 
     def task_usage_by_kind(self, task: "Task", kind: RequestKind) -> float:
-        return self._usage_by_kind[(task.task_id, kind)]
+        return self._usage_by_kind[(task.task_id, kind._value_)]
 
     @property
     def total_busy_us(self) -> float:

@@ -15,6 +15,16 @@ results:
   ``graphics_service_penalty`` opportunities, modeling the paper's
   observation that glxgears requests complete at roughly one third the
   rate of concurrent compute requests (Section 5.3's anomaly).
+
+The engine is a callback state machine on the simulator's heap, not a
+process.  Each hop is one heap entry: a delay (stall, context switch,
+restore, save) is one ``sim.schedule``, a wake one ``sim.schedule_now``.
+A request's outcome — its completion timer firing, or an abort or
+preemption settling it — is handled one hop later; a notify wakes an idle
+engine one hop later; a graphics-cooldown wait takes two hops, one to
+decide whether new work or the cooldown came first and one to resume.
+Every hop sits at a fixed ``(time, seq)`` point, so same-instant
+tie-breaks with the rest of the system are deterministic.
 """
 
 from __future__ import annotations
@@ -25,20 +35,28 @@ from repro.faults import registry as fault_points
 from repro.gpu.channel import Channel
 from repro.gpu.request import Request, RequestKind
 from repro.obs import events
-from repro.sim.events import AnyOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import GpuDevice
     from repro.gpu.params import GpuParams
     from repro.sim.engine import Simulator
 
-#: Outcome tags delivered through the per-request outcome event.  A single
-#: event replaces the earlier finished/abort/preempt trio plus AnyOf: the
-#: first cause to occur triggers it with its tag (and cancels the completion
-#: timer), so one request costs one event and one wakeup.
+#: How a running request's outcome hop resolves it: the completion timer
+#: fired, or :meth:`ExecutionEngine.abort_current` /
+#: :meth:`ExecutionEngine.preempt_current` settled it first (cancelling
+#: the timer).
 FINISHED = "finished"
 ABORTED = "aborted"
 PREEMPTED = "preempted"
+
+#: The engine's wait states, which decide what :meth:`ExecutionEngine.notify`
+#: does: nothing (running, or already woken), wake an idle engine, enter
+#: the race against the graphics cooldown, or — the cooldown has already
+#: won — only count the wake.
+_BUSY = 0
+_IDLE = 1
+_COOLING = 2
+_COOLED = 3
 
 
 class ExecutionEngine:
@@ -59,12 +77,19 @@ class ExecutionEngine:
         self.device = device
         self._channels: list[Channel] = []
         self._cursor = 0
-        self._wake: Optional[Event] = None
-        self._outcome: Optional[Event] = None
+        self._wait = _BUSY
+        #: Generation of the cooldown race; bumped when the race is decided,
+        #: so the losing hop finds a stale token and does nothing.
+        self._wait_gen = 0
+        self._cooldown_timer = None
         self._timer = None
+        #: False only while the running request's outcome is still open.
+        self._settled = True
+        self._segment_start = 0.0
         self._pending_stall = 0.0
         self.preemptions = 0
-        #: Wake events actually fired (coalesced notifies are not counted).
+        #: Notifies that woke an idle or cooling-down engine (notifies that
+        #: found it running or already woken are not counted).
         self.wakeups = 0
         self.current: Optional[Request] = None
         self.current_channel: Optional[Channel] = None
@@ -76,7 +101,7 @@ class ExecutionEngine:
         #: Cumulative switching overhead alone.
         self.switch_us = 0.0
         self.completed_requests = 0
-        self.process = sim.spawn(self._run(), name=f"gpu.{name}")
+        sim.schedule_now(self._serve)
 
     # ------------------------------------------------------------------
     # Channel registration
@@ -100,14 +125,20 @@ class ExecutionEngine:
         """Wake the engine: new work may be available.
 
         Idempotent within an instant: the first notify of an idle period
-        triggers the wake event, later ones are free.  Batched submission
+        wakes the engine, later ones are free.  Batched submission
         (``GpuDevice.submit_batch``) relies on this — a burst of enqueues
-        costs one wake; ``wakeups`` counts the wakes that actually fired.
+        costs one wake; ``wakeups`` counts the notifies that woke an idle
+        or cooling-down engine.
         """
-        wake = self._wake
-        if wake is not None and not wake.triggered:
-            self.wakeups += 1
-            wake.trigger()
+        wait = self._wait
+        if wait == _BUSY:
+            return
+        self._wait = _BUSY
+        self.wakeups += 1
+        if wait == _IDLE:
+            self.sim.schedule_now(self._serve)
+        elif wait == _COOLING:
+            self.sim.schedule_now(self._cooldown_decided, self._wait_gen, False)
 
     def abort_current(self, context) -> bool:
         """Abort the running request if it belongs to ``context``."""
@@ -115,8 +146,7 @@ class ExecutionEngine:
             self.current is not None
             and self.current_channel is not None
             and self.current_channel.context is context
-            and self._outcome is not None
-            and not self._outcome.triggered
+            and not self._settled
         ):
             self._settle(ABORTED)
             return True
@@ -136,18 +166,19 @@ class ExecutionEngine:
             return False
         if context is not None and self.current_channel.context is not context:
             return False
-        if self._outcome is None or self._outcome.triggered:
+        if self._settled:
             return False
         self._settle(PREEMPTED)
         return True
 
     def _settle(self, tag: str) -> None:
-        """Resolve the in-flight request's wait with ``tag``, withdrawing
-        the completion timer so it cannot fire a second outcome later."""
+        """Resolve the in-flight request with ``tag``, withdrawing the
+        completion timer so it cannot resolve it a second time."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._outcome.trigger(tag)
+        self._settled = True
+        self.sim.schedule_now(self._on_outcome, tag)
 
     def inject_stall(self, duration_us: float) -> None:
         """Consume engine time outside any request (context cleanup)."""
@@ -206,99 +237,141 @@ class ExecutionEngine:
         return None, max(earliest_blocked - now, 0.01)
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Service loop
     # ------------------------------------------------------------------
-    def _run(self):
-        while True:
-            if self._pending_stall > 0:
-                stall = self._pending_stall
-                self._pending_stall = 0.0
-                yield stall
-                self.busy_us += stall
-                continue
+    def _serve(self) -> None:
+        """Start the engine's next step: a pending stall, the next
+        request, or a wait for work."""
+        stall = self._pending_stall
+        if stall > 0:
+            self._pending_stall = 0.0
+            self.sim.schedule(stall, self._stalled, stall)
+            return
 
-            channel, retry_delay = self._pick()
-            if channel is None:
-                # Nothing servable right now.  Wait for new work; when only
-                # penalized graphics channels are pending, also re-arbitrate
-                # once their cooldown expires (non-work-conserving hardware
-                # arbitration).
-                self._wake = Event(self.sim)
-                if retry_delay is not None:
-                    cooldown = Event(self.sim)
-                    timer = self.sim.schedule(retry_delay, cooldown.trigger)
-                    first = yield AnyOf(self.sim, [cooldown, self._wake])
-                    if first is not cooldown:
-                        timer.cancel()
-                else:
-                    yield self._wake
-                self._wake = None
-                continue
-
-            switch_cost = self._switch_cost(channel)
-            faults = self.device.faults
-            if faults is not None and switch_cost > 0:
-                spike = faults.arm(
-                    fault_points.GPU_CONTEXT_SWITCH_SPIKE, channel.task.name
-                )
-                if spike is not None:
-                    switch_cost += spike.magnitude_us
-            if switch_cost > 0:
-                yield switch_cost
-                self.busy_us += switch_cost
-                self.switch_us += switch_cost
-                # The queue may have changed (e.g. the context died) while
-                # we were switching; re-arbitrate from scratch.
-                if channel.dead or not channel.queue:
-                    self._last_context = None
-                    self._last_channel = None
-                    continue
-            self._last_context = channel.context
-            self._last_channel = channel
-
-            request = channel.queue.popleft()
-            channel.running = request
-            if request.preemptions > 0:
-                # Restore the saved execution state before resuming.
-                restore = self.params.preemption_save_restore_us
-                yield restore
-                self.busy_us += restore
-                self.switch_us += restore
-            if request.start_time is None:
-                request.start_time = self.sim.now
-                faults = self.device.faults
-                if faults is not None and not request.never_completes:
-                    slow = faults.arm(
-                        fault_points.GPU_REQUEST_SLOWDOWN, channel.task.name
-                    )
-                    if slow is not None:
-                        # Hardware runs slow; the submitter's declared
-                        # size_us is unchanged — it believes the request
-                        # is still small.
-                        request.remaining_us *= slow.factor
-            sim = self.sim
-            segment_start = sim.now
-            self.current = request
-            self.current_channel = channel
-            outcome = self._outcome = Event(sim)
-            if not request.never_completes:
-                self._timer = sim.schedule(
-                    request.remaining_us, outcome.trigger, FINISHED
-                )
-            if self.device.trace.enabled:
-                self.device.trace.emit(
-                    segment_start, f"gpu.{self.name}", events.EXEC_BEGIN,
-                    task=channel.task.name, channel=channel.channel_id,
-                    ref=request.ref,
-                )
-            tag = yield outcome
-            self._outcome = None
-            self._timer = None
-
-            if tag is PREEMPTED:
-                yield from self._suspend(channel, request, segment_start)
+        channel, retry_delay = self._pick()
+        if channel is None:
+            # Nothing servable right now.  Wait for new work; when only
+            # penalized graphics channels are pending, also re-arbitrate
+            # once their cooldown expires (non-work-conserving hardware
+            # arbitration).
+            if retry_delay is None:
+                self._wait = _IDLE
             else:
-                self._retire(channel, request, tag is ABORTED, segment_start)
+                self._wait = _COOLING
+                self._cooldown_timer = self.sim.schedule(
+                    retry_delay, self._cooldown_expired, self._wait_gen
+                )
+            return
+
+        switch_cost = self._switch_cost(channel)
+        faults = self.device.faults
+        if faults is not None and switch_cost > 0:
+            spike = faults.arm(
+                fault_points.GPU_CONTEXT_SWITCH_SPIKE, channel.task.name
+            )
+            if spike is not None:
+                switch_cost += spike.magnitude_us
+        if switch_cost > 0:
+            self.sim.schedule(switch_cost, self._switched, channel, switch_cost)
+            return
+        self._start(channel)
+
+    def _stalled(self, stall: float) -> None:
+        self.busy_us += stall
+        self._serve()
+
+    def _cooldown_expired(self, gen: int) -> None:
+        """The graphics cooldown timer fired: enter the race unless the
+        wake has already decided it."""
+        if gen == self._wait_gen:
+            self.sim.schedule_now(self._cooldown_decided, gen, True)
+
+    def _cooldown_decided(self, gen: int, cooled: bool) -> None:
+        """The first arrival (wake or cooldown) decides the race; the
+        engine resumes one hop later."""
+        if gen != self._wait_gen:
+            return
+        self._wait_gen = gen + 1
+        if cooled and self._wait == _COOLING:
+            self._wait = _COOLED
+        self.sim.schedule_now(self._resume_after_cooldown, cooled)
+
+    def _resume_after_cooldown(self, cooled: bool) -> None:
+        if not cooled:
+            self._cooldown_timer.cancel()
+        self._cooldown_timer = None
+        self._wait = _BUSY
+        self._serve()
+
+    def _switched(self, channel: Channel, switch_cost: float) -> None:
+        self.busy_us += switch_cost
+        self.switch_us += switch_cost
+        # The queue may have changed (e.g. the context died) while we were
+        # switching; re-arbitrate from scratch.
+        if channel.dead or not channel.queue:
+            self._last_context = None
+            self._last_channel = None
+            self._serve()
+            return
+        self._start(channel)
+
+    def _start(self, channel: Channel) -> None:
+        self._last_context = channel.context
+        self._last_channel = channel
+        request = channel.queue.popleft()
+        channel.running = request
+        if request.preemptions > 0:
+            # Restore the saved execution state before resuming.
+            restore = self.params.preemption_save_restore_us
+            self.sim.schedule(restore, self._restored, channel, request, restore)
+            return
+        self._execute(channel, request)
+
+    def _restored(self, channel: Channel, request: Request, restore: float) -> None:
+        self.busy_us += restore
+        self.switch_us += restore
+        self._execute(channel, request)
+
+    def _execute(self, channel: Channel, request: Request) -> None:
+        sim = self.sim
+        if request.start_time is None:
+            request.start_time = sim.now
+            faults = self.device.faults
+            if faults is not None and not request.never_completes:
+                slow = faults.arm(
+                    fault_points.GPU_REQUEST_SLOWDOWN, channel.task.name
+                )
+                if slow is not None:
+                    # Hardware runs slow; the submitter's declared size_us
+                    # is unchanged — it believes the request is still small.
+                    request.remaining_us *= slow.factor
+        self._segment_start = sim.now
+        self.current = request
+        self.current_channel = channel
+        self._settled = False
+        if not request.never_completes:
+            self._timer = sim.schedule(request.remaining_us, self._finished)
+        if self.device.trace.enabled:
+            self.device.trace.emit(
+                sim.now, f"gpu.{self.name}", events.EXEC_BEGIN,
+                task=channel.task.name, channel=channel.channel_id,
+                ref=request.ref,
+            )
+
+    def _finished(self) -> None:
+        """The completion timer fired; the outcome is handled one hop later."""
+        self._timer = None
+        self._settled = True
+        self.sim.schedule_now(self._on_outcome, FINISHED)
+
+    def _on_outcome(self, tag: str) -> None:
+        channel = self.current_channel
+        request = self.current
+        if tag is PREEMPTED:
+            self._suspend(channel, request, self._segment_start)
+        else:
+            self._retire(channel, request, tag is ABORTED, self._segment_start)
+            self._serve()
 
     def _switch_cost(self, channel: Channel) -> float:
         if self._last_context is None:
@@ -309,7 +382,9 @@ class ExecutionEngine:
             return self.params.channel_switch_us
         return 0.0
 
-    def _suspend(self, channel: Channel, request: Request, segment_start: float):
+    def _suspend(
+        self, channel: Channel, request: Request, segment_start: float
+    ) -> None:
         """Preemption path: charge the executed segment, save state, and
         requeue the remainder at the head of the channel."""
         now = self.sim.now
@@ -324,15 +399,20 @@ class ExecutionEngine:
         self.current = None
         self.current_channel = None
         save = self.params.preemption_save_restore_us
-        yield save
+        self.sim.schedule(save, self._saved, channel, request, now, save)
+
+    def _saved(
+        self, channel: Channel, request: Request, preempted_at: float, save: float
+    ) -> None:
         self.busy_us += save
         self.switch_us += save
         if self.device.trace.enabled:
             self.device.trace.emit(
-                now, f"gpu.{self.name}", events.REQUEST_PREEMPTED,
+                preempted_at, f"gpu.{self.name}", events.REQUEST_PREEMPTED,
                 task=channel.task.name, channel=channel.channel_id,
                 ref=request.ref, remaining_us=request.remaining_us,
             )
+        self._serve()
 
     def _retire(
         self,

@@ -22,12 +22,15 @@ in place, bounding memory under schedule/cancel churn (watchdog timeout
 patterns).
 Compaction cannot reorder live entries — the order is total.
 
-The push sites (``schedule*``, :meth:`Event.trigger
+The push sites — :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`,
+:meth:`Simulator.schedule_now`, the fan-out of :meth:`Event.trigger
 <repro.sim.events.Event.trigger>`, the sleep path of
-:meth:`Process._resume <repro.sim.process.Process._resume>`) and the pop
-loops (:meth:`Simulator.run`, :meth:`Simulator.step`) call ``heapq``
+:meth:`Process._resume <repro.sim.process.Process._resume>`, and
+:meth:`Simulator.run` putting back a head that is not yet due — and the
+pop loops (:meth:`Simulator.run`, :meth:`Simulator.step`) call ``heapq``
 directly on ``Simulator._heap``: event dispatch is the simulator's hot
-path.  ``run`` holds the heap list in a local, which is why compaction
+path.  Only the first five take a new ``seq``.  ``run`` holds the heap
+list in a local, which is why compaction (``heapify`` over the survivors)
 rewrites the list in place instead of rebinding it.
 
 The simulator also numbers the entities of the system it runs: tasks,
@@ -78,7 +81,6 @@ class Simulator:
         self._cancelled = 0
         self._seq = 0
         self._running = False
-        self._processes: list[Process] = []
         #: Entity id sequences by kind; simulators handed the same dict
         #: share one numbering.
         self._id_counters = id_counters if id_counters is not None else {}
@@ -130,9 +132,7 @@ class Simulator:
         The generator is stepped for the first time via a zero-delay
         callback, so spawning inside a running callback is safe.
         """
-        process = Process(self, generator, name=name)
-        self._processes.append(process)
-        return process
+        return Process(self, generator, name=name)
 
     def id_counter(self, kind: str) -> Iterator[int]:
         """This simulation's id sequence for ``kind``: 1, 2, 3, ...

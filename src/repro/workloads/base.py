@@ -10,7 +10,7 @@ post-run statistics (Table 1, Figure 2).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import math
 
@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.osmodel.kernel import Kernel
     from repro.sim.engine import Simulator
     from repro.sim.rng import RngRegistry
+
+#: The request kinds Table 1's request sizes cover (DMA is excluded).
+_TABLE1_KINDS = (RequestKind.COMPUTE, RequestKind.GRAPHICS)
 
 
 class Workload:
@@ -173,14 +176,15 @@ class Workload:
     ) -> RoundStats:
         return self.rounds.stats(warmup_us, until_us)
 
-    def mean_request_size(self, kinds: Optional[set] = None) -> float:
+    def mean_request_size(self, kinds: Optional[Iterable] = None) -> float:
         """Mean submitted request size (µs), optionally filtered by kind.
 
         DMA requests are excluded by default, matching Table 1's
         compute/graphics request sizes.
         """
-        if kinds is None:
-            kinds = {RequestKind.COMPUTE, RequestKind.GRAPHICS}
+        # A tuple, not a set: membership then matches members by identity
+        # instead of hashing an enum member (a Python-level call) per request.
+        kinds = _TABLE1_KINDS if kinds is None else tuple(kinds)
         sizes = [
             request.size_us
             for request in self.requests

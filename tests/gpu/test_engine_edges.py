@@ -2,7 +2,12 @@
 
 import math
 
+import pytest
+
+from repro.gpu.device import GpuDevice
+from repro.gpu.params import GpuParams
 from repro.gpu.request import Request, RequestKind
+from repro.osmodel.task import Task
 
 from tests.gpu.conftest import submit
 
@@ -98,3 +103,149 @@ def test_busy_accounting_conserves_time(sim, device, make_channel):
     service = 5 * 20.0 + 5 * 30.0
     assert engine.busy_us == service + engine.switch_us
     assert engine.busy_us <= sim.now + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Same-instant ordering at the engine's wait points
+# ----------------------------------------------------------------------
+def _cooling_graphics(sim, device, make_channel):
+    """Serve one compute and one graphics request, leaving a second
+    graphics request held back by the arbitration cooldown.
+
+    Compute runs 0-10, the context switch 10-14, graphics 14-24; the
+    penalty then blocks the graphics channel until 24 + 55 = 79, so the
+    engine waits on its cooldown timer (armed at 24, firing at 79).
+    """
+    _, _, compute = make_channel("c", RequestKind.COMPUTE)
+    _, _, graphics = make_channel("g", RequestKind.GRAPHICS)
+    submit(device, compute, 10.0)
+    submit(device, graphics, 10.0)
+    held = submit(device, graphics, 10.0)
+    return compute, held
+
+
+def _after(sim, hops, fn, *args):
+    """Run ``fn(*args)`` ``hops`` same-instant heap entries after now."""
+    if hops == 0:
+        fn(*args)
+    else:
+        sim.schedule_now(_after, sim, hops - 1, fn, *args)
+
+
+@pytest.mark.parametrize(
+    "when, wakeups, late_start, held_start",
+    [
+        # Each case submits a compute request at 79, the instant the
+        # cooldown ends.  Served first, it starts after the 4 us context
+        # switch, and the held graphics request after it and another
+        # switch (83 + 10 + 4); served second, it waits for graphics.
+        #
+        # Scheduled before the cooldown timer was armed: wakes the engine.
+        ("before-timer", 1, 83.0, 97.0),
+        # After the timer fired, before its member hop ran.
+        ("after-timer", 1, 83.0, 97.0),
+        # After the member hop, before the engine resumed: still counts as
+        # a wake, and the resumed engine sees the new compute request.
+        ("after-member-hop", 1, 83.0, 97.0),
+        # After the engine resumed: it is already serving graphics.
+        ("after-resume", 0, 93.0, 79.0),
+    ],
+)
+def test_notify_at_the_instant_the_cooldown_ends(
+    sim, device, make_channel, when, wakeups, late_start, held_start
+):
+    compute, held = _cooling_graphics(sim, device, make_channel)
+    late = Request(RequestKind.COMPUTE, 10.0)
+    if when == "before-timer":
+        sim.schedule(79.0, device.submit, compute, late)
+    else:
+        hops = {"after-timer": 0, "after-member-hop": 1, "after-resume": 2}[when]
+        # Scheduled at 50, after the timer was armed, so it pops after it.
+        sim.schedule(
+            50.0, sim.schedule, 29.0, _after, sim, hops, device.submit,
+            compute, late,
+        )
+    sim.run()
+    assert device.main_engine.wakeups == wakeups
+    assert (late.start_time, held.start_time) == (late_start, held_start)
+    assert late.finish_time == late_start + 10.0
+    assert held.finish_time == held_start + 10.0
+
+
+@pytest.fixture
+def preemptive_device(sim):
+    params = GpuParams()
+    params.preemption_supported = True
+    return GpuDevice(sim, params)
+
+
+@pytest.mark.parametrize("action", ["abort", "preempt"])
+def test_settle_after_the_completion_timer_fired_is_refused(
+    sim, preemptive_device, action
+):
+    """Between the completion timer firing and the engine handling the
+    outcome, the request is already finished: aborting or preempting it
+    must be refused, and it completes normally."""
+    device = preemptive_device
+    task = Task("t", next(sim.id_counter("task")))
+    context = device.create_context(task)
+    channel = device.create_channel(context, RequestKind.COMPUTE)
+    request = submit(device, channel, 100.0)
+    engine = device.main_engine
+    answers = []
+
+    def settle():
+        assert engine.current is request
+        if action == "abort":
+            answers.append(engine.abort_current(context))
+        else:
+            answers.append(engine.preempt_current(context))
+
+    # Scheduled at 50 for 100: pops right after the completion timer.
+    sim.schedule(50.0, sim.schedule, 50.0, settle)
+    sim.run()
+    assert answers == [False]
+    assert request.finish_time == 100.0
+    assert not request.aborted
+    assert request.preemptions == 0
+    assert channel.refcounter == 1
+    assert engine.preemptions == 0
+    assert device.task_usage(task) == 100.0
+
+
+@pytest.mark.parametrize("action", ["abort", "preempt"])
+def test_settle_just_before_the_completion_timer_wins(
+    sim, preemptive_device, action
+):
+    device = preemptive_device
+    task = Task("t", next(sim.id_counter("task")))
+    context = device.create_context(task)
+    channel = device.create_channel(context, RequestKind.COMPUTE)
+    request = submit(device, channel, 100.0)
+    engine = device.main_engine
+    answers = []
+
+    def settle():
+        if action == "abort":
+            answers.append(engine.abort_current(context))
+            # A second settle before the outcome is handled is refused.
+            answers.append(engine.abort_current(context))
+        else:
+            answers.append(engine.preempt_current(context))
+            answers.append(engine.preempt_current(context))
+
+    # Scheduled before the request started: pops ahead of its timer.
+    sim.schedule(100.0, settle)
+    sim.run()
+    assert answers == [True, False]
+    if action == "abort":
+        assert request.aborted
+        assert channel.refcounter == 0
+    else:
+        save = device.params.preemption_save_restore_us
+        assert engine.preemptions == 1
+        assert request.preemptions == 1
+        assert request.remaining_us == 0.0
+        # Save, restore, then the empty remainder completes at once.
+        assert request.finish_time == 100.0 + 2 * save
+        assert channel.refcounter == 1
