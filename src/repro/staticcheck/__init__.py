@@ -28,11 +28,11 @@ Five rule families, in two layers:
   declared ``InterceptionManager`` API, no dead registry entries, no
   unused imports (re-export aware).
 
-Run it with ``python -m repro.staticcheck src`` or ``repro staticcheck``;
-``--format sarif`` exports to code scanning, ``--fix`` applies mechanical
-autofixes.  Every finding fails the run; the one way to excuse a finding
-is an inline ``# neonlint: allow[RULE] reason`` pragma on the flagged
-line.  See ``docs/STATIC_ANALYSIS.md`` for the full rule catalog, the
+Run it with ``python -m repro.staticcheck src`` or ``repro staticcheck``:
+one serial pass that parses each file once and runs both layers over
+that parse.  ``--format sarif`` exports to code scanning.  Every finding
+fails the run; the one way to excuse a finding is an inline
+``# neonlint: allow[RULE] reason`` pragma on the flagged line.  See ``docs/STATIC_ANALYSIS.md`` for the full rule catalog, the
 suppression audit, and the whole-program-rule authoring guide.
 """
 

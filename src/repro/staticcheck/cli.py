@@ -1,15 +1,15 @@
 """``python -m repro.staticcheck`` / ``repro staticcheck`` — the CLI.
 
-Modes layered on the analysis engine:
+Modes layered on the analysis engine (one serial pass, one parse per
+file):
 
 * default — full run (per-file + whole-program rules); every finding
   fails the run.  The only way to excuse one is an inline
   ``# neonlint: allow[RULE] reason`` pragma on the flagged line.
 * ``--changed`` — pre-commit mode: report only findings anchored in
   files changed since ``git merge-base HEAD main`` (the project model
-  still links everything, so whole-program rules stay sound).
-* ``--fix`` — apply the mechanical autofixes (NEON401/403/505), then
-  re-analyze and report what remains.
+  still links everything, so whole-program rules stay sound).  With no
+  changed Python file, nothing is analyzed and the report is empty.
 * ``--stats`` — print engine timing/coverage counters to stderr.
 
 Exit codes: 0 no finding, 1 any finding, 2 usage error (unknown path,
@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from repro.staticcheck.config import Config
 from repro.staticcheck.engine import run_analysis
-from repro.staticcheck.fix import apply_fixes
 from repro.staticcheck.report import format_report
 from repro.staticcheck.rules import RULES
 
@@ -53,25 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes (NEON401/403/505), then re-check",
-    )
-    parser.add_argument(
         "--changed",
         action="store_true",
         help="only report findings in files changed vs merge-base with main",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for per-file rules (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--no-whole-program",
-        action="store_true",
-        help="skip the NEON5xx whole-program layer (per-file rules only)",
     )
     parser.add_argument(
         "--stats",
@@ -86,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _changed_files(paths: Sequence[Path]) -> Optional[list[Path]]:
+def _changed_files() -> Optional[list[Path]]:
     """Files changed vs ``merge-base(HEAD, main)`` plus untracked files.
 
     Returns None when git is unavailable or the worktree is not a repo
@@ -144,7 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     restrict_to: Optional[list[Path]] = None
     if args.changed:
-        restrict_to = _changed_files(paths)
+        restrict_to = _changed_files()
         if restrict_to is None:
             print(
                 "error: --changed requires a git worktree "
@@ -153,33 +136,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
         if not restrict_to:
-            print("clean: no changed python files")
+            if args.format == "text":
+                print("clean: no changed python files")
+            else:
+                print(format_report([], 0, args.format, rules=RULES))
             return 0
 
-    def analyze():
-        return run_analysis(
-            paths,
-            Config(),
-            workers=args.workers,
-            whole_program=not args.no_whole_program,
-            restrict_to=restrict_to,
-        )
-
-    result = analyze()
-
-    if args.fix:
-        outcome = apply_fixes(result.violations)
-        if outcome.files:
-            for path in outcome.files:
-                print(f"fixed: {path}", file=sys.stderr)
-            result = analyze()
-        if outcome.skipped:
-            print(
-                f"{len(outcome.skipped)} fixable-family finding(s) could "
-                "not be rewritten automatically",
-                file=sys.stderr,
-            )
-
+    result = run_analysis(paths, Config(), restrict_to=restrict_to)
     print(
         format_report(
             result.violations,

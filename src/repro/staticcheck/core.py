@@ -1,11 +1,12 @@
 """neonlint core — module contexts, pragma parsing, and the analysis driver.
 
-Checkers are pure functions of a parsed module: they receive a
-:class:`ModuleContext` (path, dotted module name, AST, raw source lines)
-and yield :class:`Violation` records.  Suppression — the inline
-``# neonlint: allow[RULE] reason`` pragma on the flagged line, the only
-way to excuse a finding — is applied centrally here so every rule gets it
-for free.
+:func:`parse_module` turns a file into a :class:`ModuleContext` (path,
+dotted module name, AST, raw source lines) or a NEON000 finding, once per
+run.  Checkers are pure functions of a parsed module: :func:`check_module`
+hands them the context and collects the :class:`Violation` records they
+yield.  Suppression — the inline ``# neonlint: allow[RULE] reason``
+pragma on the flagged line, the only way to excuse a finding — is applied
+centrally here so every rule gets it for free.
 """
 
 from __future__ import annotations
@@ -121,35 +122,46 @@ def scope_statements(node: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(child))
 
 
-def analyze_file(path: Path, config: "Config") -> list[Violation]:
-    """Run every checker over one file, applying suppression."""
-    from repro.staticcheck.rules import build_checkers
-
+def parse_module(path: Path) -> "ModuleContext | Violation":
+    """Parse one file; a file that cannot be read or parsed is NEON000."""
     try:
         source = path.read_text(encoding="utf-8")
-        ctx = ModuleContext(path, module_name_for(path), source)
+        return ModuleContext(path, module_name_for(path), source)
     except (OSError, SyntaxError, ValueError) as exc:
-        return [
-            Violation(
-                path=str(path),
-                line=getattr(exc, "lineno", 0) or 0,
-                col=getattr(exc, "offset", 0) or 0,
-                rule_id=PARSE_ERROR_RULE,
-                message=f"file could not be analyzed: {exc}",
-            )
-        ]
-    violations = []
-    for checker in build_checkers(config):
-        for violation in checker.check(ctx, config):
-            if ctx.pragma_allows(violation.line, violation.rule_id):
-                continue
-            violations.append(violation)
-    return violations
+        return Violation(
+            path=str(path),
+            line=getattr(exc, "lineno", 0) or 0,
+            col=getattr(exc, "offset", 0) or 0,
+            rule_id=PARSE_ERROR_RULE,
+            message=f"file could not be analyzed: {exc}",
+        )
+
+
+def check_module(
+    ctx: ModuleContext, config: "Config", checkers: Iterable
+) -> list[Violation]:
+    """Run the per-file checkers over one parsed module, applying pragmas.
+
+    ``checkers`` comes from ``rules.build_checkers``, built once per run.
+    """
+    return [
+        violation
+        for checker in checkers
+        for violation in checker.check(ctx, config)
+        if not ctx.pragma_allows(violation.line, violation.rule_id)
+    ]
 
 
 def analyze_paths(paths: Iterable[Path], config: "Config") -> list[Violation]:
-    """Analyze every Python file under ``paths``; sorted violations."""
+    """Per-file rules over every Python file under ``paths``; sorted."""
+    from repro.staticcheck.rules import build_checkers
+
+    checkers = build_checkers(config)
     violations: list[Violation] = []
     for path in collect_files(paths):
-        violations.extend(analyze_file(path, config))
+        parsed = parse_module(path)
+        if isinstance(parsed, Violation):
+            violations.append(parsed)
+        else:
+            violations.extend(check_module(parsed, config, checkers))
     return sorted(violations)

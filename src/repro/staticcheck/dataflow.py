@@ -25,7 +25,7 @@ helper, ``from helper import GLOBAL_RNG`` in a scheduler).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.staticcheck.graph import MODULE_NODE, FunctionInfo, ProjectModel
 
@@ -128,13 +128,6 @@ class RngFacts:
                         local_name=local,
                     )
                 )
-
-    # ------------------------------------------------------------------
-    def creations_in(self, module_prefix_test) -> Iterator[RngCreation]:
-        """Creation sites whose module satisfies ``module_prefix_test``."""
-        for creation in self.creations:
-            if module_prefix_test(creation.module):
-                yield creation
 
 
 def reaches_internal(

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional
 from repro.staticcheck.core import (
     ModuleContext,
     collect_files,
-    module_name_for,
+    parse_module,
     scope_statements,
 )
 
@@ -74,10 +74,6 @@ class ImportBinding:
     lineno: int
     col: int
     runtime: bool  # False inside ``if TYPE_CHECKING:`` bodies
-    #: Statement extent + sibling count, for the unused-import autofix.
-    stmt_lineno: int
-    stmt_end_lineno: int
-    alias_count: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,9 +190,6 @@ class ModuleInfo:
             lineno=node.lineno,
             col=node.col_offset,
             runtime=runtime,
-            stmt_lineno=node.lineno,
-            stmt_end_lineno=getattr(node, "end_lineno", node.lineno) or node.lineno,
-            alias_count=len(getattr(node, "names", ())),
         )
 
     # -- name resolution -------------------------------------------------
@@ -238,11 +231,11 @@ class ProjectModel:
         model = cls()
         contexts = list(contexts)
         for path in collect_files(paths):
-            try:
-                source = path.read_text(encoding="utf-8")
-                contexts.append(ModuleContext(path, module_name_for(path), source))
-            except (OSError, SyntaxError, ValueError) as exc:
-                model.unparsed[path] = str(exc)
+            parsed = parse_module(path)
+            if isinstance(parsed, ModuleContext):
+                contexts.append(parsed)
+            else:
+                model.unparsed[path] = parsed.message
         for ctx in contexts:
             model._index_module(ctx)
         for info in model.modules.values():

@@ -15,9 +15,8 @@ registry.
 Receiver/argument discovery is shared with the NEON401/402 checker:
 only receivers named ``trace``, only modules under
 ``trace_emit_modules``, and conditional kinds are checked on both
-branches.  Literals whose value matches a registered span kind are
-autofixed to the ``events.<CONST>`` spelling (same rewrite as NEON401;
-the two rules firing on one literal produce a single edit).
+branches.  A span-shaped literal is also a NEON401 literal kind, so
+both rules fire on it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""CLI modes: --changed, --stats recording, --workers parity, SARIF."""
+"""CLI modes: --changed, --stats recording, SARIF, NEON000 end to end."""
 
 import json
 import subprocess
-from textwrap import dedent
 
-from repro.staticcheck import Config
+import pytest
+
 from repro.staticcheck.cli import main as staticcheck_main
-from repro.staticcheck.engine import run_analysis
 
 CLEAN = "def ok():\n    return 1\n"
 DIRTY = "import json\n\ndef ok():\n    return 1\n"
+BROKEN = "def broken(:\n    return 1\n"
 
 
 def _git(repo, *argv):
@@ -56,6 +56,23 @@ def test_changed_with_no_changes_is_clean(tmp_path, monkeypatch, capsys):
     assert "no changed python files" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_changed_with_no_changes_emits_an_empty_document(
+    tmp_path, monkeypatch, capsys, fmt
+):
+    repo = _make_repo(tmp_path)
+    monkeypatch.chdir(repo)
+    code = staticcheck_main([str(repo), "--changed", "--format", fmt])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    if fmt == "json":
+        assert payload["violation_count"] == 0
+        assert payload["violations"] == []
+    else:
+        assert payload["version"] == "2.1.0"
+        assert payload["runs"][0]["results"] == []
+
+
 def test_changed_outside_git_is_usage_error(tmp_path, monkeypatch, capsys):
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -80,25 +97,6 @@ def test_stats_print_engine_counters_to_stderr(tmp_path, capsys):
     assert "neonlint stats" not in captured.out
 
 
-def test_workers_parity(tmp_path):
-    project = tmp_path / "project"
-    project.mkdir()
-    for index in range(6):
-        (project / f"mod{index}.py").write_text(
-            dedent(f"""\
-                import json
-
-                def fn{index}():
-                    import random
-                    return random.random()
-            """)
-        )
-    serial = run_analysis([project], Config(), workers=1)
-    pooled = run_analysis([project], Config(), workers=4)
-    assert serial.violations == pooled.violations
-    assert serial.violations  # the fixture really produces findings
-
-
 def test_sarif_format_from_cli(tmp_path, capsys):
     project = tmp_path / "project"
     project.mkdir()
@@ -108,3 +106,30 @@ def test_sarif_format_from_cli(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     assert payload["runs"][0]["results"][0]["ruleId"] == "NEON505"
+
+
+def _neon000_findings(capsys):
+    payload = json.loads(capsys.readouterr().out)
+    return [v for v in payload["violations"] if v["rule_id"] == "NEON000"]
+
+
+def test_unparsable_file_is_one_neon000(tmp_path, capsys):
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "mod.py").write_text(CLEAN)
+    (project / "broken.py").write_text(BROKEN)
+    code = staticcheck_main([str(project), "--format", "json"])
+    assert code == 1
+    (finding,) = _neon000_findings(capsys)
+    assert finding["path"].endswith("broken.py")
+    assert finding["line"] == 1
+
+
+def test_unparsable_changed_file_is_one_neon000(tmp_path, monkeypatch, capsys):
+    repo = _make_repo(tmp_path)
+    (repo / "broken.py").write_text(BROKEN)
+    monkeypatch.chdir(repo)
+    code = staticcheck_main([str(repo), "--changed", "--format", "json"])
+    assert code == 1
+    (finding,) = _neon000_findings(capsys)
+    assert finding["path"].endswith("broken.py")

@@ -1,12 +1,13 @@
-"""Span-pair rule (NEON406): positives, negatives, autofix parity."""
+"""Span-pair rule (NEON406): positives, negatives, full-run parity."""
 
 from textwrap import dedent
+
+import pytest
 
 from repro.obs.events import constant_names
 from repro.obs.spans import span_constant_names, span_kinds
 from repro.staticcheck import Config, analyze_paths
 from repro.staticcheck.engine import run_analysis
-from repro.staticcheck.fix import apply_fixes
 
 from tests.staticcheck.conftest import rule_locations
 
@@ -67,49 +68,22 @@ def test_every_boundary_named_constant_is_paired():
 
 
 # ----------------------------------------------------------------------
-# Autofix parity with NEON401/403
+# Span-shaped literals through the full engine run
 # ----------------------------------------------------------------------
 
-def _fix_once(path):
-    result = run_analysis([path], Config(), whole_program=True)
-    return result, apply_fixes(result.violations)
-
-
-def test_span_literal_is_rewritten_once(tmp_path):
+@pytest.mark.parametrize("kind", ["barrier_begin", "my.phase_begin"])
+def test_span_literal_fires_both_literal_rules(tmp_path, kind):
+    # A registered span kind and an unpaired one alike: the literal is
+    # both a NEON401 literal kind and a NEON406 span-boundary literal.
     pkg = tmp_path / "repro"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
-    mod = pkg / "emitter.py"
-    mod.write_text(dedent("""\
+    (pkg / "emitter.py").write_text(dedent(f"""\
         def run(trace, now):
-            trace.emit(now, "scheduler", "barrier_begin", episode=1)
+            trace.emit(now, "scheduler", "{kind}", task="t")
     """))
-    result, outcome = _fix_once(tmp_path)
-    fired = sorted(v.rule_id for v in result.violations)
-    assert "NEON401" in fired and "NEON406" in fired
-    # Both findings count as fixed, through one edit.
-    assert sorted(v.rule_id for v in outcome.fixed) == ["NEON401", "NEON406"]
-    text = mod.read_text()
-    assert text.count("events.BARRIER_BEGIN") == 1
-    assert "from repro.obs import events" in text
-    assert '"barrier_begin"' not in text
-    after = run_analysis([tmp_path], Config(), whole_program=True)
-    assert not any(
-        v.rule_id in ("NEON401", "NEON406") for v in after.violations
-    )
-
-
-def test_unpaired_span_literal_is_skipped_not_mangled(tmp_path):
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    mod = pkg / "emitter.py"
-    source = dedent("""\
-        def run(trace, now):
-            trace.emit(now, "scheduler", "my.phase_begin", task="t")
-    """)
-    mod.write_text(source)
-    _, outcome = _fix_once(tmp_path)
-    assert outcome.fixed == []
-    assert {v.rule_id for v in outcome.skipped} == {"NEON401", "NEON406"}
-    assert mod.read_text() == source  # untouched
+    result = run_analysis([tmp_path], Config())
+    assert rule_locations(result.violations) == [
+        ("NEON401", 2),
+        ("NEON406", 2),
+    ]
