@@ -3,10 +3,10 @@
 
 Three comparisons, any mismatch exits 1:
 
-1. **Passivity** — an identical run with a live :class:`SpanBuilder`
+1. **Passivity** — an identical run with a live :class:`TraceFold`
    attached as a trace sink must produce ``WorkloadResult``s and a
    trace stream that compare equal, field for field, to the run
-   without it (the builder subscribes; it must not steer).
+   without it (the fold subscribes; it must not steer).
 2. **Live == replay** — spans reconstructed incrementally by the live
    sink must serialize byte-identically to spans rebuilt from the
    exported JSONL of the same run (the acceptance property: analysis
@@ -29,7 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.runner import build_env, run_workloads  # noqa: E402
 from repro.obs.export import read_jsonl, write_jsonl  # noqa: E402
-from repro.obs.spans import SpanBuilder, build_spans  # noqa: E402
+from repro.obs.spans import TraceFold, build_spans  # noqa: E402
 from repro.sim.trace import TraceRecorder  # noqa: E402
 from repro.workloads.apps import make_app  # noqa: E402
 
@@ -62,10 +62,10 @@ def main() -> int:
     plain_trace = TraceRecorder()
     _, plain_results = traced_run(plain_trace)
 
-    # Leg 2: same run with a live builder subscribed.
+    # Leg 2: same run with a live fold subscribed.
     live_trace = TraceRecorder()
-    builder = SpanBuilder()
-    live_trace.add_sink(builder)
+    fold = TraceFold()
+    live_trace.add_sink(fold)
     env, live_results = traced_run(live_trace)
 
     if sorted(plain_results) != sorted(live_results):
@@ -80,7 +80,7 @@ def main() -> int:
         fail("trace stream changed with a span sink attached")
 
     # Live vs replay over the identical stream.
-    live_set = builder.finish(env.sim.now)
+    live_set = fold.finish(env.sim.now).spans
     buffer = io.StringIO()
     write_jsonl(live_trace, buffer)
     buffer.seek(0)
@@ -90,12 +90,12 @@ def main() -> int:
 
     # Eviction independence: capped recorder, live sink only.
     capped_trace = TraceRecorder(max_records=CAP)
-    capped_builder = SpanBuilder()
-    capped_trace.add_sink(capped_builder)
+    capped_fold = TraceFold()
+    capped_trace.add_sink(capped_fold)
     capped_env, _ = traced_run(capped_trace)
     if capped_trace.dropped == 0:
         fail(f"cap {CAP} evicted nothing; gate is vacuous")
-    capped_set = capped_builder.finish(capped_env.sim.now)
+    capped_set = capped_fold.finish(capped_env.sim.now).spans
     if canonical(capped_set) != canonical(live_set):
         fail(f"spans changed under ring-buffer eviction "
              f"(cap {CAP}, {capped_trace.dropped} dropped)")

@@ -13,10 +13,11 @@ The observability layer sits *beside* the simulation, not inside it:
   replay from a recorded trace.
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto)
   export/import.
-* :mod:`repro.obs.overhead` — reconstructs the paper's engagement
-  overhead breakdown (drain wait / sampling / other engagement /
-  free-run) from a trace alone.
-* :mod:`repro.obs.summary` — per-task trace summaries and trace diffs.
+* :mod:`repro.obs.spans` — the one trace fold: a single pass that
+  yields request lifecycle spans, the per-tenant summary, the fault
+  timeline and the paper's engagement-overhead breakdown (drain wait /
+  sampling / other engagement / free-run, paired per device).
+* :mod:`repro.obs.summary` — the fold's summary types and trace diffs.
 * :mod:`repro.obs.clock` — the sanctioned host wall-clock accessor (the
   one neonlint-whitelisted host-clock module besides the cell farm).
 * :mod:`repro.obs.store` — per-cell result collection from the cell
@@ -29,7 +30,8 @@ The observability layer sits *beside* the simulation, not inside it:
 * :mod:`repro.obs.monitor` — glue + the ``repro monitor`` subcommand
   (NOT imported here: it is imported by the experiments layer, which
   the core schedulers must never transitively reach).
-* :mod:`repro.obs.cli` — the ``repro trace`` subcommand.
+* :mod:`repro.obs.cli` — the ``repro trace`` subcommand (and the
+  overhead breakdown's text rendering).
 * :mod:`repro.obs.why` — the ``repro why`` subcommand.
 
 Nothing here imports :mod:`repro.gpu` or :mod:`repro.osmodel`: analyses

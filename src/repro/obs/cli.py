@@ -26,8 +26,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.overhead import overhead_report
-from repro.obs.summary import diff_counts, diff_tasks, summarize
+from repro.obs.spans import fold_trace
+from repro.obs.summary import diff_counts, diff_tasks
 from repro.sim.trace import DEFAULT_TRACE_CAP, TraceRecorder
 
 #: Default virtual duration for inline recordings (µs).
@@ -164,20 +164,14 @@ def record_trace(
     """Run a small simulation with tracing on; returns (trace, end time)."""
     # Imported here so trace-file analysis never loads the simulator.
     from repro.experiments.runner import build_env, run_workloads
-    from repro.workloads.apps import make_app
+    from repro.workloads.apps import app_instances, make_app
 
     trace = TraceRecorder(max_records=max_records)
     env = build_env(scheduler, seed=seed, trace=trace, fault_plan=fault_plan)
-    counts: dict[str, int] = {}
-    workloads = []
-    for name in apps:
-        seen = counts.get(name, 0)
-        counts[name] = seen + 1
-        # Repeats of an app get distinct task labels, matching the
-        # monitor's convention (glxgears, then glxgears.2, ...); the
-        # first keeps the plain name so unique-app traces are unchanged.
-        instance = None if seen == 0 else f"{name}.{seen + 1}"
-        workloads.append(make_app(name, instance=instance))
+    workloads = [
+        make_app(name, instance=instance)
+        for name, instance in app_instances(apps)
+    ]
     run_workloads(env, workloads, duration_us=duration_us)
     return trace, env.sim.now
 
@@ -243,7 +237,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_summary(args: argparse.Namespace) -> int:
     trace, end_us = _obtain_trace(args)
-    summary = summarize(trace, end_us=end_us)
+    summary = fold_trace(trace, end_us).summary
     if args.json:
         import json
 
@@ -286,7 +280,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
         )
     print()
     print("engagement-overhead breakdown (from trace events alone):")
-    total = end_us if end_us is not None else last
+    total = (end_us if end_us is not None else last) * summary.devices
     for line in overhead_report(summary.breakdown, total):
         print(line)
     if summary.fault_timeline:
@@ -303,6 +297,31 @@ def cmd_summary(args: argparse.Namespace) -> int:
     for kind, count in sorted(summary.kind_counts.items()):
         print(f"  {kind:24s} {count:8d}")
     return 0
+
+
+def overhead_report(
+    breakdown: dict[str, float], total_us: Optional[float] = None
+) -> list[str]:
+    """The breakdown's text lines, with percentages of ``total_us`` (the
+    run length times the device count; without it, of the accounted
+    engagement plus free-run time)."""
+    engagement = breakdown.get("engagement_us", 0.0)
+    freerun = breakdown.get("freerun_us", 0.0)
+    sampling = breakdown.get("sampling_us", 0.0)
+    drain = breakdown.get("drain_wait_us", 0.0)
+    total = total_us if total_us else engagement + freerun
+
+    def line(label: str, value: float) -> str:
+        pct = f"{100.0 * value / total:5.1f}%" if total > 0 else "    -"
+        return f"{label:20s}{value / 1000.0:10.2f} ms  {pct}"
+
+    return [
+        line("  engagement", engagement),
+        line("    drain wait", drain),
+        line("    sampling", sampling),
+        line("    other (flips)", max(engagement - sampling - drain, 0.0)),
+        line("  free-run", freerun),
+    ]
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
@@ -360,7 +379,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
     left = load_trace(args.left)
     right = load_trace(args.right)
     count_deltas = diff_counts(left, right)
-    task_deltas = diff_tasks(summarize(left), summarize(right))
+    task_deltas = diff_tasks(
+        fold_trace(left).summary, fold_trace(right).summary
+    )
     if not count_deltas and not task_deltas:
         print("traces are equivalent (kind counts and per-task activity)")
         return 0

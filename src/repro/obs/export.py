@@ -117,8 +117,8 @@ def chrome_trace_events(trace: TraceRecorder, spans: bool = False) -> list[dict]
       the system row);
     * ``request_complete`` / ``request_aborted`` records with a
       ``service_us`` payload also become duration ("X") slices;
-    * ``barrier_begin`` → ``freerun_start`` pairs become "engagement
-      episode" slices on the scheduler row;
+    * ``barrier_begin`` → ``freerun_start`` pairs on one device become
+      "engagement episode" slices on the scheduler row;
     * metadata ("M") events name the rows.
     """
     tids: dict[str, int] = {}
@@ -135,7 +135,8 @@ def chrome_trace_events(trace: TraceRecorder, spans: bool = False) -> list[dict]
         return _TID_SYSTEM
 
     out: list[dict] = []
-    episode_begin: Optional[TraceRecord] = None
+    #: Open episode per device tag (None on untagged traces).
+    episode_begin: dict[Optional[int], TraceRecord] = {}
     for record in trace.records():
         tid = tid_for(record)
         out.append({
@@ -162,23 +163,25 @@ def chrome_trace_events(trace: TraceRecorder, spans: bool = False) -> list[dict]
                     "args": record.payload,
                 })
         elif record.kind == events.BARRIER_BEGIN:
-            episode_begin = record
-        elif record.kind == events.FREERUN_START and episode_begin is not None:
+            episode_begin[record.payload.get("device")] = record
+        elif record.kind == events.FREERUN_START:
+            begin = episode_begin.pop(record.payload.get("device"), None)
+            if begin is None:
+                continue
             out.append({
                 "name": "engagement episode",
                 "ph": "X",
-                "ts": episode_begin.time,
-                "dur": record.time - episode_begin.time,
+                "ts": begin.time,
+                "dur": record.time - begin.time,
                 "pid": _PID,
                 "tid": _TID_SCHEDULER,
                 "cat": "episode",
                 "args": {
-                    "episode": episode_begin.payload.get("episode"),
+                    "episode": begin.payload.get("episode"),
                     "allowed": record.payload.get("allowed"),
                     "denied": record.payload.get("denied"),
                 },
             })
-            episode_begin = None
 
     if spans:
         out.extend(_async_span_events(trace, tids))

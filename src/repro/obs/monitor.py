@@ -542,6 +542,7 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
             DEFAULT_DURATION_US,
             DEFAULT_WARMUP_US,
         )
+        from repro.workloads.apps import app_instances
 
         fault_plan = None
         if args.fault_plan is not None:
@@ -551,13 +552,10 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
         names = [name.strip() for name in args.apps.split(",") if name.strip()]
         if not names:
             raise ValueError("--apps needs at least one application name")
-        counts: dict[str, int] = {}
-        workloads = []
-        for name in names:
-            seen = counts.get(name, 0)
-            counts[name] = seen + 1
-            instance = None if seen == 0 else f"{name}.{seen + 1}"
-            workloads.append(WorkloadSpec.app(name, instance=instance))
+        workloads = [
+            WorkloadSpec.app(name, instance=instance)
+            for name, instance in app_instances(names)
+        ]
         duration_us = (
             args.duration_ms * 1000.0 if args.duration_ms is not None
             else DEFAULT_DURATION_US

@@ -1,21 +1,31 @@
-"""Causal request-lifecycle spans reconstructed from the trace stream.
+"""The one trace fold: lifecycle spans, tenant summaries, overhead.
 
-The trace (:mod:`repro.sim.trace`) is a flat event stream; this module
-rebuilds *causality* from it: every request becomes a lifecycle span —
-submit → scheduler wait → device queue → execute → complete/abort — with
-an **exact** decomposition of its latency into labeled components.  The
-reconstruction is a pure function of the record stream, so it runs in
-two interchangeable modes:
+The trace (:mod:`repro.sim.trace`) is a flat event stream.
+:class:`TraceFold` reads it once and produces every offline view of it:
+
+* the :class:`SpanSet` — every request becomes a lifecycle span (submit
+  → scheduler wait → device queue → execute → complete/abort) with an
+  **exact** decomposition of its latency into labeled components;
+* the per-tenant :class:`~repro.obs.summary.TaskSummary` counts, with
+  engaged/disengaged channel-time replayed through the live ledger's
+  :class:`~repro.obs.engagement.EngagementClock`;
+* the fault/recovery timeline;
+* the engagement-overhead breakdown, paired per device.
+
+Tenants are keyed by :func:`~repro.obs.windows.tenant_key` (``name``,
+or ``name@dN`` on device-tagged fleet traces), and each span carries the
+key the summary counts it under.  The fold is a pure function of the
+record stream, so it runs in two interchangeable modes:
 
 * as a **live sink** registered with
   :meth:`~repro.sim.trace.TraceRecorder.add_sink`, which sees the
-  complete stream before ring-buffer eviction (like the PR-8 windows,
-  the result is independent of ``max_records``); or
+  complete stream before ring-buffer eviction (like the windows, the
+  spans are independent of ``max_records``); or
 * as **replay** over a buffered or JSONL-imported trace
-  (:func:`build_spans`), in which case the result covers whatever the
-  buffer retained.
+  (:func:`fold_trace`, :func:`build_spans`), in which case the result
+  covers whatever the buffer retained.
 
-Both modes feed the identical state machine, so a live-sink build and a
+Both modes feed the identical state machine, so a live fold and a
 replay over the exported JSONL of the same run serialize byte-identically.
 
 Decomposition components (integer microseconds, summing exactly to the
@@ -56,10 +66,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from repro.obs import events
+from repro.obs.engagement import EngagementClock
+from repro.obs.summary import FaultIncident, TaskSummary, TraceSummary
+from repro.obs.windows import tenant_key
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 SPANS_FORMAT = "repro-spans"
@@ -146,11 +159,6 @@ FLEET_MIGRATE = register_span_pair(
     events.FLEET_MIGRATE_BEGIN, (events.FLEET_MIGRATE_END,), ("task",),
 )
 
-#: Pairs rebuilt generically as :class:`SystemSpan` timeline entries
-#: (request-lifecycle pairs are consumed by the span state machine).
-_SYSTEM_PAIRS = (BARRIER, SAMPLE_WINDOW, FLEET_MIGRATE)
-
-
 def span_kinds() -> frozenset[str]:
     """Every event kind participating in a registered span pair."""
     out: set[str] = set()
@@ -177,7 +185,7 @@ def span_constant_names() -> frozenset[str]:
 
 def _us(t: float) -> int:
     """Integer-microsecond cut point (round-half-even, monotone)."""
-    return int(round(t))
+    return round(t)
 
 
 @dataclass(frozen=True)
@@ -199,6 +207,10 @@ class Span:
 
     span_id: int
     task: str
+    #: The summary's tenant key: ``task``, or ``task@dN`` when the trace
+    #: carries device tags (``device`` reads 0 for both untagged and
+    #: device-0 records; this does not).
+    tenant: str
     device: int
     channel: Optional[int]
     ref: Optional[int]
@@ -247,16 +259,6 @@ class SystemSpan:
     end_us: float
     payload: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pair": self.pair,
-            "key": list(self.key),
-            "device": self.device,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "payload": dict(self.payload),
-        }
-
 
 @dataclass(frozen=True)
 class ExecInterval:
@@ -280,32 +282,23 @@ class MigrationLink:
     cost_us: float
     epoch: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "task": self.task,
-            "src": self.src,
-            "dst": self.dst,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "cost_us": self.cost_us,
-            "epoch": self.epoch,
-        }
-
 
 # ----------------------------------------------------------------------
-# Builder internals
+# Fold internals
 # ----------------------------------------------------------------------
 
 class _OpenSpan:
     """Mutable span under construction: a list of (cut, label) phases."""
 
     __slots__ = (
-        "task", "device", "channel", "ref", "start_us", "cuts", "epoch",
+        "task", "tenant", "device", "channel", "ref", "start_us", "cuts",
+        "epoch",
     )
 
     def __init__(
         self,
         task: str,
+        tenant: str,
         device: int,
         channel: Optional[int],
         start_us: float,
@@ -313,6 +306,7 @@ class _OpenSpan:
         epoch: int,
     ) -> None:
         self.task = task
+        self.tenant = tenant
         self.device = device
         self.channel = channel
         self.ref: Optional[int] = None
@@ -339,13 +333,51 @@ class _OpenSpan:
             self.cuts.append((at, label))
 
 
-@dataclass
-class _ClosedSpan:
-    open: _OpenSpan
-    end_us: float
-    end_at: int
-    terminal: str
-    latency_us: Optional[float]
+class _Episodes:
+    """One device's engagement episodes, for the overhead breakdown.
+
+    The disengaged schedulers keep a live ``time_breakdown``; the fold
+    derives the same four quantities from trace events alone (the
+    paper's §5.2 overhead story), pairing events within one device:
+
+    * ``engagement_us`` — ``barrier_begin`` → ``freerun_start``; a
+      trailing unfinished episode is excluded, as the live accounting
+      excludes it;
+    * ``sampling_us`` — ``sample_window_begin`` → ``sample_window_end``
+      (within an episode the windows run back-to-back, each including
+      its post-window drain);
+    * ``drain_wait_us`` — ``drain_stall.waited_us`` of the stalls outside
+      every sampling window (the barrier drain);
+    * ``freerun_us`` — each ``freerun_start``'s scheduled length, counted
+      only if the free-run completed by the run's end.
+    """
+
+    def __init__(self) -> None:
+        self.barrier: Optional[float] = None
+        self.window_begin: Optional[float] = None
+        self.windows: list[tuple[float, float]] = []
+        self.stalls: list[tuple[float, float]] = []
+        self.freeruns: list[tuple[float, float]] = []
+        self.engagement_us = 0.0
+
+    def breakdown(self, end_us: float) -> dict[str, float]:
+        # The in-window test is half-open (begin, end]: a barrier drain
+        # returns at the instant the first window opens, while an
+        # in-window drain's stall lands exactly on its window's end.
+        drain_wait = 0.0
+        for time, waited_us in self.stalls:
+            if not any(begin < time <= end for begin, end in self.windows):
+                drain_wait += waited_us
+        freerun = 0.0
+        for time, freerun_us in self.freeruns:
+            if time + freerun_us <= end_us:
+                freerun += freerun_us
+        return {
+            "drain_wait_us": drain_wait,
+            "sampling_us": sum(end - begin for begin, end in self.windows),
+            "engagement_us": self.engagement_us,
+            "freerun_us": freerun,
+        }
 
 
 def _carve(
@@ -401,12 +433,20 @@ def _merge(segments: list[Segment]) -> list[Segment]:
     return merged
 
 
-class SpanBuilder:
-    """The reconstruction state machine (live sink or replay driver).
+class FoldResult(NamedTuple):
+    """What one pass over a trace produces."""
 
-    Register an instance with ``trace.add_sink(builder)`` for live
-    builds, or feed records through :meth:`observe`; call
-    :meth:`finish` once to obtain the immutable :class:`SpanSet`.
+    spans: "SpanSet"
+    summary: TraceSummary
+
+
+class TraceFold:
+    """The one pass over a trace (live sink or replay driver).
+
+    Register an instance with ``trace.add_sink(fold)`` for a live fold,
+    or feed records through :meth:`observe`; call :meth:`finish` once to
+    obtain the :class:`FoldResult`.  What a record means is decided by
+    one handler per event kind.
     """
 
     def __init__(self) -> None:
@@ -416,7 +456,8 @@ class SpanBuilder:
         self._presubmit: dict[tuple[int, int], deque[_OpenSpan]] = {}
         #: Post-submit spans keyed by (device, channel, ref).
         self._inflight: dict[tuple[int, Optional[int], Any], _OpenSpan] = {}
-        self._closed: list[_ClosedSpan] = []
+        #: (span, end time, end cut, terminal, latency) in close order.
+        self._closed: list[tuple] = []
         #: Open engine occupancy per (device, source).
         self._busy: dict[tuple[int, str], list] = {}
         self._exec: list[ExecInterval] = []
@@ -428,158 +469,285 @@ class SpanBuilder:
         self._migrations: list[MigrationLink] = []
         self._mig_windows: dict[str, list[tuple[int, int]]] = {}
         self._epoch: dict[str, int] = {}
-        self._system_open: dict[tuple, tuple[float, int, dict]] = {}
+        self._system_open: dict[tuple, tuple[float, dict]] = {}
         self._system: list[SystemSpan] = []
-        self._end_us = 0.0
-        self._result: Optional["SpanSet"] = None
+        self._tasks: dict[str, TaskSummary] = {}
+        self._engagement = EngagementClock(self._task)
+        self._timeline: list[FaultIncident] = []
+        self._episodes: dict[int, _Episodes] = {}
+        self._kind_counts: dict[str, int] = {}
+        self._device_tags: set = set()
+        self._records = 0
+        self._first_us = self._last_us = self._end_us = 0.0
+        self._result: Optional[FoldResult] = None
+        self._handlers = {
+            events.FAULT: self._on_fault,
+            events.SCHED_WAIT_BEGIN: self._on_sched_wait,
+            events.SCHED_WAIT_END: self._on_sched_wait,
+            events.REQUEST_SUBMIT: self._on_submit,
+            events.EXEC_BEGIN: self._on_exec_begin,
+            events.REQUEST_PREEMPTED: self._on_preempted,
+            events.REQUEST_COMPLETE: self._on_request_end,
+            events.REQUEST_ABORTED: self._on_request_end,
+            events.DENIAL: self._on_denial,
+            events.CONTEXT_KILLED: self._on_context_killed,
+            events.TASK_EXIT: self._on_task_end,
+            events.TASK_KILLED: self._on_task_end,
+            events.FAULT_INJECTED: self._on_fault_injected,
+            events.WATCHDOG_RETRY: self._on_watchdog_retry,
+            events.FAULT_DETECTED: self._on_fault_detected,
+            events.FAULT_RECOVERED: self._on_fault_resolved,
+            events.FAULT_ESCALATED: self._on_fault_resolved,
+            events.BARRIER_BEGIN: self._on_barrier_begin,
+            events.BARRIER_END: self._on_barrier_end,
+            events.FREERUN_START: self._on_freerun_start,
+            events.SAMPLE_WINDOW_BEGIN: self._on_sample_window_begin,
+            events.SAMPLE_WINDOW_END: self._on_sample_window_end,
+            events.DRAIN_STALL: self._on_drain_stall,
+            events.FLEET_MIGRATE_BEGIN: self._on_migrate_begin,
+            events.FLEET_MIGRATE_END: self._on_migrate_end,
+        }
 
-    # -- sink protocol --------------------------------------------------
-    def __call__(self, record: TraceRecord) -> None:
-        self.observe(record)
-
-    # -- record dispatch ------------------------------------------------
     def observe(self, record: TraceRecord) -> None:
         if self._result is not None:
-            raise RuntimeError("SpanBuilder already finished")
+            raise RuntimeError("TraceFold already finished")
         t = record.time
+        if not self._records:
+            self._first_us = t
+        self._records += 1
+        self._last_us = t
         if t > self._end_us:
             self._end_us = t
         kind = record.kind
+        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         payload = record.payload
-        device = payload.get("device", 0)
-        if not isinstance(device, int):
-            device = 0
+        tag = payload.get("device")
+        self._device_tags.add(tag)
+        self._engagement.observe(record, tenant_key)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(record, t, payload, tag if isinstance(tag, int) else 0)
 
-        if kind == events.FAULT:
-            task = payload.get("task")
-            channel = payload.get("channel")
-            if isinstance(task, str):
-                span = _OpenSpan(
-                    task, device, channel, t, "handler",
-                    self._epoch.get(task, 0),
-                )
-                self._presubmit.setdefault((device, channel), deque()) \
-                    .append(span)
-        elif kind == events.SCHED_WAIT_BEGIN:
-            span = self._presubmit_tail(device, payload.get("channel"))
-            if span is not None:
-                span.cut(t, "sched_wait")
-        elif kind == events.SCHED_WAIT_END:
-            span = self._presubmit_tail(device, payload.get("channel"))
-            if span is not None:
-                span.cut(t, "handler")
-        elif kind == events.REQUEST_SUBMIT:
-            task = payload.get("task")
-            channel = payload.get("channel")
-            ref = payload.get("ref")
-            if not isinstance(task, str):
-                return
-            queue = self._presubmit.get((device, channel))
-            if queue:
-                span = queue.popleft()
-            else:
-                # Direct (unprotected) submit: the doorbell write is the
-                # first observable point of this request's life.
-                span = _OpenSpan(
-                    task, device, channel, t, "queue",
-                    self._epoch.get(task, 0),
-                )
-            span.ref = ref
-            span.cut(t, "queue")
-            self._inflight[(device, channel, ref)] = span
-        elif kind == events.EXEC_BEGIN:
-            channel = payload.get("channel")
-            ref = payload.get("ref")
-            span = self._inflight.get((device, channel, ref))
-            if span is not None:
-                span.cut(t, "exec")
-            self._busy_begin(
-                device, record.source, payload.get("task"), channel, ref, t
-            )
-        elif kind == events.REQUEST_PREEMPTED:
-            channel = payload.get("channel")
-            ref = payload.get("ref")
-            span = self._inflight.get((device, channel, ref))
-            if span is not None:
-                span.cut(t, "queue")
-            self._busy_end(device, record.source, channel, ref, t)
-        elif kind in (events.REQUEST_COMPLETE, events.REQUEST_ABORTED):
-            channel = payload.get("channel")
-            ref = payload.get("ref")
-            span = self._inflight.pop((device, channel, ref), None)
-            if span is not None:
-                terminal = (
-                    "complete" if kind == events.REQUEST_COMPLETE
-                    else "aborted"
-                )
-                latency = payload.get("latency_us")
-                self._close(
-                    span, t, terminal,
-                    latency if isinstance(latency, (int, float)) else None,
-                )
-            self._busy_end(device, record.source, channel, ref, t)
-        elif kind == events.CONTEXT_KILLED:
-            task = payload.get("task")
-            if isinstance(task, str):
-                terminal = (
-                    "migrated" if task in self._migration_open else "killed"
-                )
-                self._close_task(task, t, terminal, device=device)
-        elif kind in (events.TASK_EXIT, events.TASK_KILLED):
-            task = payload.get("task")
-            if isinstance(task, str):
-                terminal = "exited" if kind == events.TASK_EXIT else "killed"
-                self._close_task(task, t, terminal)
-        elif kind == events.FAULT_DETECTED:
-            task = payload.get("task")
-            if isinstance(task, str):
-                self._stall_open.setdefault((device, task), _us(t))
-        elif kind in (events.FAULT_RECOVERED, events.FAULT_ESCALATED):
-            task = payload.get("task")
-            start = self._stall_open.pop((device, task), None)
-            if start is not None:
-                self._stalls.setdefault(device, []).append((start, _us(t)))
+    #: The sink protocol: a recorder calls its sinks with each record.
+    __call__ = observe
 
-        spec, is_begin = _PAIR_BY_KIND.get(kind, (None, False))
-        if spec is not None:
-            self._system_boundary(spec, is_begin, record, device, t)
-        if kind == events.FLEET_MIGRATE_BEGIN:
-            task = payload.get("task")
-            if isinstance(task, str):
-                self._migration_open[task] = (
-                    payload.get("src", device), payload.get("dst", device), t,
-                )
-        elif kind == events.FLEET_MIGRATE_END:
-            task = payload.get("task")
-            entry = self._migration_open.pop(task, None)
-            if entry is not None:
-                src, dst, begin = entry
-                epoch = self._epoch.get(task, 0)
-                cost = payload.get("cost_us", 0.0)
-                self._migrations.append(MigrationLink(
-                    task, src, dst, begin, t,
-                    cost if isinstance(cost, (int, float)) else 0.0, epoch,
-                ))
-                self._mig_windows.setdefault(task, []) \
-                    .append((_us(begin), _us(t)))
-                self._epoch[task] = epoch + 1
+    # -- per-kind handlers ----------------------------------------------
+    def _on_fault(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is None:
+            return
+        self._task(tenant).faults += 1
+        task = payload["task"]
+        channel = payload.get("channel")
+        self._presubmit.setdefault((device, channel), deque()).append(
+            _OpenSpan(task, tenant, device, channel, t, "handler",
+                      self._epoch.get(task, 0))
+        )
 
-    # -- helpers --------------------------------------------------------
-    def _presubmit_tail(
-        self, device: int, channel: Optional[int]
-    ) -> Optional[_OpenSpan]:
+    def _on_sched_wait(self, record, t, payload, device) -> None:
+        queue = self._presubmit.get((device, payload.get("channel")))
+        if queue:
+            blocked = record.kind == events.SCHED_WAIT_BEGIN
+            queue[-1].cut(t, "sched_wait" if blocked else "handler")
+
+    def _on_submit(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is None:
+            return
+        self._task(tenant).submits += 1
+        channel = payload.get("channel")
         queue = self._presubmit.get((device, channel))
-        return queue[-1] if queue else None
+        if queue:
+            span = queue.popleft()
+        else:
+            # Direct (unprotected) submit: the doorbell write is the
+            # first observable point of this request's life.
+            task = payload["task"]
+            span = _OpenSpan(task, tenant, device, channel, t, "queue",
+                             self._epoch.get(task, 0))
+        span.ref = payload.get("ref")
+        span.cut(t, "queue")
+        self._inflight[(device, channel, span.ref)] = span
 
-    def _busy_begin(self, device, source, task, channel, ref, t) -> None:
-        key = (device, source)
+    def _on_exec_begin(self, record, t, payload, device) -> None:
+        channel = payload.get("channel")
+        ref = payload.get("ref")
+        span = self._inflight.get((device, channel, ref))
+        if span is not None:
+            span.cut(t, "exec")
+        key = (device, record.source)
         open_entry = self._busy.get(key)
         if open_entry is not None:
-            # The engine moved on without this builder seeing a terminal
-            # (e.g. a completion publication stalled past the next
-            # dispatch): close the occupancy at the successor's start.
+            # The engine moved on without a terminal for the previous
+            # occupant (e.g. a completion publication stalled past the
+            # next dispatch): close it at the successor's start.
             self._busy_record(open_entry, t)
-        self._busy[key] = [task, channel, ref, _us(t), device]
+        self._busy[key] = [payload.get("task"), channel, ref, _us(t), device]
+
+    def _on_preempted(self, record, t, payload, device) -> None:
+        channel = payload.get("channel")
+        ref = payload.get("ref")
+        span = self._inflight.get((device, channel, ref))
+        if span is not None:
+            span.cut(t, "queue")
+        self._busy_end(device, record.source, channel, ref, t)
+
+    def _on_request_end(self, record, t, payload, device) -> None:
+        complete = record.kind == events.REQUEST_COMPLETE
+        latency = payload.get("latency_us")
+        if not isinstance(latency, (int, float)):
+            latency = None
+        tenant = tenant_key(payload)
+        if tenant is not None:
+            summary = self._task(tenant)
+            if not complete:
+                summary.aborts += 1
+            else:
+                summary.completes += 1
+                if latency is not None:
+                    summary.latency_sum_us += latency
+                    summary.latency_count += 1
+        channel = payload.get("channel")
+        ref = payload.get("ref")
+        span = self._inflight.pop((device, channel, ref), None)
+        if span is not None:
+            self._close(span, t, "complete" if complete else "aborted",
+                        latency)
+        self._busy_end(device, record.source, channel, ref, t)
+
+    def _on_denial(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is not None:
+            self._task(tenant).denials += 1
+
+    def _on_context_killed(self, record, t, payload, device) -> None:
+        task = payload.get("task")
+        if isinstance(task, str):
+            terminal = "migrated" if task in self._migration_open else "killed"
+            self._close_task(task, t, terminal, device=device)
+
+    def _on_task_end(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is None:
+            return
+        if record.kind == events.TASK_EXIT:
+            self._task(tenant).exited = True
+            self._close_task(payload["task"], t, "exited")
+        else:
+            self._task(tenant).killed = True
+            self._close_task(payload["task"], t, "killed")
+
+    def _on_fault_injected(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        self._incident(record, tenant, payload.get("point", ""))
+        if tenant is not None:
+            self._task(tenant).faults_injected += 1
+
+    def _on_watchdog_retry(self, record, t, payload, device) -> None:
+        self._incident(
+            record, tenant_key(payload),
+            f"attempt {payload.get('attempt')} "
+            f"(timeout {payload.get('timeout_us')} us)",
+        )
+
+    def _on_fault_detected(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is None:
+            return
+        self._task(tenant).fault_detections += 1
+        self._incident(record, tenant, f"waited {payload.get('waited_us')} us")
+        self._stall_open.setdefault((device, payload["task"]), _us(t))
+
+    def _on_fault_resolved(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is not None:
+            if record.kind == events.FAULT_RECOVERED:
+                self._task(tenant).fault_recoveries += 1
+                self._incident(record, tenant, payload.get("action", ""))
+            else:
+                self._task(tenant).fault_escalations += 1
+                self._incident(record, tenant, payload.get("reason", ""))
+        start = self._stall_open.pop((device, payload.get("task")), None)
+        if start is not None:
+            self._stalls.setdefault(device, []).append((start, _us(t)))
+
+    def _on_barrier_begin(self, record, t, payload, device) -> None:
+        self._device_episodes(device).barrier = t
+        self._system_begin(BARRIER, payload, device, t)
+
+    def _on_barrier_end(self, record, t, payload, device) -> None:
+        self._system_end(BARRIER, payload, device, t)
+
+    def _on_freerun_start(self, record, t, payload, device) -> None:
+        episodes = self._device_episodes(device)
+        if episodes.barrier is not None:
+            episodes.engagement_us += t - episodes.barrier
+            episodes.barrier = None
+        episodes.freeruns.append((t, float(payload.get("freerun_us", 0.0))))
+
+    def _on_sample_window_begin(self, record, t, payload, device) -> None:
+        self._device_episodes(device).window_begin = t
+        self._system_begin(SAMPLE_WINDOW, payload, device, t)
+
+    def _on_sample_window_end(self, record, t, payload, device) -> None:
+        tenant = tenant_key(payload)
+        if tenant is not None:
+            observed = payload.get("observed")
+            summary = self._task(tenant)
+            if isinstance(observed, int):
+                summary.samples += observed
+        episodes = self._device_episodes(device)
+        if episodes.window_begin is not None:
+            episodes.windows.append((episodes.window_begin, t))
+            episodes.window_begin = None
+        self._system_end(SAMPLE_WINDOW, payload, device, t)
+
+    def _on_drain_stall(self, record, t, payload, device) -> None:
+        self._device_episodes(device).stalls.append(
+            (t, float(payload.get("waited_us", 0.0)))
+        )
+
+    def _on_migrate_begin(self, record, t, payload, device) -> None:
+        self._system_begin(FLEET_MIGRATE, payload, device, t)
+        task = payload.get("task")
+        if isinstance(task, str):
+            self._migration_open[task] = (
+                payload.get("src", device), payload.get("dst", device), t,
+            )
+
+    def _on_migrate_end(self, record, t, payload, device) -> None:
+        self._system_end(FLEET_MIGRATE, payload, device, t)
+        task = payload.get("task")
+        entry = self._migration_open.pop(task, None)
+        if entry is not None:
+            src, dst, begin = entry
+            epoch = self._epoch.get(task, 0)
+            cost = payload.get("cost_us", 0.0)
+            self._migrations.append(MigrationLink(
+                task, src, dst, begin, t,
+                cost if isinstance(cost, (int, float)) else 0.0, epoch,
+            ))
+            self._mig_windows.setdefault(task, []) \
+                .append((_us(begin), _us(t)))
+            self._epoch[task] = epoch + 1
+
+    # -- helpers --------------------------------------------------------
+    def _task(self, tenant: str) -> TaskSummary:
+        summary = self._tasks.get(tenant)
+        if summary is None:
+            summary = self._tasks[tenant] = TaskSummary(tenant)
+        return summary
+
+    def _incident(self, record, tenant: Optional[str], detail: str) -> None:
+        self._timeline.append(
+            FaultIncident(record.time, record.kind, tenant or "", detail)
+        )
+
+    def _device_episodes(self, device: int) -> _Episodes:
+        episodes = self._episodes.get(device)
+        if episodes is None:
+            episodes = self._episodes[device] = _Episodes()
+        return episodes
 
     def _busy_end(self, device, source, channel, ref, t) -> None:
         key = (device, source)
@@ -594,18 +762,15 @@ class SpanBuilder:
         if isinstance(task, str) and end > start:
             self._exec.append(ExecInterval(device, task, start, end))
 
-    def _system_boundary(self, spec, is_begin, record, device, t) -> None:
-        payload = record.payload
-        key = (spec.name, device,
-               tuple(payload.get(name) for name in spec.key))
-        if is_begin:
-            self._system_open[key] = (t, _us(t), dict(payload))
-        else:
-            entry = self._system_open.pop(key, None)
-            if entry is None:
-                return
-            begin_t, _begin_at, begin_payload = entry
-            merged = dict(begin_payload)
+    def _system_begin(self, spec, payload, device, t) -> None:
+        key = (spec.name, device, tuple(payload.get(name) for name in spec.key))
+        self._system_open[key] = (t, dict(payload))
+
+    def _system_end(self, spec, payload, device, t) -> None:
+        key = (spec.name, device, tuple(payload.get(name) for name in spec.key))
+        entry = self._system_open.pop(key, None)
+        if entry is not None:
+            begin_t, merged = entry
             merged.update(payload)
             self._system.append(SystemSpan(
                 spec.name, key[2], device, begin_t, t, merged,
@@ -619,7 +784,7 @@ class SpanBuilder:
         latency_us: Optional[float] = None,
     ) -> None:
         end_at = max(_us(t), span.cuts[-1][0])
-        self._closed.append(_ClosedSpan(span, t, end_at, terminal, latency_us))
+        self._closed.append((span, t, end_at, terminal, latency_us))
 
     def _close_task(
         self,
@@ -650,13 +815,48 @@ class SpanBuilder:
             self._busy_record(entry, t)
 
     # -- finalization ---------------------------------------------------
-    def finish(self, end_us: Optional[float] = None) -> "SpanSet":
-        """Close everything still open (terminal ``truncated``) and build
-        the immutable result.  Idempotent: later calls return the same
-        :class:`SpanSet`."""
+    def finish(
+        self, end_us: Optional[float] = None, dropped: int = 0
+    ) -> FoldResult:
+        """Close everything still open and build the immutable result.
+
+        Spans still open close ``truncated`` at ``end_us`` or the last
+        record's time, whichever is later; engagement clocks settle and
+        free-runs count up to ``end_us`` (default: the last record's
+        time).  ``dropped`` is the recorder's eviction count.
+        Idempotent: later calls return the same result."""
         if self._result is not None:
             return self._result
-        end = self._end_us if end_us is None else max(end_us, self._end_us)
+        self._result = FoldResult(
+            self._finish_spans(
+                self._end_us if end_us is None else max(end_us, self._end_us)
+            ),
+            self._finish_summary(
+                self._last_us if end_us is None else end_us, dropped
+            ),
+        )
+        return self._result
+
+    def _finish_summary(self, end: float, dropped: int) -> TraceSummary:
+        self._engagement.settle(end)
+        parts = [
+            self._episodes[device].breakdown(end)
+            for device in sorted(self._episodes)
+        ] or [_Episodes().breakdown(end)]
+        return TraceSummary(
+            span_us=(self._first_us, self._last_us),
+            records=self._records,
+            dropped=dropped,
+            kind_counts=dict(sorted(self._kind_counts.items())),
+            tasks=dict(sorted(self._tasks.items())),
+            breakdown={
+                key: sum(part[key] for part in parts) for key in parts[0]
+            },
+            fault_timeline=self._timeline,
+            devices=len(self._device_tags - {None}) or 1,
+        )
+
+    def _finish_spans(self, end: float) -> "SpanSet":
         for queue in self._presubmit.values():
             for span in queue:
                 self._close(span, end, "truncated")
@@ -675,35 +875,37 @@ class SpanBuilder:
             device: sorted(windows)
             for device, windows in self._stalls.items()
         }
-        spans: list[Span] = []
-        for index, closed in enumerate(self._closed):
-            spans.append(self._materialize(index, closed, stalls))
+        spans = [
+            self._materialize(index, *closed, stalls)
+            for index, closed in enumerate(self._closed)
+        ]
         exec_intervals = sorted(
             self._exec,
             key=lambda iv: (iv.device, iv.start_us, iv.end_us, iv.task),
         )
-        self._result = SpanSet(
+        return SpanSet(
             spans=spans,
             system_spans=list(self._system),
             migrations=list(self._migrations),
             exec_intervals=exec_intervals,
             end_us=end,
         )
-        return self._result
 
     def _materialize(
         self,
         span_id: int,
-        closed: _ClosedSpan,
+        span: _OpenSpan,
+        end_us: float,
+        end_at: int,
+        terminal: str,
+        latency_us: Optional[float],
         stalls: dict[int, list[tuple[int, int]]],
     ) -> Span:
-        span = closed.open
         segments: list[Segment] = []
         cuts = span.cuts
         for position, (at, label) in enumerate(cuts):
             until = (
-                cuts[position + 1][0] if position + 1 < len(cuts)
-                else closed.end_at
+                cuts[position + 1][0] if position + 1 < len(cuts) else end_at
             )
             segments.append(Segment(label, at, until))
         segments = _merge(segments)
@@ -711,24 +913,23 @@ class SpanBuilder:
         segments = _carve(
             segments, self._mig_windows.get(span.task, []), "migration"
         )
-        components = {label: 0 for label in COMPONENTS}
+        components = dict.fromkeys(COMPONENTS, 0)
         for seg in segments:
-            components[seg.label] = (
-                components.get(seg.label, 0) + seg.duration_us
-            )
+            components[seg.label] += seg.duration_us
         return Span(
             span_id=span_id,
             task=span.task,
+            tenant=span.tenant,
             device=span.device,
             channel=span.channel,
             ref=span.ref,
             start_us=span.start_us,
-            end_us=closed.end_us,
-            terminal=closed.terminal,
+            end_us=end_us,
+            terminal=terminal,
             migration_epoch=span.epoch,
             segments=tuple(segments),
             components=components,
-            latency_us=closed.latency_us,
+            latency_us=latency_us,
         )
 
 
@@ -773,9 +974,6 @@ class SpanSet:
             out.append(span)
         return out
 
-    def tasks(self) -> list[str]:
-        return sorted({span.task for span in self.spans})
-
     # -- decomposition --------------------------------------------------
     @staticmethod
     def decompose(spans: Iterable[Span]) -> dict[str, int]:
@@ -788,10 +986,7 @@ class SpanSet:
 
     def blame(self, spans: Iterable[Span]) -> dict[str, int]:
         """Interference: µs of other tenants' engine occupancy
-        overlapping the given spans' wait segments, per occupant.
-
-        The per-victim rows of the tenant×tenant blame matrix come from
-        calling this once per victim's span subset."""
+        overlapping the given spans' wait segments, per occupant."""
         by_device: dict[int, list[ExecInterval]] = {}
         for interval in self.exec_intervals:
             by_device.setdefault(interval.device, []).append(interval)
@@ -830,30 +1025,6 @@ class SpanSet:
                         )
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    def blame_matrix(self) -> dict[str, dict[str, int]]:
-        """Full tenant×tenant interference matrix (victim -> occupant)."""
-        matrix: dict[str, dict[str, int]] = {}
-        for task in self.tasks():
-            row = self.blame(self.select(task=task))
-            if row:
-                matrix[task] = row
-        return matrix
-
-    def critical_path(self, task: str) -> dict[str, Any]:
-        """Per-tenant critical path: the aggregate decomposition plus the
-        single longest span's segment chain (where the worst request's
-        time actually went)."""
-        spans = self.select(task=task)
-        totals = self.decompose(spans)
-        worst = max(spans, key=lambda span: span.duration_us, default=None)
-        return {
-            "task": task,
-            "spans": len(spans),
-            "total_us": sum(totals.values()),
-            "components": totals,
-            "critical_span": worst.to_dict() if worst is not None else None,
-        }
-
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -861,8 +1032,8 @@ class SpanSet:
             "version": SPANS_VERSION,
             "end_us": self.end_us,
             "spans": [span.to_dict() for span in self.spans],
-            "system_spans": [span.to_dict() for span in self.system_spans],
-            "migrations": [link.to_dict() for link in self.migrations],
+            "system_spans": [asdict(span) for span in self.system_spans],
+            "migrations": [asdict(link) for link in self.migrations],
             "exec_intervals": [
                 [iv.device, iv.task, iv.start_us, iv.end_us]
                 for iv in self.exec_intervals
@@ -870,29 +1041,26 @@ class SpanSet:
         }
 
 
-#: kind -> (pair spec, is_begin) for the generic system-span boundaries.
-_PAIR_BY_KIND: dict[str, tuple[SpanPairSpec, bool]] = {}
-for _spec in _SYSTEM_PAIRS:
-    _PAIR_BY_KIND[_spec.begin] = (_spec, True)
-    for _end in _spec.ends:
-        _PAIR_BY_KIND[_end] = (_spec, False)
+def fold_trace(
+    trace: Union[TraceRecorder, Iterable[TraceRecord]],
+    end_us: Optional[float] = None,
+) -> FoldResult:
+    """Replay a trace (recorder or record iterable) through one
+    :class:`TraceFold`.
+
+    Replay over a ring-buffered recorder covers what the buffer
+    retained; feed the fold as a live sink for eviction-independent
+    spans."""
+    recorder = isinstance(trace, TraceRecorder)
+    fold = TraceFold()
+    for record in trace.records() if recorder else trace:
+        fold.observe(record)
+    return fold.finish(end_us, dropped=trace.dropped if recorder else 0)
 
 
 def build_spans(
     trace: Union[TraceRecorder, Iterable[TraceRecord]],
     end_us: Optional[float] = None,
 ) -> SpanSet:
-    """Replay a trace (recorder or record iterable) into a span set.
-
-    Replay over a ring-buffered recorder covers what the buffer
-    retained; feed the builder as a live sink for eviction-independent
-    reconstruction."""
-    builder = SpanBuilder()
-    records: Iterable[TraceRecord]
-    if isinstance(trace, TraceRecorder):
-        records = trace.records()
-    else:
-        records = trace
-    for record in records:
-        builder.observe(record)
-    return builder.finish(end_us)
+    """The :class:`SpanSet` of :func:`fold_trace`."""
+    return fold_trace(trace, end_us).spans

@@ -20,8 +20,8 @@ Three ways to point it at a run::
 With ``--report`` the offending window and victim come from the first
 fired SLO violation of a ``repro monitor`` report; otherwise the worst
 p99 window is located by scanning ``--window-us`` bins.  The run
-overview is consumed from the machine-readable trace summary (the same
-model as ``repro trace summary --json``).
+overview is the trace summary (``repro trace summary``) of each of the
+victim's tenants, from the same single pass over the trace as the spans.
 
 The last stdout line is stable and greppable (CI asserts on it)::
 
@@ -43,9 +43,9 @@ from repro.obs.spans import (
     COMPONENTS,
     Span,
     SpanSet,
-    build_spans,
+    fold_trace,
 )
-from repro.obs.summary import summarize
+from repro.obs.summary import TraceSummary
 from repro.obs.windows import nearest_rank, split_tenant
 
 #: Default attribution window width (µs) when no report pins one.
@@ -244,18 +244,23 @@ def attribute_window(
     }
 
 
-def _render(attribution: dict[str, Any], overview: dict[str, Any]) -> None:
+def _render(
+    attribution: dict[str, Any], overview: TraceSummary, tenants: list[str]
+) -> None:
     task = attribution["task"]
     start, end = attribution["window"]
     print(f"why: task {task}, window [{start:g}, {end:g}) us")
-    summary_task = overview["tasks"].get(task)
-    if summary_task is not None:
-        mean = summary_task["mean_latency_us"]
+    for tenant in tenants:
+        summary_task = overview.tasks.get(tenant)
+        if summary_task is None:
+            continue
+        mean = summary_task.mean_latency_us
         mean_text = f"{mean:.0f} us" if mean is not None else "-"
+        label = "" if tenant == task else f" ({tenant})"
         print(
-            f"  run overview: {summary_task['submits']} submits, "
-            f"{summary_task['completes']} completes, "
-            f"{summary_task['faults']} faults, mean latency {mean_text}"
+            f"  run overview{label}: {summary_task.submits} submits, "
+            f"{summary_task.completes} completes, "
+            f"{summary_task.faults} faults, mean latency {mean_text}"
         )
     p99 = attribution["p99_us"]
     p99_text = f", window p99 {p99:.0f} us" if p99 is not None else ""
@@ -328,8 +333,7 @@ def cmd_why(args: argparse.Namespace) -> int:
             "spans reconstructed from what the buffer retained",
             file=sys.stderr,
         )
-    overview = summarize(trace, end_us=end_us).to_dict()
-    span_set = build_spans(trace, end_us)
+    span_set, overview = fold_trace(trace, end_us)
     device = args.device
     if args.report is not None:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
@@ -374,7 +378,12 @@ def cmd_why(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(attribution, indent=2, sort_keys=True))
         return 0
-    _render(attribution, overview)
+    # The victim's tenants, in device order: one per device it ran on.
+    tenants = sorted(
+        {(span.device, span.tenant)
+         for span in span_set.select(task=victim, device=device)}
+    )
+    _render(attribution, overview, [key for _, key in tenants] or [victim])
     print(blame_line(attribution))
     return 0
 

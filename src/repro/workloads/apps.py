@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.workloads.base import Workload
 from repro.workloads.profiles import APP_PROFILES, AppProfile
@@ -59,3 +59,18 @@ def make_app(name: str, instance: Optional[str] = None) -> ProfiledApp:
         known = ", ".join(sorted(APP_PROFILES))
         raise KeyError(f"unknown application {name!r}; known: {known}") from None
     return ProfiledApp(profile, name=instance)
+
+
+def app_instances(names: Iterable[str]) -> list[tuple[str, Optional[str]]]:
+    """``(app, instance)`` per requested app name, for :func:`make_app`.
+
+    Repeats of an app get distinct task labels (``glxgears``, then
+    ``glxgears.2``, ...); the first keeps the plain name (instance
+    ``None``), so runs of distinct apps keep their plain labels.
+    """
+    seen: dict[str, int] = {}
+    out: list[tuple[str, Optional[str]]] = []
+    for name in names:
+        count = seen[name] = seen.get(name, 0) + 1
+        out.append((name, None if count == 1 else f"{name}.{count}"))
+    return out

@@ -19,7 +19,8 @@ from repro.experiments.chaos import (
 from repro.experiments.runner import build_env, measure, run_workloads
 from repro.faults import registry as fault_points
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs.summary import diff_counts, diff_tasks, summarize
+from repro.obs.spans import fold_trace
+from repro.obs.summary import diff_counts, diff_tasks
 from repro.sim.trace import TraceRecorder
 from repro.workloads.throttle import Throttle
 
@@ -71,7 +72,9 @@ def test_same_plan_and_seed_replays_identical_trace():
     left_trace, left_results = traced_run(plan)
     right_trace, right_results = traced_run(plan)
     assert diff_counts(left_trace, right_trace) == {}
-    assert diff_tasks(summarize(left_trace), summarize(right_trace)) == {}
+    assert diff_tasks(
+        fold_trace(left_trace).summary, fold_trace(right_trace).summary
+    ) == {}
     # Record-for-record, not just in aggregate.
     assert normalized(left_trace) == normalized(right_trace)
     assert result_signature(left_results) == result_signature(right_results)
@@ -99,7 +102,7 @@ def test_no_plan_and_empty_plan_runs_are_identical():
     assert normalized(none_trace) == normalized(empty_trace)
     assert result_signature(none_results) == result_signature(empty_results)
     # And no fault machinery left fingerprints anywhere.
-    summary = summarize(empty_trace)
+    summary = fold_trace(empty_trace).summary
     assert summary.fault_timeline == []
     for task in summary.tasks.values():
         assert task.faults_injected == 0
@@ -121,7 +124,7 @@ def test_hang_fault_attributed_and_killed_with_legacy_reason():
 def test_refstall_recovered_by_watchdog_retry():
     plan = builtin_plans()["refstall"]
     trace, results = traced_run(plan, scheduler="dfq")
-    summary = summarize(trace)
+    summary = fold_trace(trace).summary
     victim = summary.tasks[VICTIM]
     assert victim.fault_detections > 0
     assert victim.fault_recoveries > 0
@@ -147,7 +150,7 @@ def test_unresponsive_storm_walks_full_ladder():
     )
     workloads = [Throttle(800.0, name=VICTIM), Throttle(800.0, name=BYSTANDER)]
     results = run_workloads(env, workloads, chaos.DURATION_US, WARMUP_US)
-    summary = summarize(env.trace)
+    summary = fold_trace(env.trace).summary
     victim = summary.tasks[VICTIM]
     # Strike one degrades (recover via quarantine), strike two kills.
     assert victim.fault_escalations == 1

@@ -23,3 +23,17 @@ def traced_run(scheduler="dfq", apps=("glxgears", "BitonicSort"), seed=0,
 @pytest.fixture(scope="module")
 def dfq_run():
     return traced_run()
+
+
+@pytest.fixture(scope="session")
+def fleet_trace_file(tmp_path_factory):
+    """The device-tagged 2-device fleet trace of ``repro fleet run
+    --devices 2 --tenants 4 --duration-ms 100``."""
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("fleet") / "fleet.jsonl"
+    main([
+        "fleet", "run", "--devices", "2", "--tenants", "4",
+        "--duration-ms", "100", "--no-cache", "--trace-out", str(path),
+    ])
+    return path

@@ -92,6 +92,29 @@ def test_chrome_events_structure():
     assert episode["dur"] == 15.0
 
 
+def test_chrome_episodes_pair_within_a_device(fleet_trace_file):
+    from repro.obs.export import load_trace
+
+    trace = load_trace(str(fleet_trace_file))
+    starts = list(trace.records(kind=events.FREERUN_START))
+    assert {record.payload["device"] for record in starts} == {0, 1}
+    episodes = [
+        event for event in chrome_trace_events(trace)
+        if event.get("cat") == "episode"
+    ]
+    # One slice per freerun_start, each opened by its own device's
+    # barrier and carrying that device's episode number.
+    assert len(episodes) == len(starts)
+    barriers = {
+        (record.payload["device"], record.payload["episode"]): record.time
+        for record in trace.records(kind=events.BARRIER_BEGIN)
+    }
+    for event, start in zip(episodes, starts):
+        key = (start.payload["device"], event["args"]["episode"])
+        assert event["ts"] == barriers[key]
+        assert event["ts"] + event["dur"] == start.time
+
+
 def test_chrome_rows_split_by_task_and_layer():
     trace = small_trace()
     chrome = chrome_trace_events(trace)

@@ -5,7 +5,7 @@ The invariants pinned here are the layer's contract:
 * every span's components sum EXACTLY (integer microseconds, no epsilon)
   to the sum of its segment durations;
 * segments telescope — contiguous, non-overlapping, in time order;
-* a live :class:`SpanBuilder` sink and a replay over exported JSONL
+* a live :class:`TraceFold` sink and a replay over exported JSONL
   produce byte-identical serializations (eviction-independence, the same
   property PR-8's windows have);
 * interference blame only ever names *other* tenants.
@@ -23,8 +23,9 @@ from repro.obs.spans import (
     COMPONENTS,
     SPAN_PAIRS,
     TERMINALS,
-    SpanBuilder,
+    TraceFold,
     build_spans,
+    fold_trace,
     register_span_pair,
     span_constant_names,
     span_kinds,
@@ -99,12 +100,12 @@ def test_complete_spans_carry_device_latency(span_run):
 
 def test_live_sink_and_replay_are_byte_identical(span_run):
     trace, end_us, replay_set = span_run
-    # Live: a retain=False recorder fans records to the builder as they
+    # Live: a retain=False recorder fans records to the fold as they
     # are emitted; replay: export to JSONL, read back, rebuild.
-    live = SpanBuilder()
+    live = TraceFold()
     for record in trace.records():
         live(record)
-    live_set = live.finish(end_us)
+    live_set = live.finish(end_us).spans
     buffer = io.StringIO()
     write_jsonl(trace, buffer)
     buffer.seek(0)
@@ -116,12 +117,13 @@ def test_live_sink_and_replay_are_byte_identical(span_run):
 
 def test_builder_finish_is_idempotent(span_run):
     trace, end_us, _span_set = span_run
-    builder = SpanBuilder()
+    fold = TraceFold()
     for record in trace.records():
-        builder(record)
-    first = json.dumps(builder.finish(end_us).to_dict(), sort_keys=True)
-    again = json.dumps(builder.finish(end_us).to_dict(), sort_keys=True)
-    assert again == first
+        fold(record)
+    first = fold.finish(end_us)
+    assert fold.finish(end_us) is first
+    with pytest.raises(RuntimeError):
+        fold.observe(next(iter(trace.records())))
 
 
 # ----------------------------------------------------------------------
@@ -158,26 +160,6 @@ def test_blame_names_only_other_tenants(span_run):
     assert set(blame) <= {"BitonicSort"}
 
 
-def test_blame_matrix_is_pairwise(span_run):
-    _trace, _end, span_set = span_run
-    matrix = span_set.blame_matrix()
-    assert set(matrix) == set(span_set.tasks())
-    for victim, row in matrix.items():
-        assert victim not in row
-
-
-def test_critical_path_reports_worst_span(span_run):
-    _trace, _end, span_set = span_run
-    path = span_set.critical_path("glxgears")
-    assert path["task"] == "glxgears"
-    worst = max(
-        (s for s in span_set.spans if s.task == "glxgears"),
-        key=lambda s: s.duration_us,
-    )
-    assert path["critical_span"]["span_id"] == worst.span_id
-    assert path["total_us"] == sum(path["components"].values())
-
-
 def test_system_spans_cover_engagement_episodes(span_run):
     _trace, _end, span_set = span_run
     pairs = {span.pair for span in span_set.system_spans}
@@ -204,6 +186,23 @@ def test_fleet_spans_carry_device_tags():
     span_set = fleet_spans()
     devices = {span.device for span in span_set.spans}
     assert devices == {0, 1}
+    for span in span_set.spans:
+        assert span.tenant == f"{span.task}@d{span.device}"
+
+
+def test_spans_carry_the_summary_tenant_key(span_run, fleet_trace_file):
+    from repro.obs.export import load_trace
+
+    for trace in (span_run[0], load_trace(str(fleet_trace_file))):
+        span_set, summary = fold_trace(trace)
+        submitted = {}
+        for span in span_set.spans:
+            if span.ref is not None:
+                submitted[span.tenant] = submitted.get(span.tenant, 0) + 1
+        assert submitted == {
+            key: task.submits
+            for key, task in summary.tasks.items() if task.submits
+        }
 
 
 def test_migration_produces_linked_cross_device_segments():
@@ -235,7 +234,7 @@ def test_interrupted_span_closes_as_migrated():
     from repro.obs import events
     from repro.sim.trace import TraceRecord
 
-    builder = SpanBuilder()
+    fold = TraceFold()
     for t, src, kind, payload in [
         (10.0, "kernel", events.FAULT,
          {"task": "t0", "channel": 1, "device": 0}),
@@ -248,8 +247,8 @@ def test_interrupted_span_closes_as_migrated():
         (40.0, "fleet", events.FLEET_MIGRATE_END,
          {"task": "t0", "src": 0, "dst": 1, "cost_us": 15.0}),
     ]:
-        builder(TraceRecord(t, src, kind, payload))
-    span_set = builder.finish(50.0)
+        fold(TraceRecord(t, src, kind, payload))
+    span_set = fold.finish(50.0).spans
     assert [span.terminal for span in span_set.spans] == ["migrated"]
     span = span_set.spans[0]
     assert span.task == "t0" and span.device == 0 and span.ref == 7

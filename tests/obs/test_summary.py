@@ -10,7 +10,8 @@ import pytest
 
 from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.experiment import tenant_specs
-from repro.obs.summary import TaskSummary, diff_counts, diff_tasks, summarize
+from repro.obs.spans import fold_trace
+from repro.obs.summary import TaskSummary, diff_counts, diff_tasks
 from repro.obs.windows import split_tenant
 from repro.sim.trace import TraceRecorder
 from tests.obs.conftest import traced_run
@@ -18,7 +19,7 @@ from tests.obs.conftest import traced_run
 
 def test_counts_match_metrics_registry(dfq_run):
     env, trace, results = dfq_run
-    summary = summarize(trace, end_us=env.sim.now)
+    summary = fold_trace(trace, env.sim.now).summary
     assert set(summary.tasks) == set(results)
     for name, task in summary.tasks.items():
         counters = env.metrics
@@ -33,7 +34,7 @@ def test_counts_match_metrics_registry(dfq_run):
 
 def test_counts_match_workload_results(dfq_run):
     env, trace, results = dfq_run
-    summary = summarize(trace, end_us=env.sim.now)
+    summary = fold_trace(trace, env.sim.now).summary
     for name, result in results.items():
         task = summary.tasks[name]
         assert task.faults == result.metrics["faults"]
@@ -44,7 +45,7 @@ def test_counts_match_workload_results(dfq_run):
 
 def test_engagement_replay_matches_ledger(dfq_run):
     env, trace, _results = dfq_run
-    summary = summarize(trace, end_us=env.sim.now)
+    summary = fold_trace(trace, env.sim.now).summary
     ledger = env.scheduler.neon.engagement.snapshot(env.sim.now)
     for name, task in summary.tasks.items():
         expected = ledger.get(name)
@@ -66,7 +67,7 @@ def test_engagement_replay_stops_at_exit_like_the_ledger():
     workloads = [spec.build() for spec in tenant_specs(4)]
     run_workloads(env, workloads, 120_000.0, 30_000.0,
                   moves=((30_000.0, "p0.t000", 1),))
-    summary = summarize(trace, end_us=env.sim.now)
+    summary = fold_trace(trace, env.sim.now).summary
     ledgers = {
         stack.device_id: stack.scheduler.neon.engagement.snapshot(env.sim.now)
         for stack in env.stacks
@@ -83,7 +84,7 @@ def test_engagement_replay_stops_at_exit_like_the_ledger():
 
 def test_summary_rollup_fields(dfq_run):
     env, trace, _results = dfq_run
-    summary = summarize(trace, end_us=env.sim.now)
+    summary = fold_trace(trace, env.sim.now).summary
     assert summary.records == len(trace)
     assert summary.dropped == 0
     assert summary.kind_counts == trace.kind_counts()
@@ -98,7 +99,7 @@ def test_mean_latency_none_when_no_completions():
 def test_diff_same_trace_is_empty(dfq_run):
     _env, trace, _results = dfq_run
     assert diff_counts(trace, trace) == {}
-    summary = summarize(trace)
+    summary = fold_trace(trace).summary
     assert diff_tasks(summary, summary) == {}
 
 
@@ -109,7 +110,9 @@ def test_diff_across_schedulers_reports_deltas(dfq_run):
     count_deltas = diff_counts(dfq_trace, ts_trace)
     assert count_deltas["barrier_begin"][1] == 0  # timeslice has no episodes
     assert count_deltas["token_pass"][0] == 0  # dfq passes no tokens
-    task_deltas = diff_tasks(summarize(dfq_trace), summarize(ts_trace))
+    task_deltas = diff_tasks(
+        fold_trace(dfq_trace).summary, fold_trace(ts_trace).summary
+    )
     assert "glxgears" in task_deltas
 
 
@@ -117,7 +120,9 @@ def test_diff_handles_disjoint_tasks(dfq_run):
     _env, trace, _results = dfq_run
     _env2, solo_trace, _results2 = traced_run(apps=("oclParticles",),
                                               duration_us=100_000.0)
-    deltas = diff_tasks(summarize(trace), summarize(solo_trace))
+    deltas = diff_tasks(
+        fold_trace(trace).summary, fold_trace(solo_trace).summary
+    )
     # Tasks present on only one side diff against an empty summary.
     assert "oclParticles" in deltas
     assert "glxgears" in deltas

@@ -106,3 +106,52 @@ def test_top_level_cli_delegates(capsys):
         "--duration-ms", "40",
     ]) == 0
     assert "WHY dominant=" in capsys.readouterr().out
+
+
+def test_fleet_overview_has_one_line_per_victim_tenant(
+    fleet_trace_file, tmp_path, capsys
+):
+    from repro.experiments.runner import build_env, run_workloads
+    from repro.fleet.experiment import tenant_specs
+    from repro.obs.export import save_trace
+    from repro.sim.trace import TraceRecorder
+
+    # p0.t000 moves from device 0 to device 1: two tenants, two lines.
+    trace = TraceRecorder()
+    env = build_env("dfq", seed=0, trace=trace, devices=2)
+    run_workloads(env, [spec.build() for spec in tenant_specs(4)],
+                  120_000.0, 30_000.0, moves=((30_000.0, "p0.t000", 1),))
+    migrated = tmp_path / "migrated.jsonl"
+    save_trace(trace, str(migrated))
+    for path, task, tenants in (
+        (fleet_trace_file, "p0.t002", ["p0.t002@d0"]),
+        (migrated, "p0.t000", ["p0.t000@d0", "p0.t000@d1"]),
+    ):
+        assert why_main([str(path), "--task", task]) == 0
+        overviews = [
+            line.split(":")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "run overview" in line
+        ]
+        assert overviews == [f"run overview ({key})" for key in tenants]
+
+
+def test_each_command_folds_the_trace_once(
+    fleet_trace_file, monkeypatch, capsys
+):
+    from repro.obs.cli import main as trace_main
+    from repro.sim.trace import TraceRecorder
+
+    calls = []
+    records = TraceRecorder.records
+
+    def counted(self, *args, **kwargs):
+        calls.append(args or kwargs)
+        return records(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecorder, "records", counted)
+    assert why_main([str(fleet_trace_file)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert trace_main(["summary", str(fleet_trace_file)]) == 0
+    assert len(calls) == 1

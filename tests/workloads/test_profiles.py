@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.request import RequestKind
+from repro.workloads.apps import app_instances
 from repro.workloads.profiles import APP_PROFILES
 
 PAPER_APPS = {
@@ -16,6 +17,21 @@ PAPER_APPS = {
 
 def test_all_table1_apps_present():
     assert set(APP_PROFILES) == PAPER_APPS
+
+
+@pytest.mark.parametrize("names, labels", [
+    (["glxgears"], ["glxgears"]),
+    (["glxgears", "BitonicSort", "BitonicSort", "BitonicSort"],
+     ["glxgears", "BitonicSort", "BitonicSort.2", "BitonicSort.3"]),
+    (["DCT", "FFT", "DCT", "FFT"], ["DCT", "FFT", "DCT.2", "FFT.2"]),
+])
+def test_app_instances_label_repeats(names, labels):
+    # The one naming rule for inline runs (``repro trace record``,
+    # ``repro why``, ``repro monitor run``): the first instance of an app
+    # keeps its plain name, repeats count up from ``.2``.
+    pairs = app_instances(names)
+    assert [name for name, _ in pairs] == names
+    assert [instance or name for name, instance in pairs] == labels
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_APPS))
