@@ -151,7 +151,7 @@ class EngagedFairQueueing(SchedulerBase):
 
     def _on_request_done(self) -> None:
         self._outstanding = max(0, self._outstanding - 1)
-        self.sim.schedule(self.anticipation_us, self._dispatch_pending)
+        self.sim.schedule_after(self.anticipation_us, self._dispatch_pending)
 
     def _dispatch_pending(self) -> None:
         while self._pending and self._outstanding < self.depth:

@@ -16,7 +16,6 @@ from repro.gpu.params import GpuParams
 from repro.gpu.request import Request, RequestKind
 from repro.obs import events
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.events import Event
 from repro.sim.trace import NullRecorder, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,36 +116,36 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, channel: Channel, request: Request) -> Event:
+    def submit(self, channel: Channel, request: Request) -> Request:
         """Hardware-side submission: enqueue and kick the engine.
 
-        Returns the completion event the submitter (or the scheduler) may
-        wait on.  This models the doorbell write having reached the device;
-        all software-side costs (MMIO write, faults) are charged by the
-        kernel model before calling this.
+        Returns the request, now the completion event the submitter (or the
+        scheduler) may wait on.  This models the doorbell write having
+        reached the device; all software-side costs (MMIO write, faults)
+        are charged by the kernel model before calling this.
         """
         self._enqueue_one(channel, request)
         self._engine_for(channel.kind).notify()
-        return request.completion
+        return request
 
-    def submit_batch(self, channel: Channel, requests: list[Request]) -> list[Event]:
+    def submit_batch(self, channel: Channel, requests: list[Request]) -> list[Request]:
         """Enqueue back-to-back requests on one channel, kicking the engine
         once.
 
         The batched doorbell path: all requests land on the ring buffer at
         the current instant and the engine is notified with a *single*
         wake event, instead of one notify per request.  Returns the
-        completion events in submission order.
+        requests (their own completion events) in submission order.
         """
         for request in requests:
             self._enqueue_one(channel, request)
         if requests:
             self._engine_for(channel.kind).notify()
-        return [request.completion for request in requests]
+        return requests
 
     def _enqueue_one(self, channel: Channel, request: Request) -> None:
         """Shared per-request hardware-side submission (no engine kick)."""
-        request.completion = Event(self.sim)
+        request.bind(self.sim)
         if self.faults is not None:
             if self.faults.arm(fault_points.GPU_REQUEST_HANG, channel.task.name):
                 # The engine will start this request and never finish it.
@@ -199,8 +198,8 @@ class GpuDevice:
             channel.advance_refcounter(channel.last_submitted_ref)
             self._engine_for(channel.kind).unregister_channel(channel)
             for request in casualties:
-                if request.completion is not None and not request.completion.triggered:
-                    request.completion.trigger(request)
+                if not request.triggered:
+                    request.trigger(request)
         self.memory.release_context(context)
         self.main_engine.inject_stall(self.params.context_cleanup_us)
         if self.trace.enabled:

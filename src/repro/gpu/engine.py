@@ -18,9 +18,13 @@ results:
 
 The engine is a callback state machine on the simulator's heap, not a
 process.  Each hop is one heap entry: a delay (stall, context switch,
-restore, save) is one ``sim.schedule``, a wake one ``sim.schedule_now``.
+restore, save, refcounter stall, the completion timer) is one handle-free
+``sim.schedule_after``, a wake one ``sim.schedule_now``.  Only the
+graphics-cooldown timer, which a wake cancels, holds a handle.
 A request's outcome — its completion timer firing, or an abort or
-preemption settling it — is handled one hop later; a notify wakes an idle
+preemption settling it — is handled one hop later.  Settling bumps the
+execution generation, so the completion timer of an aborted or preempted
+execution stays queued and fires as a no-op.  A notify wakes an idle
 engine one hop later; a graphics-cooldown wait takes two hops, one to
 decide whether new work or the cooldown came first and one to resume.
 Every hop sits at a fixed ``(time, seq)`` point, so same-instant
@@ -43,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: How a running request's outcome hop resolves it: the completion timer
 #: fired, or :meth:`ExecutionEngine.abort_current` /
-#: :meth:`ExecutionEngine.preempt_current` settled it first (cancelling
-#: the timer).
+#: :meth:`ExecutionEngine.preempt_current` settled it first (leaving the
+#: timer stale).
 FINISHED = "finished"
 ABORTED = "aborted"
 PREEMPTED = "preempted"
@@ -82,7 +86,10 @@ class ExecutionEngine:
         #: so the losing hop finds a stale token and does nothing.
         self._wait_gen = 0
         self._cooldown_timer = None
-        self._timer = None
+        #: Generation of the running execution; bumped when its outcome is
+        #: settled, so a completion timer left over from an aborted or
+        #: preempted execution finds a stale generation and does nothing.
+        self._exec_gen = 0
         #: False only while the running request's outcome is still open.
         self._settled = True
         self._segment_start = 0.0
@@ -172,11 +179,9 @@ class ExecutionEngine:
         return True
 
     def _settle(self, tag: str) -> None:
-        """Resolve the in-flight request with ``tag``, withdrawing the
-        completion timer so it cannot resolve it a second time."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Resolve the in-flight request with ``tag``; the generation bump
+        makes its completion timer stale, so it cannot resolve it twice."""
+        self._exec_gen += 1
         self._settled = True
         self.sim.schedule_now(self._on_outcome, tag)
 
@@ -245,7 +250,7 @@ class ExecutionEngine:
         stall = self._pending_stall
         if stall > 0:
             self._pending_stall = 0.0
-            self.sim.schedule(stall, self._stalled, stall)
+            self.sim.schedule_after(stall, self._stalled, stall)
             return
 
         channel, retry_delay = self._pick()
@@ -272,7 +277,7 @@ class ExecutionEngine:
             if spike is not None:
                 switch_cost += spike.magnitude_us
         if switch_cost > 0:
-            self.sim.schedule(switch_cost, self._switched, channel, switch_cost)
+            self.sim.schedule_after(switch_cost, self._switched, channel, switch_cost)
             return
         self._start(channel)
 
@@ -323,7 +328,7 @@ class ExecutionEngine:
         if request.preemptions > 0:
             # Restore the saved execution state before resuming.
             restore = self.params.preemption_save_restore_us
-            self.sim.schedule(restore, self._restored, channel, request, restore)
+            self.sim.schedule_after(restore, self._restored, channel, request, restore)
             return
         self._execute(channel, request)
 
@@ -350,7 +355,7 @@ class ExecutionEngine:
         self.current_channel = channel
         self._settled = False
         if not request.never_completes:
-            self._timer = sim.schedule(request.remaining_us, self._finished)
+            sim.schedule_after(request.remaining_us, self._finished, self._exec_gen)
         if self.device.trace.enabled:
             self.device.trace.emit(
                 sim.now, f"gpu.{self.name}", events.EXEC_BEGIN,
@@ -358,11 +363,11 @@ class ExecutionEngine:
                 ref=request.ref,
             )
 
-    def _finished(self) -> None:
-        """The completion timer fired; the outcome is handled one hop later."""
-        self._timer = None
-        self._settled = True
-        self.sim.schedule_now(self._on_outcome, FINISHED)
+    def _finished(self, gen: int) -> None:
+        """The completion timer fired; unless the execution was already
+        settled, the outcome is handled one hop later."""
+        if gen == self._exec_gen:
+            self._settle(FINISHED)
 
     def _on_outcome(self, tag: str) -> None:
         channel = self.current_channel
@@ -399,7 +404,7 @@ class ExecutionEngine:
         self.current = None
         self.current_channel = None
         save = self.params.preemption_save_restore_us
-        self.sim.schedule(save, self._saved, channel, request, now, save)
+        self.sim.schedule_after(save, self._saved, channel, request, now, save)
 
     def _saved(
         self, channel: Channel, request: Request, preempted_at: float, save: float
@@ -455,7 +460,7 @@ class ExecutionEngine:
                     # The hardware finished (engine time is charged above)
                     # but the counter write — and with it every software
                     # observation of completion — lands late.
-                    self.sim.schedule(
+                    self.sim.schedule_after(
                         stall.magnitude_us,
                         self._publish_completion, channel, request, service,
                         False,
@@ -503,5 +508,5 @@ class ExecutionEngine:
                 events.REQUEST_ABORTED if aborted else events.REQUEST_COMPLETE,
                 **payload,
             )
-        if request.completion is not None and not request.completion.triggered:
-            request.completion.trigger(request)
+        if not request.triggered:
+            request.trigger(request)

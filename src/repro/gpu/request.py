@@ -6,9 +6,11 @@ import enum
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.events import Event
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
-    from repro.sim.events import Event
+    from repro.sim.engine import Simulator
 
 
 class RequestKind(enum.Enum):
@@ -19,7 +21,7 @@ class RequestKind(enum.Enum):
     DMA = "dma"
 
 
-class Request:
+class Request(Event):
     """One request as seen at the hardware/software interface.
 
     ``size_us`` is the GPU service time the request will consume;
@@ -29,6 +31,13 @@ class Request:
     A request's ``ref`` is the per-channel reference-counter value the
     hardware writes upon its completion — the completion-detection handle
     both the user-level library and the NEON polling service rely on.
+
+    A request is its own completion :class:`~repro.sim.events.Event`, as
+    in the hardware it is its own counter write, not a second object: the
+    device binds it to the simulator at enqueue (:meth:`bind`) and
+    triggers it, with itself as the value, once the completion is
+    published (or the request is discarded by a context kill).  Before
+    enqueue it is unbound and :attr:`completion` is ``None``.
     """
 
     __slots__ = (
@@ -44,7 +53,6 @@ class Request:
         "finish_time",
         "aborted",
         "preemptions",
-        "completion",
     )
 
     def __init__(
@@ -72,7 +80,22 @@ class Request:
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         self.aborted = False
-        self.completion: Optional["Event"] = None
+        # The Event state, set here and in bind() instead of through
+        # Event.__init__: the waiter list is built only at enqueue.
+        self.sim: Optional["Simulator"] = None
+        self.triggered = False
+        self.value = None
+
+    def bind(self, sim: "Simulator") -> None:
+        """Make the request a live completion event of ``sim`` (at enqueue)."""
+        self.sim = sim
+        self._callbacks = []
+
+    @property
+    def completion(self) -> Optional["Request"]:
+        """The completion event to wait on: the request itself once
+        enqueued, ``None`` before."""
+        return self if self.sim is not None else None
 
     @property
     def never_completes(self) -> bool:

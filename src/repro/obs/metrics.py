@@ -103,47 +103,42 @@ class Histogram:
         self.name = name
         self.description = description
         self.buckets = tuple(float(bound) for bound in buckets)
-        self._counts: dict[str, list[int]] = {}
-        self._sum: dict[str, float] = {}
-        self._count: dict[str, int] = {}
-        self._min: dict[str, float] = {}
-        self._max: dict[str, float] = {}
+        #: Per label, one ``[bucket counts, sum, count, min, max]`` list,
+        #: so an observation costs one dict lookup.
+        self._labels: dict[str, list] = {}
 
     def observe(self, label: str, value: float) -> None:
-        counts = self._counts.get(label)
-        if counts is None:
-            counts = [0] * (len(self.buckets) + 1)
-            self._counts[label] = counts
-            self._sum[label] = 0.0
-            self._count[label] = 0
-            self._min[label] = value
-            self._max[label] = value
-        counts[bisect_left(self.buckets, value)] += 1
-        self._sum[label] += value
-        self._count[label] += 1
-        if value < self._min[label]:
-            self._min[label] = value
-        elif value > self._max[label]:
-            self._max[label] = value
+        state = self._labels.get(label)
+        if state is None:
+            state = [[0] * (len(self.buckets) + 1), 0.0, 0, value, value]
+            self._labels[label] = state
+        state[0][bisect_left(self.buckets, value)] += 1
+        state[1] += value
+        state[2] += 1
+        if value < state[3]:
+            state[3] = value
+        elif value > state[4]:
+            state[4] = value
 
     def count(self, label: str = "") -> int:
-        return self._count.get(label, 0)
+        state = self._labels.get(label)
+        return 0 if state is None else state[2]
 
     def mean(self, label: str = "") -> Optional[float]:
-        count = self._count.get(label, 0)
-        if count == 0:
+        state = self._labels.get(label)
+        if state is None:
             return None
-        return self._sum[label] / count
+        return state[1] / state[2]
 
     def quantile(self, label: str, q: float) -> Optional[float]:
         """Bucket-resolution quantile: the upper bound of the bucket the
         q-th observation falls in (``inf`` for the overflow bucket)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        counts = self._counts.get(label)
-        total = self._count.get(label, 0)
-        if not counts or total == 0:
+        state = self._labels.get(label)
+        if state is None:
             return None
+        counts, total = state[0], state[2]
         rank = q * total
         seen = 0
         for position, bucket_count in enumerate(counts):
@@ -156,13 +151,14 @@ class Histogram:
 
     def snapshot(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
-        for label in sorted(self._counts):
+        for label in sorted(self._labels):
+            counts, total, count, low, high = self._labels[label]
             out[label] = {
-                "count": self._count[label],
-                "sum": self._sum[label],
-                "min": self._min[label],
-                "max": self._max[label],
-                "buckets": list(self._counts[label]),
+                "count": count,
+                "sum": total,
+                "min": low,
+                "max": high,
+                "buckets": list(counts),
             }
         return out
 

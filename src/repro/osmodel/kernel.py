@@ -9,8 +9,9 @@ The kernel owns the only two ways a request can reach the device:
   exactly as NEON sleeps the faulting process in process context), then the
   store is single-stepped.
 
-Workload code submits with ``completion = yield from kernel.submit(...)``,
-paying the appropriate costs in virtual time.
+Workload code submits with ``request = yield from kernel.submit(...)``,
+paying the appropriate costs in virtual time; the returned request is its
+own completion event.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class Kernel:
                 # The setup mmaps were misread: the channel stays
                 # untracked (and unschedulable by NEON) until discovery
                 # is retried after the repair delay.
-                self.sim.schedule(
+                self.sim.schedule_after(
                     corrupted.magnitude_us, self._repair_discovery, channel
                 )
                 return channel
@@ -277,10 +278,11 @@ class Kernel:
     def submit(self, task: Task, channel: "Channel", request: Request):
         """Submit a request from ``task`` (a generator; ``yield from`` it).
 
-        Returns the completion event.  Charges the direct-write cost, plus
-        the full interception cost if the register page is protected; the
-        scheduler may hold the task blocked inside the handler arbitrarily
-        long (or forever, if the task gets killed while waiting).
+        Returns the request, now its own completion event.  Charges the
+        direct-write cost, plus the full interception cost if the register
+        page is protected; the scheduler may hold the task blocked inside
+        the handler arbitrarily long (or forever, if the task gets killed
+        while waiting).
         """
         request.request_id = next(self._request_ids)
         page = channel.register_page
@@ -365,17 +367,15 @@ class Kernel:
         engine wake (``GpuDevice.submit_batch``).  On a protected channel
         every store faults individually, so the batch degrades to the
         per-request interception path; batching never bypasses the
-        scheduler.  Returns the completion events in submission order.
+        scheduler.  Returns the requests, their own completion events, in
+        submission order.
         """
         if not requests:
             return []
         if channel.register_page.protected:
-            completions = []
             for request in requests:
-                completions.append(
-                    (yield from self.submit(task, channel, request))
-                )
-            return completions
+                yield from self.submit(task, channel, request)
+            return requests
         if self.faults is not None:
             lag = self.faults.arm(fault_points.KERNEL_SUBMIT_LATENCY, task.name)
             if lag is not None:
@@ -395,7 +395,8 @@ class Kernel:
     ):
         """The Section 3 comparison stack: every request traps to the kernel
         (AMD-Catalyst-style), optionally with nontrivial driver-routine
-        processing.  No scheduling — pure cost model."""
+        processing.  No scheduling — pure cost model.  Returns the request,
+        its own completion event."""
         request.request_id = next(self._request_ids)
         cost = self.costs.syscall_us
         if driver_work:

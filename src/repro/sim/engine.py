@@ -11,8 +11,12 @@ fire in the order they were scheduled (FIFO tie-breaking), which makes
 every simulation deterministic.  ``seq`` values are unique, so ordering
 comparisons stay inside the C tuple compare and never reach the
 non-orderable tail.  ``handle`` is a :class:`TimerHandle` for cancellable
-entries and ``None`` for the internal fast path (event fan-out, process
-wakeups) that nothing ever cancels.
+entries and ``None`` for the handle-free pushes that nothing ever cancels
+(:meth:`Simulator.schedule_now`, :meth:`Simulator.schedule_after`, event
+fan-out, process sleeps and wakeups).  A handle-free entry whose purpose
+lapsed — a killed process's sleep, an aborted request's completion
+timer — stays queued and fires as a no-op at its time: its callback finds
+a stale wait token or generation and returns without pushing anything.
 
 Cancelling marks the handle and bumps the simulator's cancelled-entry
 counter; cancelled entries are skipped when they reach the head of the
@@ -23,13 +27,13 @@ patterns).
 Compaction cannot reorder live entries — the order is total.
 
 The push sites — :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`,
-:meth:`Simulator.schedule_now`, the fan-out of :meth:`Event.trigger
-<repro.sim.events.Event.trigger>`, the sleep path of
-:meth:`Process._resume <repro.sim.process.Process._resume>`, and
-:meth:`Simulator.run` putting back a head that is not yet due — and the
+:meth:`Simulator.schedule_now`, :meth:`Simulator.schedule_after`, the
+fan-out of :meth:`Event.trigger <repro.sim.events.Event.trigger>`, the
+sleep path of :meth:`Process._resume <repro.sim.process.Process._resume>`,
+and :meth:`Simulator.run` putting back a head that is not yet due — and the
 pop loops (:meth:`Simulator.run`, :meth:`Simulator.step`) call ``heapq``
 directly on ``Simulator._heap``: event dispatch is the simulator's hot
-path.  Only the first five take a new ``seq``.  ``run`` holds the heap
+path.  Only the first six take a new ``seq``.  ``run`` holds the heap
 list in a local, which is why compaction (``heapify`` over the survivors)
 rewrites the list in place instead of rebinding it.
 
@@ -119,6 +123,20 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now, seq, None, fn, args))
+
+    def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` microseconds, without a handle.
+
+        The delay form of :meth:`schedule_now`: same ``(time, seq)`` place
+        as ``schedule(delay, ...)``, minus the :class:`TimerHandle`.  For
+        callers that never cancel; one whose wake may lapse guards it with
+        its own token or generation, and the lapsed entry fires as a no-op.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, None, fn, args))
 
     def event(self) -> Event:
         """Create a fresh one-shot :class:`Event` bound to this simulator."""
@@ -226,7 +244,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) scheduled callbacks."""
+        """Number of live (non-cancelled) scheduled callbacks.
+
+        Handle-free entries count until their time comes, lapsed ones too
+        (a killed process's sleep): only a cancelled handle leaves the
+        count early.
+        """
         return len(self._heap) - self._cancelled
 
     @property

@@ -18,7 +18,8 @@ A process may be killed asynchronously with :meth:`Process.kill`, which
 throws :class:`ProcessKilled` into the generator.  Generators may catch it
 to perform cleanup (and may even keep running — useful for modeling tasks
 that survive a scheduler's protective action), but by default the exception
-terminates them.
+terminates them.  A sleep the kill interrupts is not withdrawn: its heap
+entry stays until its time, then finds a stale wait token and does nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
-from repro.sim.events import AnyOf, Event, TimerHandle
+from repro.sim.events import AnyOf, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -71,7 +72,6 @@ class Process:
         self.done: Event = Event(sim, name=f"{self.name}.done")
         self.return_value: Any = None
         self._wait_token = 0
-        self._pending_timer: Optional["TimerHandle"] = None
         #: (wait target, registered waiter pair) backing the current wait.
         self._pending_wait: Optional[tuple[Union[Event, AnyOf], tuple]] = None
         sim.schedule_now(self._resume, self._wait_token, None, None)
@@ -84,8 +84,9 @@ class Process:
 
         Safe to call at any point while the process is suspended; a no-op
         once the process has finished.  Every registration backing the
-        current wait (timer, event callback, AnyOf membership, join) is
-        withdrawn so long-lived events do not accumulate stale closures.
+        current wait (event callback, AnyOf membership, join) is withdrawn
+        so long-lived events do not accumulate stale closures; a pending
+        sleep is left to fire as a stale no-op.
         """
         if not self.alive:
             return
@@ -101,7 +102,6 @@ class Process:
         if token != self._wait_token or not self.alive:
             return  # stale wakeup from a cancelled wait
         self._wait_token += 1
-        self._pending_timer = None
         self._pending_wait = None
         try:
             if exc is not None:
@@ -118,48 +118,42 @@ class Process:
             self._finish(None, killed=False)
             raise ProcessCrashed(self.name, self.sim.now, error) from error
         # Every resume ends in an arm, so the two common ones are inlined
-        # here behind exact class checks: waiting on a plain Event, and a
-        # virtual-time sleep.  Event subclasses, AnyOf and joins go through
-        # _arm; numpy scalars, bool and other numeric subclasses through
-        # isinstance.
+        # here: a virtual-time sleep (exact float check) and waiting on an
+        # Event or an Event subclass such as a request.  AnyOf and joins go
+        # through _arm; numpy scalars, bool and other numeric subclasses
+        # through isinstance.
         cls = target.__class__
-        if cls is Event:
-            waiter = (self._resume, self._wait_token)
-            target.add_waiter(waiter)
-            self._pending_wait = (target, waiter)
-            return
-        # A sleep needs no wakeup registration at all, just a timer entry
-        # pushed straight onto the simulator's heap (Simulator.schedule,
-        # inlined).
         if cls is not float:
+            if isinstance(target, Event):
+                waiter = (self._resume, self._wait_token)
+                target.add_waiter(waiter)
+                self._pending_wait = (target, waiter)
+                return
             if cls is not int and not isinstance(target, (int, float)):
                 self._arm(target)
                 return
             target = float(target)
         if target < 0:
             raise ValueError(f"negative delay: {target}")
+        # A sleep needs no wakeup registration and no handle, just an entry
+        # pushed straight onto the simulator's heap (Simulator.schedule_after,
+        # inlined).  A kill leaves it queued; the token it carries is stale
+        # by then, so it fires as a no-op.
         sim = self.sim
-        time = sim.now + target
         seq = sim._seq
         sim._seq = seq + 1
-        handle = TimerHandle(time, seq, sim)
         heappush(
             sim._heap,
-            (time, seq, handle, self._resume, (self._wait_token, None, None)),
+            (sim.now + target, seq, None, self._resume,
+             (self._wait_token, None, None)),
         )
-        self._pending_timer = handle
 
     def _arm(self, target: Any) -> None:
-        """Register the wakeup corresponding to a non-numeric yield."""
-        token = self._wait_token
-
-        # Event waits register a (resume, token) pair instead of a wakeup
+        """Register the wakeup for a composite wait or a join."""
+        # Waits register a (resume, token) pair instead of a wakeup
         # closure; the event's trigger path dispatches it directly.
-        waiter = (self._resume, token)
-        if isinstance(target, Event):
-            target.add_waiter(waiter)
-            self._pending_wait = (target, waiter)
-        elif isinstance(target, AnyOf):
+        waiter = (self._resume, self._wait_token)
+        if isinstance(target, AnyOf):
             target.proxy.add_waiter(waiter)
             self._pending_wait = (target, waiter)
         elif isinstance(target, Process):
@@ -172,9 +166,6 @@ class Process:
 
     def _disarm(self) -> None:
         """Withdraw every registration backing the current wait."""
-        if self._pending_timer is not None:
-            self._pending_timer.cancel()
-            self._pending_timer = None
         wait, self._pending_wait = self._pending_wait, None
         if wait is None:
             return

@@ -92,36 +92,34 @@ class Workload:
     def submit(self, channel: "Channel", size_us: float, blocking: bool = True):
         """Submit one request; when blocking, waits for its completion.
 
-        A generator — drive with ``yield from``.  Returns the completion
-        event (already triggered for blocking requests).
+        A generator — drive with ``yield from``.  Returns the request, its
+        own completion event (already triggered for blocking requests).
         """
         request = Request(channel.kind, size_us, blocking)
         self.requests.append(request)
         if self.submit_mode == "mmio":
-            completion = yield from self.kernel.submit(self.task, channel, request)
+            yield from self.kernel.submit(self.task, channel, request)
         else:
             driver_work = self.submit_mode == "syscall+driver"
-            completion = yield from self.kernel.submit_via_syscall(
+            yield from self.kernel.submit_via_syscall(
                 self.task, channel, request, driver_work
             )
         if blocking:
-            yield completion
-        return completion
+            yield request
+        return request
 
     def submit_burst(self, channel: "Channel", sizes_us: list):
         """Submit a burst of non-blocking requests as one batch.
 
         A generator — drive with ``yield from``.  Uses the kernel's
         batched doorbell path, so the back-to-back enqueues coalesce into
-        a single engine wake event.  Returns the completion events in
-        submission order.
+        a single engine wake event.  Returns the requests, their own
+        completion events, in submission order.
         """
         requests = [Request(channel.kind, size_us, False) for size_us in sizes_us]
         self.requests.extend(requests)
-        completions = yield from self.kernel.submit_batch(
-            self.task, channel, requests
-        )
-        return completions
+        yield from self.kernel.submit_batch(self.task, channel, requests)
+        return requests
 
     def submit_pipelined(self, channel: "Channel", size_us: float, depth: int):
         """Submit a non-blocking request, bounding outstanding ones.
@@ -135,9 +133,9 @@ class Workload:
             oldest = pipeline.popleft()
             if not oldest.triggered:
                 yield oldest
-        completion = yield from self.submit(channel, size_us, blocking=False)
-        pipeline.append(completion)
-        return completion
+        request = yield from self.submit(channel, size_us, blocking=False)
+        pipeline.append(request)
+        return request
 
     def drain_pipeline(self, channel: Optional["Channel"] = None):
         """Wait for all in-flight pipelined requests (one channel or all)."""
@@ -153,10 +151,18 @@ class Workload:
 
     def cpu_work(self, duration_us: float):
         """Consume CPU time (think/compute); contends for cores when the
-        kernel is configured with a finite pool (a generator)."""
+        kernel is configured with a finite pool (a generator).
+
+        Without a pool the delay is yielded here directly, as
+        :meth:`Kernel.cpu_time <repro.osmodel.kernel.Kernel.cpu_time>`
+        would, minus its generator frame per think gap."""
         if duration_us <= 0:
             return
-        yield from self.kernel.cpu_time(duration_us, self.name)
+        cpu = self.kernel.cpu
+        if cpu is None:
+            yield duration_us
+        else:
+            yield from cpu.execute(duration_us, self.name)
 
     def jittered(self, mean_us: float, sigma: float = 0.08) -> float:
         """A mean-preserving lognormal jitter around ``mean_us``."""

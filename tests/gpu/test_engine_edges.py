@@ -249,3 +249,50 @@ def test_settle_just_before_the_completion_timer_wins(
         # Save, restore, then the empty remainder completes at once.
         assert request.finish_time == 100.0 + 2 * save
         assert channel.refcounter == 1
+
+
+@pytest.mark.parametrize("action", ["abort", "preempt"])
+def test_stale_completion_timer_of_a_settled_request_does_nothing(
+    sim, preemptive_device, action
+):
+    """Aborting request A (through a context kill) or preempting it leaves
+    its completion timer queued.  When it fires, B is running: B must
+    finish at its own time, and the stale timer must push nothing."""
+    device = preemptive_device
+    engine = device.main_engine
+    channels = []
+    for name in ("a", "b"):
+        task = Task(name, next(sim.id_counter("task")))
+        context = device.create_context(task)
+        channels.append(device.create_channel(context, RequestKind.COMPUTE))
+    first = submit(device, channels[0], 400.0)
+    second = submit(device, channels[1], 500.0)
+    seen = []
+
+    def probe():
+        seen.append((sim._seq, engine.current))
+
+    # Both probes pop at 400, A's original completion time: the first
+    # ahead of A's timer (scheduled before A started), the second after.
+    sim.schedule(400.0, probe)
+    sim.schedule(200.0, sim.schedule, 200.0, probe)
+    if action == "abort":
+        sim.schedule(10.0, device.kill_context, channels[0].context)
+    else:
+        sim.schedule(10.0, engine.preempt_current, channels[0].context)
+    sim.run()
+    assert seen == [(seen[0][0], second)] * 2
+    assert second.start_time < 400.0
+    assert second.finish_time == second.start_time + 500.0
+    if action == "abort":
+        assert first.aborted
+        assert first.finish_time == 10.0
+        assert engine.completed_requests == 1
+    else:
+        # A resumes after B: switch back, restore, then its remaining 390.
+        params = device.params
+        assert first.finish_time == (
+            second.finish_time + params.context_switch_us
+            + params.preemption_save_restore_us + 390.0
+        )
+        assert engine.completed_requests == 2

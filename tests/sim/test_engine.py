@@ -19,9 +19,13 @@ def test_schedule_runs_in_time_order(sim):
 
 
 def test_simultaneous_events_run_fifo(sim):
+    # Handle-free delays share the (time, seq) order of handled ones.
     order = []
     for label in "abcde":
-        sim.schedule(3.0, order.append, label)
+        if label in "bd":
+            sim.schedule_after(3.0, order.append, label)
+        else:
+            sim.schedule(3.0, order.append, label)
     sim.run()
     assert order == list("abcde")
 
@@ -37,6 +41,8 @@ def test_clock_advances_to_event_time(sim):
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
+    with pytest.raises(ValueError):
+        sim.schedule_after(-1.0, lambda: None)
 
 
 def test_schedule_at_past_rejected(sim):

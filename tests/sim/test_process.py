@@ -194,8 +194,16 @@ def test_stale_timer_does_not_resume_killed_process(sim):
 
     process = sim.spawn(body())
     sim.schedule(5.0, process.kill)
-    sim.run()
+    sim.run(until=6.0)
     assert log == ["killed"]
+    # A sleep has no handle, so the kill does not withdraw it: the wake
+    # stays queued, and counted as pending, until its time comes.
+    assert sim.pending_events == 1
+    seq = sim._seq
+    sim.run()
+    # It fires as a no-op: no resume, and no new heap entry.
+    assert log == ["killed"]
+    assert (sim.now, sim._seq, sim.pending_events) == (10.0, seq, 0)
 
 
 def test_kill_while_waiting_on_event_leaves_no_stale_callback(sim):
