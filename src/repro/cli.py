@@ -11,12 +11,15 @@ latency (or a fired SLO) to its dominant delay component and the
 interfering tenants via reconstructed lifecycle spans.
 
 Cell-farm experiments (the figure drivers) accept ``--workers N`` to fan
-independent simulation cells out over a process pool, and share a
-content-keyed result cache so solo baselines are computed once per
-invocation (``repro all`` reuses them across figures).  ``--no-cache``
-disables sharing; ``--cache-dir DIR`` persists results across
-invocations.  Tables on stdout are byte-identical regardless of worker
-count or caching; the per-cell wall-time summary goes to stderr.
+independent simulation cells out over a process pool, and share results
+by content key within one invocation, so solo baselines are computed
+once (``repro all`` reuses them across figures).  ``--no-cache``
+disables sharing; results are never kept across invocations.  Tables on
+stdout are byte-identical regardless of worker count or sharing; the
+per-cell wall-time summary goes to stderr.
+
+:func:`positive` and :func:`comma_list` are the argument types shared
+with the ``repro chaos`` and ``repro fleet`` parsers.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.experiments.parallel import (
     CellTiming,
@@ -89,6 +91,35 @@ EXPERIMENTS: dict[str, tuple[Callable[..., str], str]] = {
 }
 
 
+def positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Argument type: ``convert(text)``, a usage error unless above 0."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in its errors
+    return parse
+
+
+def comma_list(convert: Callable[[str], Any] = str) -> Callable[[str], list]:
+    """Argument type: a comma-separated list, a usage error when empty."""
+
+    def parse(text: str) -> list:
+        items = [convert(part.strip()) for part in text.split(",")
+                 if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list, got {text!r}"
+            )
+        return items
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -100,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--duration-ms",
-        type=float,
+        type=positive(float),
         default=None,
         help="simulated duration per run in milliseconds (default: per-experiment)",
     )
@@ -116,13 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the shared result cache (every cell recomputes)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persist cell results as JSON under this directory and reuse "
-        "them across invocations",
     )
     parser.add_argument(
         "--progress",
@@ -235,7 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     # One cache for the whole invocation: ``repro all`` shares the solo
     # direct-access baselines across figure4/5, figure6/7, and figure9/10.
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache: Optional[ResultCache] = None if args.no_cache else {}
     if args.progress:
         from contextlib import ExitStack
 

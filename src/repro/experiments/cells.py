@@ -5,17 +5,14 @@ Every paper experiment decomposes into independent, deterministic
 seed + parameters) producing a ``dict[str, WorkloadResult]``.  A
 :class:`CellSpec` is the declarative, picklable description of one such
 cell, built from :class:`WorkloadSpec` entries instead of closures so it
-can cross a process boundary and serve as a content-addressed cache key.
-The same type describes fleet cells (``devices > 1``, :mod:`repro.fleet`).
+can cross a process boundary and be shared by content key within one
+process.  The same type describes fleet cells (``devices > 1``,
+:mod:`repro.fleet`).
 
 Workload specs name a *kind* from a small registry (``"app"`` →
 :func:`repro.workloads.apps.make_app`, ``"throttle"`` →
 :class:`repro.workloads.throttle.Throttle`; extendable via
-:func:`register_workload_kind`) plus positional/keyword arguments.  An
-escape hatch, :meth:`WorkloadSpec.from_callable`, wraps an arbitrary
-zero-argument factory; such specs still run, but are neither cached nor
-shipped to pool workers (closures do not content-address), so cells using
-them always execute serially in the parent process.
+:func:`register_workload_kind`) plus positional/keyword arguments.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.gpu.params import GpuParams
@@ -32,20 +29,13 @@ from repro.workloads.apps import make_app
 from repro.workloads.base import Workload
 from repro.workloads.throttle import Throttle
 
-WorkloadFactory = Callable[[], Workload]
-
 #: Registry of named workload factory kinds; values are callables invoked
 #: as ``factory(*args, **kwargs)`` and returning a fresh :class:`Workload`.
 WORKLOAD_KINDS: dict[str, Callable[..., Workload]] = {}
 
-#: Reserved kind naming specs that carry a raw callable (non-picklable).
-CALLABLE_KIND = "__callable__"
-
 
 def register_workload_kind(name: str, factory: Callable[..., Workload]) -> None:
     """Register (or replace) a named workload factory kind."""
-    if name == CALLABLE_KIND:
-        raise ValueError(f"kind name {CALLABLE_KIND!r} is reserved")
     WORKLOAD_KINDS[name] = factory
 
 
@@ -64,8 +54,6 @@ class WorkloadSpec:
     kind: str
     args: tuple = ()
     kwargs: tuple = ()
-    #: Only set for :meth:`from_callable` specs; excluded from content keys.
-    factory: Optional[WorkloadFactory] = None
 
     @classmethod
     def of(cls, kind: str, *args: Any, **kwargs: Any) -> "WorkloadSpec":
@@ -83,21 +71,8 @@ class WorkloadSpec:
         """The Throttle microbenchmark at a given request size."""
         return cls.of("throttle", request_size_us, **kwargs)
 
-    @classmethod
-    def from_callable(cls, factory: WorkloadFactory) -> "WorkloadSpec":
-        """Wrap an arbitrary factory (serial-only, never cached)."""
-        return cls(CALLABLE_KIND, factory=factory)
-
-    @property
-    def cacheable(self) -> bool:
-        return self.kind != CALLABLE_KIND
-
     def build(self) -> Workload:
         """Instantiate a fresh workload from this spec."""
-        if self.kind == CALLABLE_KIND:
-            if self.factory is None:
-                raise ValueError("callable spec lost its factory")
-            return self.factory()
         try:
             factory = WORKLOAD_KINDS[self.kind]
         except KeyError:
@@ -134,7 +109,7 @@ class CellSpec:
 
     Running a cell is a pure function of its fields (simulations are
     deterministic per seed), which is what makes both the process-pool
-    fan-out and the content-keyed result cache sound.
+    fan-out and sharing results by content key sound.
     """
 
     scheduler: str
@@ -177,18 +152,16 @@ class CellSpec:
         )
 
     @property
-    def cacheable(self) -> bool:
-        return all(workload.cacheable for workload in self.workloads)
-
-    @property
     def is_fleet(self) -> bool:
         """Several devices or planned moves: the fleet fields matter."""
         return self.devices > 1 or bool(self.moves)
 
     def content_key(self) -> str:
-        """Stable content hash identifying this cell's full configuration."""
-        if not self.cacheable:
-            raise ValueError("cells with callable workload specs have no key")
+        """Stable content hash identifying this cell's full configuration.
+
+        It hashes the configuration only, not the code that runs it, so a
+        key identifies a result only within one process.
+        """
         payload = {
             "scheduler": self.scheduler,
             "workloads": [
@@ -202,10 +175,11 @@ class CellSpec:
             "costs": _jsonable(self.costs),
             "gpu_params": _jsonable(self.gpu_params),
         }
-        # Optional fields are keyed only when they matter, so every
-        # pre-existing single-device cached result keeps its key.
         if self.fault_plan is not None:
             payload["fault_plan"] = _jsonable(self.fault_plan)
+        # Fleet fields are keyed only for fleet runs: on one device with
+        # no moves, placement and policy change nothing, so such cells
+        # share one key.
         if self.is_fleet:
             payload["devices"] = self.devices
             payload["placement"] = self.placement
@@ -228,7 +202,6 @@ class CellSpec:
                 tag += f"+{self.fault_plan.name}"
             return tag
         names = "+".join(
-            w.kind if w.kind == CALLABLE_KIND else
             "-".join(str(a) for a in (w.kind,) + w.args)
             for w in self.workloads
         )
@@ -252,10 +225,3 @@ class CellSpec:
             policy=self.policy,
             moves=self.moves,
         )
-
-
-def specs_from_factories(
-    factories: Sequence[WorkloadFactory],
-) -> tuple[WorkloadSpec, ...]:
-    """Wrap raw factories as serial-only specs (compatibility shim)."""
-    return tuple(WorkloadSpec.from_callable(factory) for factory in factories)

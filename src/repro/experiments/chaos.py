@@ -17,9 +17,9 @@ asserts, automatically, that protection survives:
   channel and no engine is executing a dead channel's request (checked
   serially with ground-truth access by :func:`deep_check`).
 
-Cells fan out over the experiment farm (``--workers``) and share the
-content-keyed result cache; fault plans hash into the cache key, so
-chaos cells never collide with the paper-figure cells.
+Cells fan out over the experiment farm (``--workers``); fault plans
+hash into each cell's content key, so chaos cells never collide with the
+paper-figure cells.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.cli import comma_list, positive
 from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.parallel import (
     CellTiming,
-    ResultCache,
     format_cell_timings,
     run_cells,
 )
@@ -275,7 +275,6 @@ def run_matrix(
     duration_us: float = DURATION_US,
     seed: int = 0,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     timings: Optional[list[CellTiming]] = None,
 ) -> list[ChaosOutcome]:
     """Run plans × schedulers on the cell farm and judge every cell."""
@@ -295,8 +294,7 @@ def run_matrix(
         chaos_cell(plan, scheduler, duration_us, seed)
         for plan, scheduler in pairs
     ]
-    all_results = run_cells(specs, workers=workers, cache=cache,
-                            timings=timings)
+    all_results = run_cells(specs, workers=workers, timings=timings)
     return [
         _outcome(plan, scheduler, results)
         for (plan, scheduler), results in zip(pairs, all_results)
@@ -379,7 +377,6 @@ def main(
     duration_us: float = DURATION_US,
     seed: int = 0,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     timings: Optional[list[CellTiming]] = None,
     plan_names: Optional[Sequence[str]] = None,
 ) -> str:
@@ -388,7 +385,6 @@ def main(
         duration_us=duration_us,
         seed=seed,
         workers=workers,
-        cache=cache,
         timings=timings,
     )
     table = format_outcomes(outcomes)
@@ -407,15 +403,15 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
     matrix = sub.add_parser("matrix", help="run plans × schedulers and "
                             "assert the protection invariants")
-    matrix.add_argument("--plans", default=None,
+    matrix.add_argument("--plans", type=comma_list(), default=None,
                         help="comma-separated plan names (default: all)")
-    matrix.add_argument("--schedulers", default=",".join(SCHEDULERS),
+    matrix.add_argument("--schedulers", type=comma_list(),
+                        default=",".join(SCHEDULERS),
                         help="comma-separated scheduler names")
-    matrix.add_argument("--duration-ms", type=float,
+    matrix.add_argument("--duration-ms", type=positive(float),
                         default=DURATION_US / 1000.0)
     matrix.add_argument("--seed", type=int, default=0)
     matrix.add_argument("--workers", type=int, default=1)
-    matrix.add_argument("--cache-dir", type=Path, default=None)
     matrix.add_argument("--strict", action="store_true",
                         help="exit nonzero when any invariant is violated")
 
@@ -423,7 +419,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                          "ground-truth device-state deep check")
     run.add_argument("plan", help="builtin plan name, or a JSON plan file")
     run.add_argument("--scheduler", default="dfq", choices=SCHEDULERS)
-    run.add_argument("--duration-ms", type=float,
+    run.add_argument("--duration-ms", type=positive(float),
                      default=DURATION_US / 1000.0)
     run.add_argument("--seed", type=int, default=0)
 
@@ -458,25 +454,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{label} × {args.scheduler}: all invariants hold")
         return 0
 
-    cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
-    if cache is None:
-        cache = ResultCache()
     timings: list[CellTiming] = []
-    plan_names = (
-        [name.strip() for name in args.plans.split(",") if name.strip()]
-        if args.plans
-        else None
-    )
-    schedulers = [
-        name.strip() for name in args.schedulers.split(",") if name.strip()
-    ]
     outcomes = run_matrix(
-        plan_names=plan_names,
-        schedulers=schedulers,
+        plan_names=args.plans,
+        schedulers=args.schedulers,
         duration_us=args.duration_ms * 1000.0,
         seed=args.seed,
         workers=args.workers,
-        cache=cache,
         timings=timings,
     )
     print(format_outcomes(outcomes))

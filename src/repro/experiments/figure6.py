@@ -15,12 +15,11 @@ run.  The paper's shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.parallel import CellTiming, ResultCache, run_cells
 from repro.metrics.tables import format_table
-from repro.workloads.base import Workload
 
 PAIR_APPS = ("DCT", "FFT", "glxgears", "oclParticles")
 THROTTLE_SIZES_US = (19.0, 110.0, 303.0, 1700.0)
@@ -63,7 +62,6 @@ def cell_specs(
     apps: Sequence[str] = PAIR_APPS,
     sizes: Sequence[float] = THROTTLE_SIZES_US,
     schedulers: Sequence[str] = SCHEDULERS,
-    app_factories: Optional[dict[str, Callable[[], Workload]]] = None,
 ) -> list[CellSpec]:
     """Declare every simulation Figure 6 needs, baselines first.
 
@@ -71,14 +69,7 @@ def cell_specs(
     the app x size x scheduler grid — the same order the serial loop used,
     so results assemble positionally.
     """
-    app_specs = {
-        name: (
-            WorkloadSpec.from_callable(app_factories[name])
-            if app_factories is not None
-            else WorkloadSpec.app(name)
-        )
-        for name in apps
-    }
+    app_specs = {name: WorkloadSpec.app(name) for name in apps}
     throttle_specs = {size: WorkloadSpec.throttle(size) for size in sizes}
     specs = [
         CellSpec.solo(app_specs[name], duration_us, warmup_us, seed)
@@ -110,14 +101,11 @@ def run(
     apps: Sequence[str] = PAIR_APPS,
     sizes: Sequence[float] = THROTTLE_SIZES_US,
     schedulers: Sequence[str] = SCHEDULERS,
-    app_factories: Optional[dict[str, Callable[[], Workload]]] = None,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     timings: Optional[list[CellTiming]] = None,
 ) -> list[PairOutcome]:
-    specs = cell_specs(
-        duration_us, warmup_us, seed, apps, sizes, schedulers, app_factories
-    )
+    specs = cell_specs(duration_us, warmup_us, seed, apps, sizes, schedulers)
     cells = run_cells(specs, workers=workers, cache=cache, timings=timings)
     app_bases = {
         name: next(iter(cells[index].values()))

@@ -1,4 +1,4 @@
-"""Parallel experiment-cell execution with content-keyed result caching.
+"""Parallel experiment-cell execution with content-keyed result sharing.
 
 :func:`run_cells` is the single entry point: it takes a sequence of
 :class:`~repro.experiments.cells.CellSpec` declarations and returns their
@@ -7,21 +7,23 @@ loop regardless of worker count.  Three mechanisms make it fast:
 
 * **dedup** — identical cells (same content key) within one call are
   computed once and share the result object;
-* **cache** — a :class:`ResultCache` (in-memory per run, optionally
-  persisted as JSON files under a directory) carries results *across*
-  calls, so e.g. the solo direct-access baselines are computed once and
-  shared between figure4/5, figure6/7, and figure9/10;
+* **cache** — a :data:`ResultCache` (a plain dict from content key to
+  results, living for one process) carries results *across* calls, so
+  e.g. the solo direct-access baselines are computed once and shared
+  between figure4/5, figure6/7, and figure9/10;
 * **fan-out** — with ``workers > 1``, unique uncached cells execute in a
-  ``ProcessPoolExecutor``; cells that cannot be pickled (callable-based
-  workload specs) or any pool failure fall back to serial execution in
-  the parent.
+  ``ProcessPoolExecutor``; any pool failure (including a spec that does
+  not pickle) falls back to serial execution in the parent.
+
+Results are never persisted: a content key hashes a cell's
+configuration, not the code that runs it, so a result is only reused by
+the process that computed it.
 
 Each cell's host wall time is recorded in a :class:`CellTiming` — pool
 cells measure it inside the worker, so it is the cell's own cost, not a
-collection-order artifact — and persisted alongside the cached result,
-so a warm-cache run still reports what its cells originally cost.  Three
-optional observers hook the same resolution points, all inert unless a
-run installs them:
+collection-order artifact; reused cells cost nothing.  Three optional
+observers hook the same resolution points, all inert unless a run
+installs them:
 
 * the cell collector (:mod:`repro.obs.store`) receives each resolved
   cell's results, in resolution order;
@@ -37,28 +39,25 @@ virtual time inside each cell remains fully deterministic.
 
 from __future__ import annotations
 
-import json
-import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.cells import CellSpec
 from repro.experiments.progress import active_progress
 from repro.experiments.runner import WorkloadResult
-from repro.metrics.rounds import RoundStats
 from repro.obs.monitor import active_monitor
 from repro.obs.store import RunCollector, active_collector
 
 CellResults = dict[str, WorkloadResult]
 
+#: Content key → results, shared by the ``run_cells`` calls of one process.
+ResultCache = dict[str, CellResults]
 
-# ----------------------------------------------------------------------
-# Result (de)serialization — for the on-disk cache
-# ----------------------------------------------------------------------
+
 def result_to_jsonable(result: WorkloadResult) -> dict:
+    """One workload's result as plain JSON-encodable data."""
     rounds = result.rounds
     return {
         "name": result.name,
@@ -77,110 +76,17 @@ def result_to_jsonable(result: WorkloadResult) -> dict:
     }
 
 
-def result_from_jsonable(payload: dict) -> WorkloadResult:
-    rounds = payload["rounds"]
-    return WorkloadResult(
-        name=payload["name"],
-        rounds=RoundStats(
-            count=rounds["count"],
-            mean_us=rounds["mean_us"],
-            median_us=rounds["median_us"],
-            p95_us=rounds["p95_us"],
-        ),
-        killed=payload["killed"],
-        kill_reason=payload["kill_reason"],
-        mean_request_us=payload["mean_request_us"],
-        requests_submitted=payload["requests_submitted"],
-        ground_truth_usage_us=payload["ground_truth_usage_us"],
-        metrics=payload.get("metrics", {}),
-    )
-
-
-class ResultCache:
-    """Content-keyed cache of cell results.
-
-    In-memory always; when ``directory`` is given, results are also
-    persisted as one JSON file per content key and reloaded lazily, so
-    repeated CLI invocations (``--cache-dir``) skip finished cells.
-
-    Alongside each result the cache remembers the wall time originally
-    spent computing it (``wall_s`` in the JSON payload — an additive
-    field, so caches written before it existed still load), which lets
-    warm-cache runs report what their reused cells once cost.
-    """
-
-    def __init__(self, directory: Optional[Path] = None) -> None:
-        self._memory: dict[str, CellResults] = {}
-        self._wall: dict[str, Optional[float]] = {}
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def _path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> Optional[CellResults]:
-        found = self._memory.get(key)
-        if found is not None:
-            self.hits += 1
-            return found
-        path = self._path(key)
-        if path is not None and path.is_file():
-            payload = json.loads(path.read_text())
-            found = {
-                name: result_from_jsonable(entry)
-                for name, entry in payload["results"].items()
-            }
-            self._memory[key] = found
-            self._wall[key] = payload.get("wall_s")
-            self.hits += 1
-            return found
-        self.misses += 1
-        return None
-
-    def wall_s(self, key: str) -> Optional[float]:
-        """Wall time originally spent computing ``key``, if known."""
-        return self._wall.get(key)
-
-    def put(
-        self, key: str, results: CellResults, wall_s: Optional[float] = None
-    ) -> None:
-        self._memory[key] = results
-        if wall_s is not None or key not in self._wall:
-            self._wall[key] = wall_s
-        path = self._path(key)
-        if path is not None:
-            payload = {
-                "results": {
-                    name: result_to_jsonable(result)
-                    for name, result in results.items()
-                },
-                "wall_s": self._wall[key],
-            }
-            path.write_text(json.dumps(payload))
-
-
 @dataclass(frozen=True)
 class CellTiming:
-    """Host wall time spent producing one cell's result.
+    """Host wall time this run spent producing one cell's result.
 
-    ``wall_s`` is what *this* run paid; for reused cells (``cache`` /
-    ``dup``) that is ~0 and ``cached_wall_s`` carries what the cell cost
-    when it was originally computed, when the cache still knows.
+    Reused cells (``cache`` / ``dup``) cost nothing and record 0.
     """
 
     index: int
     label: str
     wall_s: float
     source: str  # "run" | "pool" | "cache" | "dup"
-    cached_wall_s: float = 0.0
 
 
 def format_cell_timings(timings: Sequence[CellTiming]) -> str:
@@ -189,14 +95,10 @@ def format_cell_timings(timings: Sequence[CellTiming]) -> str:
         return "cell farm: no cells executed"
     executed = [t for t in timings if t.source in ("run", "pool")]
     reused = len(timings) - len(executed)
-    total = sum(t.wall_s for t in timings)
-    computed = sum(t.wall_s for t in executed)
-    saved = sum(t.cached_wall_s for t in timings if t.source not in ("run", "pool"))
-    saved_text = f", reuse saved {saved:.2f}s" if saved > 0 else ""
+    total = sum(t.wall_s for t in executed)
     lines = [
         f"cell farm: {len(timings)} cells "
-        f"({len(executed)} executed, {reused} reused), "
-        f"wall {total:.2f}s (computed {computed:.2f}s{saved_text})"
+        f"({len(executed)} executed, {reused} reused), wall {total:.2f}s"
     ]
     slowest = sorted(executed, key=lambda t: (-t.wall_s, t.index))[:5]
     for timing in slowest:
@@ -216,16 +118,6 @@ def _execute_cell(spec: CellSpec) -> tuple[CellResults, float]:
     started = time.perf_counter()
     results = spec.run()
     return results, time.perf_counter() - started
-
-
-def _picklable(spec: CellSpec) -> bool:
-    if not spec.cacheable:  # callable-based specs never cross the boundary
-        return False
-    try:
-        pickle.dumps(spec)
-    except Exception:
-        return False
-    return True
 
 
 def _collect_cell(
@@ -258,7 +150,8 @@ def run_cells(
     """Execute every cell and return results in spec order.
 
     ``workers <= 1`` (or any pool/pickling failure) degrades to plain
-    serial execution; output is identical either way.
+    serial execution; output is identical either way.  Results found in
+    ``cache`` are reused, and every computed result is added to it.
     """
     clock = time.perf_counter
     collector = active_collector()
@@ -266,9 +159,18 @@ def run_cells(
     monitor_session = active_monitor()
 
     results: list[Optional[CellResults]] = [None] * len(specs)
-    keys: list[Optional[str]] = [
-        spec.content_key() if spec.cacheable else None for spec in specs
-    ]
+    keys = [spec.content_key() for spec in specs]
+
+    def reuse(index: int, source: str) -> None:
+        """Report a cell whose result came from the cache or a twin."""
+        label = specs[index].label()
+        if timings is not None:
+            timings.append(CellTiming(index, label, 0.0, source))
+        _collect_cell(collector, specs[index], index, source, results[index])
+        if monitor_session is not None:
+            monitor_session.cell_reused(label, source)
+        if progress is not None:
+            progress.cell_done(index, label, source, 0.0)
 
     if progress is not None:
         progress.begin(len(specs))
@@ -276,41 +178,19 @@ def run_cells(
     # Resolve cache hits and intra-call duplicates first.
     first_owner: dict[str, int] = {}
     pending: list[int] = []
-    for index, (spec, key) in enumerate(zip(specs, keys)):
-        if key is None:
+    for index, key in enumerate(keys):
+        if cache is not None and key in cache:
+            results[index] = cache[key]
+            reuse(index, "cache")
+        elif key not in first_owner:
+            first_owner[key] = index
             pending.append(index)
-            continue
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                results[index] = cached
-                cached_wall = cache.wall_s(key) or 0.0
-                if timings is not None:
-                    timings.append(
-                        CellTiming(index, spec.label(), 0.0, "cache",
-                                   cached_wall)
-                    )
-                _collect_cell(collector, spec, index, "cache", cached)
-                if monitor_session is not None:
-                    monitor_session.cell_reused(spec.label(), "cache")
-                if progress is not None:
-                    progress.cell_done(index, spec.label(), "cache", 0.0)
-                continue
-        if key in first_owner:
-            continue  # duplicate of an earlier pending cell
-        first_owner[key] = index
-        pending.append(index)
 
     workers = max(1, min(int(workers), len(pending) or 1))
     # A monitoring session lives in this process (module-level hooks and
     # live sinks don't cross a pool boundary), so monitored cells always
     # execute serially in the parent.
-    use_pool = (
-        workers > 1
-        and monitor_session is None
-        and all(_picklable(specs[i]) for i in pending)
-    )
-    computed_wall: dict[int, float] = {}
+    use_pool = workers > 1 and monitor_session is None
 
     if use_pool and pending:
         timings_mark = len(timings) if timings is not None else 0
@@ -330,7 +210,6 @@ def run_cells(
                         index = futures[future]
                         cell_results, wall = future.result()
                         results[index] = cell_results
-                        computed_wall[index] = wall
                         if timings is not None:
                             timings.append(
                                 CellTiming(
@@ -374,34 +253,20 @@ def run_cells(
                     progress.cell_failed(index, spec.label())
                 raise
             wall = clock() - started
-            computed_wall[index] = wall
             if timings is not None:
                 timings.append(CellTiming(index, spec.label(), wall, "run"))
             _collect_cell(collector, spec, index, "run", results[index])
             if progress is not None:
                 progress.cell_done(index, spec.label(), "run", wall)
 
-    # Fill caches and duplicate slots from the computed owners.
-    for index in pending:
-        key = keys[index]
-        if key is not None and cache is not None:
-            cache.put(key, results[index], wall_s=computed_wall.get(index))
+    # Fill the cache and duplicate slots from the computed owners.
+    if cache is not None:
+        for index in pending:
+            cache[keys[index]] = results[index]
     for index, key in enumerate(keys):
-        if results[index] is None and key is not None:
-            owner = first_owner[key]
-            results[index] = results[owner]
-            owner_wall = computed_wall.get(owner, 0.0)
-            if timings is not None:
-                timings.append(
-                    CellTiming(index, specs[index].label(), 0.0, "dup",
-                               owner_wall)
-                )
-            _collect_cell(collector, specs[index], index, "dup",
-                          results[index])
-            if monitor_session is not None:
-                monitor_session.cell_reused(specs[index].label(), "dup")
-            if progress is not None:
-                progress.cell_done(index, specs[index].label(), "dup", 0.0)
+        if results[index] is None:
+            results[index] = results[first_owner[key]]
+            reuse(index, "dup")
 
     if progress is not None:
         progress.end()

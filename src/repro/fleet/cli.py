@@ -1,8 +1,8 @@
 """The fleet CLI: ``repro fleet run|chaos|policies|placements``.
 
 ``repro fleet run --devices N --tenants M`` runs one fleet scenario per
-seed on the experiment farm (``--workers``, shared result cache) and
-prints a deterministic per-device rollup plus fleet-level summary.
+seed on the experiment farm (``--workers``) and prints a deterministic
+per-device rollup plus fleet-level summary.
 ``--window-us`` attaches the streaming monitor rig to every run
 (windowed tables on stderr, stdout unchanged); ``--slo-jain-floor``
 installs a ``fairness_floor`` SLO rule over the windowed per-tenant
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from repro.cli import comma_list, positive
 from repro.experiments.cells import CellSpec
 from repro.experiments.parallel import (
     CellTiming,
-    ResultCache,
     format_cell_timings,
     run_cells,
 )
@@ -41,12 +40,6 @@ from repro.fleet.placement import placement_registry
 from repro.fleet.policies import global_policy_registry
 
 DEFAULT_DURATION_US = 200_000.0
-
-
-def _parse_seeds(args: argparse.Namespace) -> List[int]:
-    if args.seeds:
-        return [int(part) for part in args.seeds.split(",") if part != ""]
-    return [args.seed]
 
 
 def _parse_losses(
@@ -96,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one fleet scenario per seed")
-    run.add_argument("--devices", type=int, default=1)
-    run.add_argument("--tenants", type=int, default=4)
+    run.add_argument("--devices", type=positive(int), default=1)
+    run.add_argument("--tenants", type=positive(int), default=4)
     run.add_argument("--scheduler", default="dfq")
     run.add_argument(
         "--placement", default="least-loaded",
@@ -114,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--partitions", type=int, default=1,
         help="tenant name partitions (p0., p1., ...) for affinity/quotas",
     )
-    run.add_argument("--duration-ms", type=float, default=None)
+    run.add_argument("--duration-ms", type=positive(float), default=None)
     run.add_argument("--warmup-ms", type=float, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--seeds", default=None,
+        "--seeds", type=comma_list(int), default=None,
         help="comma-separated seed list (overrides --seed)",
     )
     run.add_argument(
@@ -132,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: mid-run); repeatable",
     )
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--cache-dir", type=Path, default=None)
     run.add_argument(
         "--window-us", type=float, default=None,
         help="attach the streaming monitor rig with this window width",
@@ -162,16 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="device-loss matrix across placement policies"
     )
-    chaos.add_argument("--devices", type=int, default=3)
-    chaos.add_argument("--tenants", type=int, default=9)
+    chaos.add_argument("--devices", type=positive(int), default=3)
+    chaos.add_argument("--tenants", type=positive(int), default=9)
     chaos.add_argument("--scheduler", default="dfq")
     chaos.add_argument("--policy", default="fleet-fair")
     chaos.add_argument("--request-us", type=float, default=800.0)
-    chaos.add_argument("--duration-ms", type=float, default=None)
+    chaos.add_argument("--duration-ms", type=positive(float), default=None)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--workers", type=int, default=1)
-    chaos.add_argument("--no-cache", action="store_true")
-    chaos.add_argument("--cache-dir", type=Path, default=None)
 
     sub.add_parser("policies", help="list global fair-share policies")
     sub.add_parser("placements", help="list placement policies")
@@ -194,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     fault_plan = _parse_losses(args.lose_device, duration_us)
     moves = _parse_moves(args.migrate)
-    seeds = _parse_seeds(args)
+    seeds = args.seeds or [args.seed]
     workloads = tenant_specs(
         args.tenants,
         request_size_us=args.request_us,
@@ -254,15 +243,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         stack = ExitStack()
         stack.enter_context(monitoring(session))
 
-    cache = None if (args.no_cache or session is not None) else ResultCache(
-        args.cache_dir
-    )
     timings: list[CellTiming] = []
     try:
         all_results = run_cells(
             specs,
             workers=1 if session is not None else args.workers,
-            cache=cache,
             timings=timings,
         )
     finally:
@@ -320,7 +305,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     warmup_us = min(duration_us / 4, 50_000.0)
     workloads = tenant_specs(
         args.tenants, request_size_us=args.request_us,
-        partitions=max(1, args.devices),
+        partitions=args.devices,
     )
     scenarios: list[tuple[str, CellSpec]] = []
     for placement in sorted(placement_registry):
@@ -358,11 +343,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             ),
         )
     )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
     timings: list[CellTiming] = []
     all_results = run_cells(
         [spec for _, spec in scenarios],
-        workers=args.workers, cache=cache, timings=timings,
+        workers=args.workers, timings=timings,
     )
     from repro.metrics.tables import format_table
 

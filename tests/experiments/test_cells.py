@@ -43,21 +43,6 @@ def test_register_workload_kind_roundtrip():
     assert isinstance(workload, Throttle)
 
 
-def test_reserved_kind_name_rejected():
-    with pytest.raises(ValueError):
-        register_workload_kind("__callable__", lambda: Throttle(5.0))
-
-
-def test_callable_spec_is_serial_only():
-    spec = WorkloadSpec.from_callable(lambda: Throttle(7.0))
-    assert not spec.cacheable
-    assert isinstance(spec.build(), Throttle)
-    cell = CellSpec("direct", (spec,), 1_000.0, 0.0)
-    assert not cell.cacheable
-    with pytest.raises(ValueError):
-        cell.content_key()
-
-
 def test_cell_spec_pickles():
     cell = CellSpec(
         scheduler="dfq",

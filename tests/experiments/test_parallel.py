@@ -1,4 +1,4 @@
-"""Parallel cell farm: determinism, caching, fallback.
+"""Parallel cell farm: determinism, result sharing, fallback.
 
 The cross-driver equivalence tests run a *reduced* figure6/figure9 grid
 twice — serial and with a worker pool — and require identical outcome
@@ -6,16 +6,22 @@ tables.  CI exercises this file with ``workers=2`` as its equivalence
 gate (see .github/workflows/ci.yml).
 """
 
+import io
+
 from repro.experiments import figure6, figure9
-from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.cells import (
+    CellSpec,
+    WorkloadSpec,
+    register_workload_kind,
+)
 from repro.experiments.parallel import (
     CellTiming,
     ResultCache,
     format_cell_timings,
-    result_from_jsonable,
-    result_to_jsonable,
     run_cells,
 )
+from repro.experiments.progress import CellProgress, progressing
+from repro.workloads.throttle import Throttle
 
 QUICK = dict(duration_us=60_000.0, warmup_us=10_000.0)
 
@@ -59,20 +65,22 @@ def test_figure9_reduced_grid_parallel_equivalence():
 
 
 def test_baseline_cache_returns_exactly_the_uncached_results():
-    cache = ResultCache()
+    cache: ResultCache = {}
     specs = _quick_cells(count=2)
     uncached = run_cells(specs, workers=1)
     cached_run = run_cells(specs, workers=1, cache=cache)
-    hit_run = run_cells(specs, workers=1, cache=cache)
+    timings: list[CellTiming] = []
+    hit_run = run_cells(specs, workers=1, cache=cache, timings=timings)
     assert cached_run == uncached
     assert hit_run == cached_run
     # Second pass is pure cache: the very same objects come back.
     assert all(a is b for a, b in zip(cached_run, hit_run))
-    assert cache.hits == len(specs)
+    assert [t.source for t in timings] == ["cache"] * len(specs)
+    assert all(t.wall_s == 0.0 for t in timings)
 
 
 def test_cache_shares_solo_baselines_across_drivers():
-    cache = ResultCache()
+    cache: ResultCache = {}
     timings6: list[CellTiming] = []
     figure6.run(
         **QUICK,
@@ -104,37 +112,34 @@ def test_intra_call_duplicates_computed_once():
     assert sources == ["dup", "dup", "run"]
 
 
-def test_on_disk_cache_roundtrip(tmp_path):
-    specs = _quick_cells(count=2)
-    fresh = run_cells(specs, workers=1)
-    cache = ResultCache(tmp_path)
-    run_cells(specs, workers=1, cache=cache)
-    assert len(list(tmp_path.glob("*.json"))) == 2
-    # A brand-new cache instance reloads identical results from disk.
-    reloaded = run_cells(specs, workers=1, cache=ResultCache(tmp_path))
-    assert reloaded == fresh
-
-
-def test_result_json_roundtrip():
-    result = run_cells(_quick_cells(count=1))[0]["t0"]
-    assert result_from_jsonable(result_to_jsonable(result)) == result
-
-
 def test_callable_specs_fall_back_to_serial():
-    from repro.workloads.throttle import Throttle
+    # A spec carrying a local callable content-keys (by its ``name``) but
+    # does not pickle: the pool fails and the farm recomputes serially,
+    # reporting each cell once, as "run".
+    class LocalFactory:
+        name = "local"
 
+        def __call__(self, name):
+            return Throttle(21.0, name=name)
+
+    register_workload_kind("call", lambda factory, name: factory(name))
     specs = [
         CellSpec(
             "direct",
-            (WorkloadSpec.from_callable(lambda: Throttle(21.0, name="c")),),
+            (WorkloadSpec.of("call", LocalFactory(), name),),
             duration_us=5_000.0,
             warmup_us=500.0,
         )
+        for name in ("c0", "c1")
     ]
     timings: list[CellTiming] = []
-    results = run_cells(specs, workers=4, timings=timings)
-    assert results[0]["c"].rounds.count > 0
-    assert [t.source for t in timings] == ["run"]
+    stream = io.StringIO()
+    with progressing(CellProgress(stream)):
+        results = run_cells(specs, workers=2, timings=timings)
+    assert "worker pool failed" in stream.getvalue()
+    assert results[0]["c0"].rounds.count > 0
+    assert results[1]["c1"].rounds.count > 0
+    assert sorted(t.source for t in timings) == ["run", "run"]
 
 
 class _ThirdFutureFails:
@@ -185,7 +190,7 @@ def test_pool_fallback_reports_each_cell_once(monkeypatch):
 
 
 def test_timing_summary_mentions_cells_and_reuse():
-    cache = ResultCache()
+    cache: ResultCache = {}
     specs = _quick_cells(count=2)
     timings: list[CellTiming] = []
     run_cells(specs, cache=cache, timings=timings)
@@ -200,56 +205,10 @@ def test_empty_timing_summary():
     assert "no cells" in format_cell_timings([])
 
 
-def test_warm_cache_reports_original_cell_cost(tmp_path):
-    # The cache persists wall_s alongside each result, so a warm-cache
-    # run (even in a fresh process/cache instance) still knows what its
-    # reused cells originally cost.
-    specs = _quick_cells(count=2)
-    cold: list[CellTiming] = []
-    run_cells(specs, workers=1, cache=ResultCache(tmp_path), timings=cold)
-    warm: list[CellTiming] = []
-    run_cells(specs, workers=1, cache=ResultCache(tmp_path), timings=warm)
-    assert all(t.source == "cache" for t in warm)
-    original = {t.index: t.wall_s for t in cold}
-    for timing in warm:
-        assert timing.wall_s == 0.0
-        assert timing.cached_wall_s == original[timing.index]
-    summary = format_cell_timings(warm)
-    assert "reuse saved" in summary
-
-
-def test_dup_timings_carry_owner_wall():
-    spec = _quick_cells(count=1)[0]
-    timings: list[CellTiming] = []
-    run_cells([spec, spec], workers=1, timings=timings)
-    by_source = {t.source: t for t in timings}
-    assert by_source["dup"].cached_wall_s == by_source["run"].wall_s
-
-
-def test_old_cache_files_without_wall_still_load(tmp_path):
-    # Additive schema on disk: payloads written before wall_s existed
-    # (or with it stripped) must load, just without a reuse figure.
-    import json
-
-    specs = _quick_cells(count=1)
-    run_cells(specs, workers=1, cache=ResultCache(tmp_path))
-    path = next(tmp_path.glob("*.json"))
-    payload = json.loads(path.read_text())
-    del payload["wall_s"]
-    path.write_text(json.dumps(payload))
-    timings: list[CellTiming] = []
-    results = run_cells(
-        specs, workers=1, cache=ResultCache(tmp_path), timings=timings
-    )
-    assert results[0]["t0"].rounds.count >= 0
-    assert timings[0].source == "cache"
-    assert timings[0].cached_wall_s == 0.0
-
-
 def test_collector_captures_every_cell_once():
     from repro.obs.store import RunCollector, collecting
 
-    cache = ResultCache()
+    cache: ResultCache = {}
     spec_a, spec_b = _quick_cells(count=2)
     collector = RunCollector("unit")
     with collecting(collector):

@@ -23,7 +23,7 @@ def test_placements_listing(capsys):
 def test_run_prints_fleet_table(capsys):
     code = fleet_main([
         "run", "--devices", "2", "--tenants", "4",
-        "--duration-ms", "40", "--no-cache",
+        "--duration-ms", "40",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -34,7 +34,7 @@ def test_run_prints_fleet_table(capsys):
 def test_run_is_dispatched_from_the_top_level_cli(capsys):
     code = repro_main([
         "fleet", "run", "--devices", "2", "--tenants", "4",
-        "--duration-ms", "40", "--no-cache",
+        "--duration-ms", "40",
     ])
     assert code == 0
     assert "fleet Jain index" in capsys.readouterr().out
@@ -42,7 +42,7 @@ def test_run_is_dispatched_from_the_top_level_cli(capsys):
 
 def test_run_determinism_same_stdout(capsys):
     argv = ["run", "--devices", "2", "--tenants", "6",
-            "--duration-ms", "40", "--no-cache"]
+            "--duration-ms", "40"]
     assert fleet_main(argv) == 0
     first = capsys.readouterr().out
     assert fleet_main(argv) == 0
@@ -60,7 +60,6 @@ def test_monitored_run_with_jain_gate(capsys):
         "run", "--devices", "2", "--tenants", "8",
         "--duration-ms", "60", "--window-us", "30000",
         "--slo-jain-floor", "0.9", "--fail-on-violation", "--quiet",
-        "--no-cache",
     ])
     captured = capsys.readouterr()
     assert code == 0, captured.err
@@ -71,7 +70,7 @@ def test_device_loss_run_checks_invariants(capsys):
     code = fleet_main([
         "run", "--devices", "3", "--tenants", "6",
         "--duration-ms", "80", "--lose-device", "0@30",
-        "--fail-on-violation", "--no-cache",
+        "--fail-on-violation",
     ])
     captured = capsys.readouterr()
     assert code == 0, captured.out

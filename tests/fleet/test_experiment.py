@@ -43,16 +43,6 @@ def test_content_key_tracks_every_field(field, value):
     assert spec(**{field: value}).content_key() != spec().content_key()
 
 
-def test_uncacheable_workloads_have_no_key():
-    from repro.fleet.tenants import FleetTenant
-
-    wild = WorkloadSpec.from_callable(lambda: FleetTenant("w"))
-    bad = spec(workloads=(wild,))
-    assert not bad.cacheable
-    with pytest.raises(ValueError):
-        bad.content_key()
-
-
 def test_label_shape():
     assert spec().label() == "fleet2:dfq:4ten:least-loaded:fleet-fair:s0"
     lossy = spec(fault_plan=device_loss_plan(1, 10_000.0))

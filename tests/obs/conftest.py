@@ -34,6 +34,6 @@ def fleet_trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fleet") / "fleet.jsonl"
     main([
         "fleet", "run", "--devices", "2", "--tenants", "4",
-        "--duration-ms", "100", "--no-cache", "--trace-out", str(path),
+        "--duration-ms", "100", "--trace-out", str(path),
     ])
     return path

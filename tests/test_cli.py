@@ -47,7 +47,6 @@ def test_workers_default_is_serial():
     args = build_parser().parse_args(["figure6"])
     assert args.workers == 1
     assert not args.no_cache
-    assert args.cache_dir is None
 
 
 def test_cell_experiment_emits_wall_time_summary(capsys):
@@ -64,20 +63,60 @@ def test_non_cell_experiment_accepts_farm_flags(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
-def test_cache_dir_persists_results(tmp_path, capsys):
-    cache_dir = tmp_path / "cells"
-    assert main(
-        ["figure5", "--duration-ms", "10", "--cache-dir", str(cache_dir)]
-    ) == 0
-    first = capsys.readouterr().out
-    files = list(cache_dir.glob("*.json"))
-    assert files
-    assert main(
-        ["figure5", "--duration-ms", "10", "--cache-dir", str(cache_dir)]
-    ) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first  # cached rerun is byte-identical
-    assert "0 executed" in captured.err or "executed" in captured.err
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure5", "--cache-dir", "cells"],
+    ["chaos", "matrix", "--cache-dir", "cells"],
+    ["fleet", "run", "--cache-dir", "cells"],
+    ["fleet", "run", "--no-cache"],
+    ["fleet", "chaos", "--cache-dir", "cells"],
+    ["fleet", "chaos", "--no-cache"],
+], ids=" ".join)
+def test_removed_cache_flags_are_usage_errors(argv, capsys):
+    # Results live for one invocation; nothing persists them or opts a
+    # single-call CLI out of sharing.
+    _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "matrix", "--strict", "--plans", ","],
+    ["chaos", "matrix", "--strict", "--schedulers", ","],
+    ["fleet", "run", "--seeds", ",", "--fail-on-violation"],
+], ids=["plans", "schedulers", "seeds"])
+def test_empty_lists_are_usage_errors(argv, capsys):
+    # A gate that runs no cell must not pass.
+    _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure5", "--duration-ms", "-5"],
+    ["figure5", "--duration-ms", "0"],
+    ["chaos", "matrix", "--duration-ms", "0"],
+    ["chaos", "run", "none", "--duration-ms", "-1"],
+    ["fleet", "run", "--devices", "0"],
+    ["fleet", "run", "--tenants", "0"],
+    ["fleet", "run", "--duration-ms", "-20", "--fail-on-violation"],
+    ["fleet", "chaos", "--devices", "0"],
+    ["fleet", "chaos", "--tenants", "0"],
+    ["fleet", "chaos", "--duration-ms", "0"],
+], ids=" ".join)
+def test_non_positive_numbers_are_usage_errors(argv, capsys):
+    _usage_error(argv, capsys)
+
+
+def test_positive_and_comma_list_parse_good_values():
+    from repro.cli import comma_list, positive
+
+    assert positive(int)("3") == 3
+    assert positive(float)("0.5") == 0.5
+    assert comma_list(int)("1, 2,,3") == [1, 2, 3]
+    assert comma_list()("none,hang") == ["none", "hang"]
 
 
 def test_catalog_covers_every_paper_artifact():
