@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Seeing a scheduler's interleaving: ASCII timelines and bar charts.
+"""Seeing a scheduler's interleaving: ASCII timelines.
 
 Captures submit/complete traces for DCT vs a large-request Throttle under
 three schedulers and renders each interleaving as an ASCII timeline —
@@ -11,7 +11,6 @@ Run:  python examples/timeline_visualization.py
 """
 
 from repro import Throttle, build_env, make_app, run_workloads
-from repro.analysis.charts import bar_chart
 from repro.analysis.timeline import (
     TIMELINE_KINDS,
     build_timeline,
@@ -36,7 +35,8 @@ def main() -> None:
         shares.append((scheduler, timeline.share("DCT")))
 
     print("DCT's share of device time in the window:")
-    print(bar_chart(shares, width=40, unit=" share", max_value=1.0))
+    for scheduler, share in shares:
+        print(f"  {scheduler:22s} {'#' * round(40 * share):40s} {share:.2f}")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,12 @@
 """Analysis utilities on top of the experiment drivers.
 
-* :mod:`repro.analysis.reference` — the paper's published numbers as
-  structured data, plus shape checks experiments/benchmarks share;
+* :mod:`repro.analysis.reference` — the paper's claims as structured
+  data, each with the measurement that scores it (``repro claims``);
 * :mod:`repro.analysis.timeline` — per-task busy intervals, utilization,
-  waiting analysis, and ASCII timelines from trace recordings;
-* :mod:`repro.analysis.persist` — JSON persistence for experiment results
-  (dataclass-aware), so sweeps can be archived and diffed across runs.
+  waiting analysis, and ASCII timelines from trace recordings.
 """
 
-from repro.analysis.charts import bar_chart, grouped_bar_chart, sparkline
-from repro.analysis.persist import load_results, save_results
-from repro.analysis.reference import (
-    PAPER,
-    PaperClaim,
-    check_claim,
-    shape_report,
-)
+from repro.analysis.reference import PAPER, PaperClaim, measure, shape_report
 from repro.analysis.timeline import (
     BusyInterval,
     Timeline,
@@ -28,13 +19,8 @@ __all__ = [
     "PAPER",
     "PaperClaim",
     "Timeline",
-    "bar_chart",
     "build_timeline",
-    "check_claim",
-    "grouped_bar_chart",
-    "load_results",
+    "measure",
     "render_ascii_timeline",
-    "save_results",
     "shape_report",
-    "sparkline",
 ]

@@ -1,7 +1,10 @@
 """Command-line interface: ``repro <experiment> [--duration-ms N] [--seed N]``.
 
 Runs any paper experiment and prints its table.  ``repro list`` shows the
-catalog; ``repro all`` regenerates everything (slow).  ``repro staticcheck``
+catalog; ``repro all`` regenerates everything (slow).  ``repro claims``
+scores every paper claim in :data:`repro.analysis.reference.PAPER` at the
+claim's own scale, prints one scoreboard line per claim, and exits 1 if
+any misses its band.  ``repro staticcheck``
 runs the neonlint static analyzer (see docs/STATIC_ANALYSIS.md).
 ``repro trace`` records, summarizes, filters, exports, and diffs
 structured traces; ``repro monitor`` runs any experiment
@@ -127,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment name, 'list', or 'all'",
+        help="experiment name, 'list', 'all', or 'claims'",
     )
     parser.add_argument(
         "--duration-ms",
@@ -207,6 +210,18 @@ def _call_experiment(
     runner(**kwargs)
 
 
+def _claims(args: argparse.Namespace, cache: Optional[ResultCache]) -> int:
+    """Score every paper claim; 1 if any lands outside its band."""
+    from repro.analysis import reference
+
+    measured = reference.measure(reference.PAPER.values(), seed=args.seed,
+                                 workers=args.workers, cache=cache)
+    print(reference.shape_report(measured))
+    in_band = all(reference.PAPER[key].accepts(value)
+                  for key, value in measured.items())
+    return 0 if in_band else 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "staticcheck":
@@ -244,12 +259,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.fleet.cli import main as fleet_main
 
         return fleet_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name:12s} {description}")
         return 0
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.experiment == "claims":
+        # Kept out of EXPERIMENTS, so ``repro all`` output is unchanged.
+        if args.duration_ms is not None:
+            parser.error("claims takes no --duration-ms: each claim's "
+                         "scale is part of the claim")
+        names = []
+    else:
+        names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         print(
@@ -270,6 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         stack = None
     try:
+        if args.experiment == "claims":
+            return _claims(args, cache)
         for name in names:
             runner, _ = EXPERIMENTS[name]
             print(f"== {name} ==")

@@ -4,7 +4,8 @@ Every driver exposes a ``run(...)`` function returning structured results
 and a ``main()`` that prints the paper-style table; the CLI
 (``python -m repro <experiment>``) dispatches to them.  Durations default
 to values long enough for steady state but can be shrunk for quick runs
-(the benchmarks do exactly that).
+(``repro claims`` runs each claim's driver at a fixed reduced scale, see
+:mod:`repro.analysis.reference`).
 """
 
 from repro.experiments.cells import (

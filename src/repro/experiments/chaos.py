@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.cli import comma_list, positive
+from repro.core.base import scheduler_registry
 from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.parallel import (
     CellTiming,
@@ -454,6 +455,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{label} × {args.scheduler}: all invariants hold")
         return 0
 
+    for flag, names, known in (
+        ("--plans", args.plans or [], builtin_plans()),
+        ("--schedulers", args.schedulers, sorted(scheduler_registry)),
+    ):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            matrix.error(f"{flag}: unknown {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
     timings: list[CellTiming] = []
     outcomes = run_matrix(
         plan_names=args.plans,

@@ -178,6 +178,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.warmup_ms is not None
         else min(duration_us / 4, 50_000.0)
     )
+    if not 0.0 <= warmup_us < duration_us:
+        # A warmup that covers the run leaves no rounds to measure.
+        print(f"--warmup-ms must be >= 0 and below the duration "
+              f"({duration_us / 1000.0:g} ms)", file=sys.stderr)
+        return 2
     if args.slo_jain_floor is not None and args.window_us is None:
         print("--slo-jain-floor needs --window-us", file=sys.stderr)
         return 2

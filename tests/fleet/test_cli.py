@@ -49,6 +49,19 @@ def test_run_determinism_same_stdout(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("warmup_ms", ["500", "40", "-1"])
+def test_warmup_outside_the_run_is_a_usage_error(warmup_ms, capsys):
+    # A warmup that covers the run measures no rounds; the gate must not
+    # pass on an empty measurement.
+    assert fleet_main([
+        "run", "--devices", "2", "--duration-ms", "40",
+        "--warmup-ms", warmup_ms, "--fail-on-violation",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "--warmup-ms must be >= 0 and below the duration" in captured.err
+    assert "Jain" not in captured.out
+
+
 def test_jain_floor_requires_windows(capsys):
     assert fleet_main([
         "run", "--devices", "2", "--slo-jain-floor", "0.9",

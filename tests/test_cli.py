@@ -110,6 +110,49 @@ def test_non_positive_numbers_are_usage_errors(argv, capsys):
     _usage_error(argv, capsys)
 
 
+@pytest.mark.parametrize("argv, known", [
+    (["chaos", "matrix", "--strict", "--plans", "none",
+      "--schedulers", "bogus"], "disengaged-timeslice"),
+    (["chaos", "matrix", "--strict", "--plans", "none,bogus"], "refstall"),
+], ids=["schedulers", "plans"])
+def test_unknown_chaos_names_are_usage_errors(argv, known, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "unknown bogus; known:" in err
+    assert known in err
+
+
+def test_claims_takes_no_duration(capsys):
+    # Each claim's scale is part of the claim.
+    _usage_error(["claims", "--duration-ms", "10"], capsys)
+
+
+def test_claims_exits_1_and_names_the_missed_claim(monkeypatch, capsys):
+    import dataclasses
+
+    from repro.analysis import reference
+
+    claim = reference.PAPER["dos_context_limit"]
+    monkeypatch.setattr(reference, "PAPER", {claim.key: claim})
+    assert main(["claims"]) == 0
+    assert "dos_context_limit: measured 48 contexts" in capsys.readouterr().out
+
+    patched = dataclasses.replace(claim, low=49.0, high=49.0)
+    monkeypatch.setattr(reference, "PAPER", {claim.key: patched})
+    assert main(["claims"]) == 1
+    out = capsys.readouterr().out
+    assert "dos_context_limit: measured 48 contexts" in out
+    assert out.rstrip().endswith("-> OUT OF BAND")
+
+
+def test_claims_is_not_an_experiment(capsys):
+    # ``repro all`` and ``repro list`` stay as they were.
+    assert "claims" not in EXPERIMENTS
+
+
 def test_positive_and_comma_list_parse_good_values():
     from repro.cli import comma_list, positive
 
