@@ -169,7 +169,9 @@ class GpuDevice:
                 channel=channel.channel_id,
                 ref=request.ref,
                 size_us=request.size_us,
-                request_kind=request.kind.value,
+                # The member's value attribute: the ``value`` property
+                # costs more than the rest of this payload.
+                request_kind=request.kind._value_,
             )
 
     def _engine_for(self, kind: RequestKind) -> ExecutionEngine:

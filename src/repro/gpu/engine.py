@@ -76,6 +76,8 @@ class ExecutionEngine:
     ) -> None:
         self.sim = sim
         self.name = name
+        #: The ``source`` of every trace record this engine emits.
+        self.trace_source = f"gpu.{name}"
         self.params = params
         self.kinds = kinds
         self.device = device
@@ -358,7 +360,7 @@ class ExecutionEngine:
             sim.schedule_after(request.remaining_us, self._finished, self._exec_gen)
         if self.device.trace.enabled:
             self.device.trace.emit(
-                sim.now, f"gpu.{self.name}", events.EXEC_BEGIN,
+                sim.now, self.trace_source, events.EXEC_BEGIN,
                 task=channel.task.name, channel=channel.channel_id,
                 ref=request.ref,
             )
@@ -413,7 +415,7 @@ class ExecutionEngine:
         self.switch_us += save
         if self.device.trace.enabled:
             self.device.trace.emit(
-                preempted_at, f"gpu.{self.name}", events.REQUEST_PREEMPTED,
+                preempted_at, self.trace_source, events.REQUEST_PREEMPTED,
                 task=channel.task.name, channel=channel.channel_id,
                 ref=request.ref, remaining_us=request.remaining_us,
             )
@@ -494,19 +496,18 @@ class ExecutionEngine:
                 )
         trace = self.device.trace
         if trace.enabled:
-            payload = dict(
-                task=channel.task.name,
-                channel=channel.channel_id,
-                ref=request.ref,
-                service_us=service,
-            )
-            if latency_us is not None:
-                payload["latency_us"] = latency_us
-            trace.emit(
-                now,
-                f"gpu.{self.name}",
-                events.REQUEST_ABORTED if aborted else events.REQUEST_COMPLETE,
-                **payload,
-            )
+            if latency_us is None:
+                trace.emit(
+                    now, self.trace_source,
+                    events.REQUEST_ABORTED if aborted else events.REQUEST_COMPLETE,
+                    task=channel.task.name, channel=channel.channel_id,
+                    ref=request.ref, service_us=service,
+                )
+            else:
+                trace.emit(
+                    now, self.trace_source, events.REQUEST_COMPLETE,
+                    task=channel.task.name, channel=channel.channel_id,
+                    ref=request.ref, service_us=service, latency_us=latency_us,
+                )
         if not request.triggered:
             request.trigger(request)

@@ -17,10 +17,14 @@ Pure bookkeeping — no simulator, gpu, or kernel imports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator
 
 from repro.obs import events
 from repro.sim.trace import TraceRecord
+
+
+#: The page flips, and the state each one switches a channel's clock to.
+_FLIPS = {events.CHANNEL_ENGAGED: True, events.CHANNEL_DISENGAGED: False}
 
 
 class _Clock:
@@ -93,30 +97,25 @@ class EngagementClock:
                 if elapsed > 0:
                     yield clock.tenant, clock.engaged, elapsed
 
-    def observe(
-        self, record: TraceRecord, key: Callable[[dict], Optional[str]]
-    ) -> None:
-        """Apply one record; ``key`` maps its payload to a tenant or None."""
+    def observe(self, record: TraceRecord) -> None:
+        """Apply one record, keyed by its ``tenant``."""
         kind = record.kind
-        payload = record.payload
         if kind == events.TASK_EXIT or kind == events.TASK_KILLED:
-            tenant = key(payload)
+            tenant = record.tenant
             for channel_id in sorted(self._clocks):
                 if self._clocks[channel_id].tenant == tenant:
                     self.stop(channel_id, record.time)
             return
-        channel_id = payload.get("channel")
+        channel_id = record.payload.get("channel")
         if not isinstance(channel_id, int):
             return
         if channel_id not in self._clocks:
-            tenant = key(payload)
-            if tenant is None:
+            if record.tenant is None:
                 return
-            self.start(channel_id, tenant, False, record.time)
-        if kind == events.CHANNEL_ENGAGED:
-            self.flip(channel_id, True, record.time)
-        elif kind == events.CHANNEL_DISENGAGED:
-            self.flip(channel_id, False, record.time)
+            self.start(channel_id, record.tenant, False, record.time)
+        engaged = _FLIPS.get(kind)
+        if engaged is not None:
+            self.flip(channel_id, engaged, record.time)
 
     def _settle(self, clock: _Clock, now: float) -> None:
         elapsed = now - clock.since

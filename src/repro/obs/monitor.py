@@ -137,7 +137,7 @@ class Monitor:
         """Close the final (possibly partial) window; idempotent."""
         if end_us is None:
             # Safety net for aborted runs: flush whole buckets only.
-            end_us = self.aggregator._bucket.start_us
+            end_us = self.aggregator.open_bucket_start_us
         self.aggregator.finish(end_us)
 
     @property

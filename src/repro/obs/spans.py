@@ -12,10 +12,11 @@ The trace (:mod:`repro.sim.trace`) is a flat event stream.
 * the fault/recovery timeline;
 * the engagement-overhead breakdown, paired per device.
 
-Tenants are keyed by :func:`~repro.obs.windows.tenant_key` (``name``,
-or ``name@dN`` on device-tagged fleet traces), and each span carries the
-key the summary counts it under.  The fold is a pure function of the
-record stream, so it runs in two interchangeable modes:
+Tenants are keyed by each record's ``tenant`` (``name``, or ``name@dN``
+on device-tagged fleet traces; see :func:`~repro.sim.trace.tenant_key`),
+and each span carries the key the summary counts it under.  The fold is
+a pure function of the record stream, so it runs in two interchangeable
+modes:
 
 * as a **live sink** registered with
   :meth:`~repro.sim.trace.TraceRecorder.add_sink`, which sees the
@@ -72,7 +73,6 @@ from typing import Any, Iterable, NamedTuple, Optional, Union
 from repro.obs import events
 from repro.obs.engagement import EngagementClock
 from repro.obs.summary import FaultIncident, TaskSummary, TraceSummary
-from repro.obs.windows import tenant_key
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 SPANS_FORMAT = "repro-spans"
@@ -183,14 +183,11 @@ def span_constant_names() -> frozenset[str]:
 # Result model
 # ----------------------------------------------------------------------
 
-def _us(t: float) -> int:
-    """Integer-microsecond cut point (round-half-even, monotone)."""
-    return round(t)
+class Segment(NamedTuple):
+    """One labeled, contiguous slice of a span's timeline.
 
-
-@dataclass(frozen=True)
-class Segment:
-    """One labeled, contiguous slice of a span's timeline."""
+    Bounds are integer microseconds: ``round()`` of record times
+    (half-even, so monotone in time)."""
 
     label: str
     start_us: int
@@ -201,7 +198,7 @@ class Segment:
         return self.end_us - self.start_us
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One request's reconstructed lifecycle."""
 
@@ -240,9 +237,7 @@ class Span:
             "end_us": self.end_us,
             "terminal": self.terminal,
             "migration_epoch": self.migration_epoch,
-            "segments": [
-                [seg.label, seg.start_us, seg.end_us] for seg in self.segments
-            ],
+            "segments": [list(seg) for seg in self.segments],
             "components": dict(self.components),
             "latency_us": self.latency_us,
         }
@@ -260,8 +255,7 @@ class SystemSpan:
     payload: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ExecInterval:
+class ExecInterval(NamedTuple):
     """Engine occupancy: who held a device engine over an interval."""
 
     device: int
@@ -311,12 +305,13 @@ class _OpenSpan:
         self.channel = channel
         self.ref: Optional[int] = None
         self.start_us = start_us
-        #: (time, label active from that time); times are non-decreasing.
-        self.cuts: list[tuple[int, str]] = [(_us(start_us), label)]
+        #: (cut, label active from that cut).  Cuts strictly increase and
+        #: neighbouring labels differ, so the phases between cuts are
+        #: the span's segments as they stand.
+        self.cuts: list[tuple[int, str]] = [(round(start_us), label)]
         self.epoch = epoch
 
-    def cut(self, t: float, label: str) -> None:
-        at = _us(t)
+    def cut(self, at: int, label: str) -> None:
         last_at, last_label = self.cuts[-1]
         if at < last_at:
             at = last_at
@@ -388,8 +383,6 @@ def _carve(
     """Relabel the overlap of wait segments with ``windows`` as ``label``.
 
     A pure sub-partition: total duration is preserved exactly."""
-    if not windows:
-        return segments
     out: list[Segment] = []
     for seg in segments:
         if seg.label not in _WAIT_LABELS:
@@ -417,6 +410,27 @@ def _carve(
             pieces = next_pieces
         out.extend(pieces)
     return _merge(out)
+
+
+def _carve_span(
+    span: Span,
+    stalls: Optional[list[tuple[int, int]]],
+    migrations: Optional[list[tuple[int, int]]],
+) -> None:
+    """Relabel a span's wait time inside its device's stall windows and
+    its task's migration windows, then recount its components."""
+    if not stalls and not migrations:
+        return
+    segments = list(span.segments)
+    if stalls:
+        segments = _carve(segments, stalls, "stall")
+    if migrations:
+        segments = _carve(segments, migrations, "migration")
+    components = dict.fromkeys(COMPONENTS, 0)
+    for seg in segments:
+        components[seg.label] += seg.duration_us
+    span.segments = tuple(segments)
+    span.components = components
 
 
 def _merge(segments: list[Segment]) -> list[Segment]:
@@ -456,10 +470,12 @@ class TraceFold:
         self._presubmit: dict[tuple[int, int], deque[_OpenSpan]] = {}
         #: Post-submit spans keyed by (device, channel, ref).
         self._inflight: dict[tuple[int, Optional[int], Any], _OpenSpan] = {}
-        #: (span, end time, end cut, terminal, latency) in close order.
-        self._closed: list[tuple] = []
-        #: Open engine occupancy per (device, source).
-        self._busy: dict[tuple[int, str], list] = {}
+        #: Closed spans in close order, not yet carved by stall and
+        #: migration windows.
+        self._spans: list[Span] = []
+        #: Open engine occupancy per (device, source):
+        #: (task, channel, ref, start cut, device).
+        self._busy: dict[tuple[int, str], tuple] = {}
         self._exec: list[ExecInterval] = []
         #: Open watchdog stall per (device, task) -> start cut.
         self._stall_open: dict[tuple[int, str], int] = {}
@@ -523,7 +539,7 @@ class TraceFold:
         payload = record.payload
         tag = payload.get("device")
         self._device_tags.add(tag)
-        self._engagement.observe(record, tenant_key)
+        self._engagement.observe(record)
         handler = self._handlers.get(kind)
         if handler is not None:
             handler(record, t, payload, tag if isinstance(tag, int) else 0)
@@ -533,7 +549,7 @@ class TraceFold:
 
     # -- per-kind handlers ----------------------------------------------
     def _on_fault(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is None:
             return
         self._task(tenant).faults += 1
@@ -548,10 +564,10 @@ class TraceFold:
         queue = self._presubmit.get((device, payload.get("channel")))
         if queue:
             blocked = record.kind == events.SCHED_WAIT_BEGIN
-            queue[-1].cut(t, "sched_wait" if blocked else "handler")
+            queue[-1].cut(round(t), "sched_wait" if blocked else "handler")
 
     def _on_submit(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is None:
             return
         self._task(tenant).submits += 1
@@ -559,6 +575,7 @@ class TraceFold:
         queue = self._presubmit.get((device, channel))
         if queue:
             span = queue.popleft()
+            span.cut(round(t), "queue")
         else:
             # Direct (unprotected) submit: the doorbell write is the
             # first observable point of this request's life.
@@ -566,38 +583,39 @@ class TraceFold:
             span = _OpenSpan(task, tenant, device, channel, t, "queue",
                              self._epoch.get(task, 0))
         span.ref = payload.get("ref")
-        span.cut(t, "queue")
         self._inflight[(device, channel, span.ref)] = span
 
     def _on_exec_begin(self, record, t, payload, device) -> None:
+        at = round(t)
         channel = payload.get("channel")
         ref = payload.get("ref")
         span = self._inflight.get((device, channel, ref))
         if span is not None:
-            span.cut(t, "exec")
+            span.cut(at, "exec")
         key = (device, record.source)
         open_entry = self._busy.get(key)
         if open_entry is not None:
             # The engine moved on without a terminal for the previous
             # occupant (e.g. a completion publication stalled past the
             # next dispatch): close it at the successor's start.
-            self._busy_record(open_entry, t)
-        self._busy[key] = [payload.get("task"), channel, ref, _us(t), device]
+            self._busy_record(open_entry, at)
+        self._busy[key] = (payload.get("task"), channel, ref, at, device)
 
     def _on_preempted(self, record, t, payload, device) -> None:
+        at = round(t)
         channel = payload.get("channel")
         ref = payload.get("ref")
         span = self._inflight.get((device, channel, ref))
         if span is not None:
-            span.cut(t, "queue")
-        self._busy_end(device, record.source, channel, ref, t)
+            span.cut(at, "queue")
+        self._busy_end(device, record.source, channel, ref, at)
 
     def _on_request_end(self, record, t, payload, device) -> None:
         complete = record.kind == events.REQUEST_COMPLETE
         latency = payload.get("latency_us")
         if not isinstance(latency, (int, float)):
             latency = None
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is not None:
             summary = self._task(tenant)
             if not complete:
@@ -607,16 +625,17 @@ class TraceFold:
                 if latency is not None:
                     summary.latency_sum_us += latency
                     summary.latency_count += 1
+        at = round(t)
         channel = payload.get("channel")
         ref = payload.get("ref")
         span = self._inflight.pop((device, channel, ref), None)
         if span is not None:
-            self._close(span, t, "complete" if complete else "aborted",
+            self._close(span, t, at, "complete" if complete else "aborted",
                         latency)
-        self._busy_end(device, record.source, channel, ref, t)
+        self._busy_end(device, record.source, channel, ref, at)
 
     def _on_denial(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is not None:
             self._task(tenant).denials += 1
 
@@ -627,7 +646,7 @@ class TraceFold:
             self._close_task(task, t, terminal, device=device)
 
     def _on_task_end(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is None:
             return
         if record.kind == events.TASK_EXIT:
@@ -638,28 +657,28 @@ class TraceFold:
             self._close_task(payload["task"], t, "killed")
 
     def _on_fault_injected(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         self._incident(record, tenant, payload.get("point", ""))
         if tenant is not None:
             self._task(tenant).faults_injected += 1
 
     def _on_watchdog_retry(self, record, t, payload, device) -> None:
         self._incident(
-            record, tenant_key(payload),
+            record, record.tenant,
             f"attempt {payload.get('attempt')} "
             f"(timeout {payload.get('timeout_us')} us)",
         )
 
     def _on_fault_detected(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is None:
             return
         self._task(tenant).fault_detections += 1
         self._incident(record, tenant, f"waited {payload.get('waited_us')} us")
-        self._stall_open.setdefault((device, payload["task"]), _us(t))
+        self._stall_open.setdefault((device, payload["task"]), round(t))
 
     def _on_fault_resolved(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is not None:
             if record.kind == events.FAULT_RECOVERED:
                 self._task(tenant).fault_recoveries += 1
@@ -669,7 +688,7 @@ class TraceFold:
                 self._incident(record, tenant, payload.get("reason", ""))
         start = self._stall_open.pop((device, payload.get("task")), None)
         if start is not None:
-            self._stalls.setdefault(device, []).append((start, _us(t)))
+            self._stalls.setdefault(device, []).append((start, round(t)))
 
     def _on_barrier_begin(self, record, t, payload, device) -> None:
         self._device_episodes(device).barrier = t
@@ -690,7 +709,7 @@ class TraceFold:
         self._system_begin(SAMPLE_WINDOW, payload, device, t)
 
     def _on_sample_window_end(self, record, t, payload, device) -> None:
-        tenant = tenant_key(payload)
+        tenant = record.tenant
         if tenant is not None:
             observed = payload.get("observed")
             summary = self._task(tenant)
@@ -728,7 +747,7 @@ class TraceFold:
                 cost if isinstance(cost, (int, float)) else 0.0, epoch,
             ))
             self._mig_windows.setdefault(task, []) \
-                .append((_us(begin), _us(t)))
+                .append((round(begin), round(t)))
             self._epoch[task] = epoch + 1
 
     # -- helpers --------------------------------------------------------
@@ -749,18 +768,17 @@ class TraceFold:
             episodes = self._episodes[device] = _Episodes()
         return episodes
 
-    def _busy_end(self, device, source, channel, ref, t) -> None:
+    def _busy_end(self, device, source, channel, ref, at) -> None:
         key = (device, source)
         entry = self._busy.get(key)
         if entry is not None and entry[1] == channel and entry[2] == ref:
             del self._busy[key]
-            self._busy_record(entry, t)
+            self._busy_record(entry, at)
 
-    def _busy_record(self, entry: list, t: float) -> None:
+    def _busy_record(self, entry: tuple, at: int) -> None:
         task, _channel, _ref, start, device = entry
-        end = max(_us(t), start)
-        if isinstance(task, str) and end > start:
-            self._exec.append(ExecInterval(device, task, start, end))
+        if isinstance(task, str) and at > start:
+            self._exec.append(ExecInterval(device, task, start, at))
 
     def _system_begin(self, spec, payload, device, t) -> None:
         key = (spec.name, device, tuple(payload.get(name) for name in spec.key))
@@ -780,11 +798,27 @@ class TraceFold:
         self,
         span: _OpenSpan,
         t: float,
+        at: int,
         terminal: str,
         latency_us: Optional[float] = None,
     ) -> None:
-        end_at = max(_us(t), span.cuts[-1][0])
-        self._closed.append((span, t, end_at, terminal, latency_us))
+        """Close ``span`` at ``t`` (cut ``at``) into its :class:`Span`."""
+        segments = []
+        components = dict.fromkeys(COMPONENTS, 0)
+        phases = iter(span.cuts)
+        start, label = next(phases)
+        for until, following in phases:
+            segments.append(Segment(label, start, until))
+            components[label] += until - start
+            start, label = until, following
+        if at > start:
+            segments.append(Segment(label, start, at))
+            components[label] += at - start
+        self._spans.append(Span(
+            len(self._spans), span.task, span.tenant, span.device,
+            span.channel, span.ref, span.start_us, t, terminal, span.epoch,
+            tuple(segments), components, latency_us,
+        ))
 
     def _close_task(
         self,
@@ -793,13 +827,14 @@ class TraceFold:
         terminal: str,
         device: Optional[int] = None,
     ) -> None:
+        at = round(t)
         for key in [k for k, q in self._presubmit.items()
                     if q and (device is None or k[0] == device)]:
             queue = self._presubmit[key]
             keep: deque[_OpenSpan] = deque()
             for span in queue:
                 if span.task == task:
-                    self._close(span, t, terminal)
+                    self._close(span, t, at, terminal)
                 else:
                     keep.append(span)
             if keep:
@@ -808,11 +843,11 @@ class TraceFold:
                 del self._presubmit[key]
         for key in [k for k, s in self._inflight.items()
                     if s.task == task and (device is None or k[0] == device)]:
-            self._close(self._inflight.pop(key), t, terminal)
+            self._close(self._inflight.pop(key), t, at, terminal)
         for key in [k for k, entry in self._busy.items()
                     if entry[0] == task and (device is None or k[0] == device)]:
             entry = self._busy.pop(key)
-            self._busy_record(entry, t)
+            self._busy_record(entry, at)
 
     # -- finalization ---------------------------------------------------
     def finish(
@@ -857,79 +892,40 @@ class TraceFold:
         )
 
     def _finish_spans(self, end: float) -> "SpanSet":
+        at = round(end)
         for queue in self._presubmit.values():
             for span in queue:
-                self._close(span, end, "truncated")
+                self._close(span, end, at, "truncated")
         self._presubmit.clear()
         for span in list(self._inflight.values()):
-            self._close(span, end, "truncated")
+            self._close(span, end, at, "truncated")
         self._inflight.clear()
         for entry in list(self._busy.values()):
-            self._busy_record(entry, end)
+            self._busy_record(entry, at)
         self._busy.clear()
         for (device, _task), start in sorted(self._stall_open.items()):
-            self._stalls.setdefault(device, []).append((start, _us(end)))
+            self._stalls.setdefault(device, []).append((start, at))
         self._stall_open.clear()
 
         stalls = {
             device: sorted(windows)
             for device, windows in self._stalls.items()
         }
-        spans = [
-            self._materialize(index, *closed, stalls)
-            for index, closed in enumerate(self._closed)
-        ]
+        migrations = self._mig_windows
+        if stalls or migrations:
+            for span in self._spans:
+                _carve_span(span, stalls.get(span.device),
+                            migrations.get(span.task))
         exec_intervals = sorted(
             self._exec,
             key=lambda iv: (iv.device, iv.start_us, iv.end_us, iv.task),
         )
         return SpanSet(
-            spans=spans,
+            spans=self._spans,
             system_spans=list(self._system),
             migrations=list(self._migrations),
             exec_intervals=exec_intervals,
             end_us=end,
-        )
-
-    def _materialize(
-        self,
-        span_id: int,
-        span: _OpenSpan,
-        end_us: float,
-        end_at: int,
-        terminal: str,
-        latency_us: Optional[float],
-        stalls: dict[int, list[tuple[int, int]]],
-    ) -> Span:
-        segments: list[Segment] = []
-        cuts = span.cuts
-        for position, (at, label) in enumerate(cuts):
-            until = (
-                cuts[position + 1][0] if position + 1 < len(cuts) else end_at
-            )
-            segments.append(Segment(label, at, until))
-        segments = _merge(segments)
-        segments = _carve(segments, stalls.get(span.device, []), "stall")
-        segments = _carve(
-            segments, self._mig_windows.get(span.task, []), "migration"
-        )
-        components = dict.fromkeys(COMPONENTS, 0)
-        for seg in segments:
-            components[seg.label] += seg.duration_us
-        return Span(
-            span_id=span_id,
-            task=span.task,
-            tenant=span.tenant,
-            device=span.device,
-            channel=span.channel,
-            ref=span.ref,
-            start_us=span.start_us,
-            end_us=end_us,
-            terminal=terminal,
-            migration_epoch=span.epoch,
-            segments=tuple(segments),
-            components=components,
-            latency_us=latency_us,
         )
 
 

@@ -42,27 +42,10 @@ from repro.obs import events
 from repro.obs.engagement import EngagementClock
 from repro.sim.trace import TraceRecord
 
-def tenant_key(payload: dict) -> Optional[str]:
-    """The tenant a record's payload belongs to, or None without a task.
-
-    Single-device runs carry no ``device`` field and key tenants by bare
-    task name — unchanged byte-for-byte.  Fleet runs tag every record
-    with a device id (:class:`~repro.sim.trace.DeviceTraceView`), and the
-    same task name on different devices aggregates separately as
-    ``name@dN`` (a migrated tenant's service is attributed per device).
-    """
-    task = payload.get("task")
-    if not isinstance(task, str):
-        return None
-    device = payload.get("device")
-    if device is None:
-        return task
-    return f"{task}@d{device}"
-
 
 def split_tenant(key: str) -> tuple[str, Optional[int]]:
-    """Inverse of :func:`tenant_key`: ``name@dN`` -> (name, N); a bare
-    name -> (name, None)."""
+    """Inverse of :func:`~repro.sim.trace.tenant_key`: ``name@dN`` ->
+    (name, N); a bare name -> (name, None)."""
     name, sep, suffix = key.rpartition("@d")
     if sep and suffix.isdigit():
         return name, int(suffix)
@@ -72,10 +55,20 @@ def split_tenant(key: str) -> tuple[str, Optional[int]]:
 def nearest_rank(values: list[float], q: float) -> float:
     """The nearest-rank ``q`` quantile of a non-empty list: the
     ``max(1, ceil(q*n))``-th smallest value (no interpolation)."""
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: list[float], q: float) -> float:
+    """:func:`nearest_rank` of an already sorted list."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    rank = max(1, math.ceil(q * len(values)))
-    return sorted(values)[rank - 1]
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
+def _binned(ordered: list[float], q: float, bin_us: float) -> float:
+    """Upper edge of the ``bin_us``-wide bin holding the nearest-rank
+    ``q`` value of a sorted list (negative values fall in bin 0)."""
+    return (max(0, int(_ranked(ordered, q) // bin_us)) + 1) * bin_us
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,7 @@ class TenantWindow:
         above the exact value.  None before any completion."""
         if not self.latencies:
             return None
-        index = max(0, int(nearest_rank(self.latencies, q) // bin_us))
-        return (index + 1) * bin_us
+        return _binned(sorted(self.latencies), q, bin_us)
 
     def to_dict(self, span_us: float, bin_us: float) -> dict:
         out = {
@@ -187,13 +179,14 @@ class TenantWindow:
             out["vt"] = self.vt
         latencies = self.latencies
         if latencies:
+            ordered = sorted(latencies)
             out["latency"] = {
                 "count": len(latencies),
                 "mean_us": self.latency_total_us / len(latencies),
-                "p50_us": self.latency_quantile(0.50, bin_us),
-                "p95_us": self.latency_quantile(0.95, bin_us),
-                "p99_us": self.latency_quantile(0.99, bin_us),
-                "max_us": max(latencies),
+                "p50_us": _binned(ordered, 0.50, bin_us),
+                "p95_us": _binned(ordered, 0.95, bin_us),
+                "p99_us": _binned(ordered, 0.99, bin_us),
+                "max_us": ordered[-1],
             }
         return out
 
@@ -243,6 +236,70 @@ class WindowSnapshot:
         }
 
 
+#: The kinds the monitor emits back into the stream it watches: the
+#: registry's ``obs`` layer (``window.*`` and ``slo.*``).
+_MONITOR_KINDS = frozenset(
+    spec.kind for spec in events.EVENT_KINDS.values() if spec.layer == "obs"
+)
+
+
+def _tally_complete(stats: TenantWindow, payload: dict) -> None:
+    stats.completions += 1
+    stats.service_us += payload.get("service_us", 0.0)
+    latency = payload.get("latency_us")
+    if latency is not None:
+        stats.latencies.append(latency)
+        stats.latency_total_us += latency
+
+
+def _tally_submit(stats: TenantWindow, payload: dict) -> None:
+    stats.submits += 1
+
+
+def _tally_share(stats: TenantWindow, payload: dict) -> None:
+    stats.share_usage_us += payload["usage_us"]
+
+
+def _tally_vt(stats: TenantWindow, payload: dict) -> None:
+    stats.vt = payload.get("vt")
+
+
+def _tally_overuse(stats: TenantWindow, payload: dict) -> None:
+    stats.overuse_us += payload.get("excess_us", 0.0)
+
+
+def _tally_fault(stats: TenantWindow, payload: dict) -> None:
+    stats.faults += 1
+
+
+def _tally_denial(stats: TenantWindow, payload: dict) -> None:
+    stats.denials += 1
+
+
+def _tally_escalation(stats: TenantWindow, payload: dict) -> None:
+    stats.escalations += 1
+
+
+def _tally_kill(stats: TenantWindow, payload: dict) -> None:
+    stats.kills += 1
+
+
+#: The per-tenant window quantity each kind adds to.  Every other kind
+#: only advances the window clock; channel flips, exits and kills also
+#: feed the engagement clock.
+_TALLIES = {
+    events.REQUEST_COMPLETE: _tally_complete,
+    events.REQUEST_SUBMIT: _tally_submit,
+    events.SHARE_SAMPLE: _tally_share,
+    events.VT_UPDATE: _tally_vt,
+    events.OVERUSE_CHARGE: _tally_overuse,
+    events.FAULT: _tally_fault,
+    events.DENIAL: _tally_denial,
+    events.FAULT_ESCALATED: _tally_escalation,
+    events.TASK_KILLED: _tally_kill,
+}
+
+
 class WindowAggregator:
     """The live sink: consumes trace records, closes windows on time.
 
@@ -274,15 +331,24 @@ class WindowAggregator:
         self._callbacks.append(callback)
         return callback
 
+    @property
+    def open_bucket_start_us(self) -> float:
+        """Start of the bucket records currently land in."""
+        return self._bucket.start_us
+
     # -- sink protocol -------------------------------------------------
     def __call__(self, record: TraceRecord) -> None:
         kind = record.kind
         # Never consume our own monitor output (re-entrant emits).
-        if kind.startswith("window.") or kind.startswith("slo."):
+        if kind in _MONITOR_KINDS:
             return
-        self._advance(record.time)
-        self._engagement.observe(record, tenant_key)
-        self._consume(record)
+        if record.time >= self._bucket.end_us:
+            self._advance(record.time)
+        self._engagement.observe(record)
+        tally = _TALLIES.get(kind)
+        tenant = record.tenant
+        if tally is not None and tenant is not None:
+            tally(self._tenant(tenant), record.payload)
 
     # -- time machinery ------------------------------------------------
     def _advance(self, now: float) -> None:
@@ -365,39 +431,6 @@ class WindowAggregator:
         if stats is None:
             stats = self._bucket.tenants[name] = TenantWindow()
         return stats
-
-    def _consume(self, record: TraceRecord) -> None:
-        payload = record.payload
-        tenant = tenant_key(payload)
-        if tenant is None:
-            return
-        kind = record.kind
-        if kind == events.REQUEST_COMPLETE:
-            stats = self._tenant(tenant)
-            stats.completions += 1
-            stats.service_us += payload.get("service_us", 0.0)
-            latency = payload.get("latency_us")
-            if latency is not None:
-                stats.latencies.append(latency)
-                stats.latency_total_us += latency
-        elif kind == events.REQUEST_SUBMIT:
-            self._tenant(tenant).submits += 1
-        elif kind == events.SHARE_SAMPLE:
-            self._tenant(tenant).share_usage_us += payload["usage_us"]
-        elif kind == events.VT_UPDATE:
-            self._tenant(tenant).vt = payload.get("vt")
-        elif kind == events.OVERUSE_CHARGE:
-            self._tenant(tenant).overuse_us += payload.get("excess_us", 0.0)
-        elif kind == events.FAULT:
-            self._tenant(tenant).faults += 1
-        elif kind == events.DENIAL:
-            self._tenant(tenant).denials += 1
-        elif kind == events.FAULT_ESCALATED:
-            self._tenant(tenant).escalations += 1
-        elif kind == events.TASK_KILLED:
-            self._tenant(tenant).kills += 1
-        # Everything else carries no per-tenant window quantity; channel
-        # flips, exits and kills also feed the engagement clock.
 
 
 def aggregate_trace(

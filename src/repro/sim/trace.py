@@ -39,14 +39,42 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 DEFAULT_TRACE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+def tenant_key(payload: dict) -> Optional[str]:
+    """The tenant a record's payload belongs to, or None without a task.
+
+    Single-device runs carry no ``device`` field and key tenants by bare
+    task name — unchanged byte-for-byte.  Fleet runs tag every record
+    with a device id (:class:`DeviceTraceView`), and the same task name
+    on different devices aggregates separately as ``name@dN`` (a
+    migrated tenant's service is attributed per device).
+    """
+    task = payload.get("task")
+    if not isinstance(task, str):
+        return None
+    device = payload.get("device")
+    if device is None:
+        return task
+    return f"{task}@d{device}"
+
+
+@dataclass(slots=True)
 class TraceRecord:
-    """One trace entry."""
+    """One trace entry: ``TraceRecord(time, source, kind, payload)``.
+
+    ``tenant`` is :func:`tenant_key` of the payload, computed once when
+    the record is built, so every consumer of the stream reads the same
+    key without decoding the payload again.  Records are values: nothing
+    changes a record or its payload once it is built.
+    """
 
     time: float
     source: str
     kind: str
     payload: dict[str, Any] = field(default_factory=dict)
+    tenant: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tenant = tenant_key(self.payload)
 
 
 class TraceRecorder:

@@ -2,8 +2,13 @@
 
 from repro.experiments.runner import build_env, run_workloads
 from repro.fleet.tenants import FleetTenant
-from repro.obs.windows import split_tenant, tenant_key
-from repro.sim.trace import DeviceTraceView, TraceRecord, TraceRecorder
+from repro.obs.windows import split_tenant
+from repro.sim.trace import (
+    DeviceTraceView,
+    TraceRecord,
+    TraceRecorder,
+    tenant_key,
+)
 
 
 def test_view_tags_every_emitted_record():

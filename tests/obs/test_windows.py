@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.experiments.runner import build_env, run_workloads
+from repro.obs import events
 from repro.obs.monitor import MonitorSession, monitoring
 from repro.obs.slo import SloRule
 from repro.obs.windows import (
@@ -228,12 +229,24 @@ def test_direct_windows_account_every_channel_us():
 
 
 def test_monitor_emits_are_ignored_by_the_sink():
-    aggregator = WindowAggregator(WindowConfig(100.0))
-    aggregator(_rec(500.0, "window.close", window=0))
-    aggregator(_rec(500.0, "slo.violation", rule="r", task="a"))
-    # Neither advanced the clock nor created tenants.
-    assert aggregator.windows_closed == 0
-    assert aggregator._bucket.start_us == 0.0
+    # Every kind the monitor emits back into the stream, read from the
+    # registry, so a new monitor kind cannot slip past the sink's filter.
+    monitor_kinds = [
+        spec.kind for spec in events.EVENT_KINDS.values()
+        if spec.layer == "obs" or spec.kind.startswith(("window.", "slo."))
+    ]
+    assert {"window.close", "slo.violation", "slo.recovered"} <= set(
+        monitor_kinds
+    )
+    for kind in monitor_kinds:
+        aggregator = WindowAggregator(WindowConfig(100.0))
+        # Consumed, this record would close four windows, start a
+        # channel clock and, for a tallied kind, create a tenant.
+        aggregator(_rec(450.0, kind, task="a", channel=1, usage_us=1.0))
+        assert aggregator.windows_closed == 0, kind
+        assert aggregator.open_bucket_start_us == 0.0, kind
+        aggregator.finish(50.0)
+        assert [s.tenants for s in aggregator.snapshots] == [{}], kind
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_clear():
     assert len(recorder) == 0
 
 
-def test_records_are_frozen():
+def test_records_expose_their_fields():
     recorder = TraceRecorder()
     recorder.emit(1.0, "x", "k", a=1)
     record = next(recorder.records())
