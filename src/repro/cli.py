@@ -22,7 +22,8 @@ stdout are byte-identical regardless of worker count or sharing; the
 per-cell wall-time summary goes to stderr.
 
 :func:`positive` and :func:`comma_list` are the argument types shared
-with the ``repro chaos`` and ``repro fleet`` parsers.
+with the ``repro chaos``, ``repro fleet``, ``repro trace``, ``repro why``
+and ``repro monitor`` parsers.
 """
 
 from __future__ import annotations

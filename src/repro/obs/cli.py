@@ -20,6 +20,10 @@ import argparse
 import sys
 from typing import Optional, Sequence, TextIO
 
+from repro.cli import comma_list, positive
+from repro.core import scheduler_registry
+from repro.experiments.runner import DEFAULT_DURATION_US, build_env, run_workloads
+from repro.faults.plan import FaultPlan
 from repro.obs import events
 from repro.obs.export import (
     load_trace,
@@ -29,9 +33,49 @@ from repro.obs.export import (
 from repro.obs.spans import fold_trace
 from repro.obs.summary import diff_counts, diff_tasks
 from repro.sim.trace import DEFAULT_TRACE_CAP, TraceRecorder
+from repro.workloads.apps import app_instances, make_app
+from repro.workloads.profiles import APP_PROFILES
 
-#: Default virtual duration for inline recordings (µs).
-DEFAULT_RECORD_DURATION_US = 400_000.0
+
+def add_run_options(
+    group: "argparse._ActionsContainer",
+    duration_help: str = "virtual duration in milliseconds (default: 400)",
+) -> None:
+    """The inline-run options of ``repro trace record|summary``, ``repro
+    why`` and ``repro monitor run``.  An unknown name, an empty
+    ``--apps``, a duration not above 0 or an unreadable fault plan is a
+    usage error."""
+    group.add_argument(
+        "--scheduler", choices=sorted(scheduler_registry), default="dfq",
+        metavar="NAME", help="scheduler to run (default: dfq)",
+    )
+    group.add_argument(
+        "--apps", type=comma_list(_app_name), default="glxgears,BitonicSort",
+        help="comma-separated Table 1 app names; repeat a name for "
+        "multiple instances (default: glxgears,BitonicSort)",
+    )
+    group.add_argument(
+        "--duration-ms", type=positive(float), default=None, help=duration_help
+    )
+    group.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    group.add_argument(
+        "--fault-plan", type=_fault_plan, default=None, metavar="FILE",
+        help="JSON fault plan to install for the run (repro.faults)",
+    )
+
+
+def _app_name(name: str) -> str:
+    if name not in APP_PROFILES:
+        known = ", ".join(sorted(APP_PROFILES))
+        raise argparse.ArgumentTypeError(f"unknown app {name!r}; known: {known}")
+    return name
+
+
+def _fault_plan(path: str) -> FaultPlan:
+    try:
+        return FaultPlan.load(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,34 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("kinds", help="list the registered trace event kinds")
 
-    def add_run_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--scheduler", default="dfq",
-            help="scheduler to run (default: dfq)",
-        )
-        p.add_argument(
-            "--apps", default="glxgears,BitonicSort",
-            help="comma-separated Table 1 app names (default: "
-            "glxgears,BitonicSort)",
-        )
-        p.add_argument(
-            "--duration-ms", type=float, default=None,
-            help="virtual duration in milliseconds (default: 400)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-        p.add_argument(
-            "--max-records", type=int, default=DEFAULT_TRACE_CAP,
-            help="trace ring-buffer capacity (oldest records drop beyond it)",
-        )
-        p.add_argument(
-            "--fault-plan", default=None, metavar="FILE",
-            help="JSON fault plan to install for the run (repro.faults)",
-        )
-
     record = sub.add_parser(
         "record", help="run a simulation and write its trace as JSONL"
     )
-    add_run_options(record)
     record.add_argument(
         "-o", "--output", default=None,
         help="output path (default: stdout)",
@@ -89,7 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable JSON instead of the table rendering "
         "(same summary model; 'repro why' consumes this)",
     )
-    add_run_options(summary)
+    for inline in (record, summary):
+        add_run_options(inline)
+        inline.add_argument(
+            "--max-records", type=int, default=DEFAULT_TRACE_CAP,
+            help="trace ring-buffer capacity (oldest records drop beyond it)",
+        )
 
     filter_cmd = sub.add_parser(
         "filter", help="select records from a JSONL trace (JSONL out)"
@@ -162,10 +186,6 @@ def record_trace(
     fault_plan=None,
 ) -> tuple[TraceRecorder, float]:
     """Run a small simulation with tracing on; returns (trace, end time)."""
-    # Imported here so trace-file analysis never loads the simulator.
-    from repro.experiments.runner import build_env, run_workloads
-    from repro.workloads.apps import app_instances, make_app
-
     trace = TraceRecorder(max_records=max_records)
     env = build_env(scheduler, seed=seed, trace=trace, fault_plan=fault_plan)
     workloads = [
@@ -176,10 +196,6 @@ def record_trace(
     return trace, env.sim.now
 
 
-def _parse_apps(spec: str) -> list[str]:
-    return [name.strip() for name in spec.split(",") if name.strip()]
-
-
 def _obtain_trace(args: argparse.Namespace) -> tuple[TraceRecorder, Optional[float]]:
     """A trace from the file argument, or from an inline recording."""
     if getattr(args, "trace", None) is not None:
@@ -187,16 +203,11 @@ def _obtain_trace(args: argparse.Namespace) -> tuple[TraceRecorder, Optional[flo
     duration_us = (
         args.duration_ms * 1000.0
         if args.duration_ms is not None
-        else DEFAULT_RECORD_DURATION_US
+        else DEFAULT_DURATION_US
     )
-    fault_plan = None
-    if getattr(args, "fault_plan", None) is not None:
-        from repro.faults.plan import FaultPlan
-
-        fault_plan = FaultPlan.load(args.fault_plan)
     return record_trace(
-        args.scheduler, _parse_apps(args.apps), duration_us, args.seed,
-        args.max_records, fault_plan,
+        args.scheduler, args.apps, duration_us, args.seed,
+        args.max_records, args.fault_plan,
     )
 
 

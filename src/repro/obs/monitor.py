@@ -323,6 +323,10 @@ def monitoring(session: MonitorSession) -> Iterator[MonitorSession]:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here: the experiment layer imports this module.
+    from repro.experiments.chaos import builtin_plans
+    from repro.obs.cli import add_run_options
+
     parser = argparse.ArgumentParser(
         prog="repro monitor",
         description=(
@@ -410,29 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="retain at most N window snapshots per run in memory and in "
         "the report (default: all)",
     )
-    run = parser.add_argument_group("simulation (experiment and 'run' mode)")
-    run.add_argument(
-        "--duration-ms", type=float, default=None,
-        help="simulated duration per run in milliseconds "
-        "(default: per-experiment)",
+    run = parser.add_argument_group(
+        "simulation ('run' mode; --duration-ms and --seed also apply to "
+        "experiments)"
     )
-    run.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    run.add_argument(
-        "--scheduler", default="dfq",
-        help="'run' mode: scheduler to run (default: dfq)",
+    add_run_options(
+        run,
+        duration_help="simulated duration per run in milliseconds "
+        "(default: per-experiment; 400 in 'run' mode)",
     )
     run.add_argument(
-        "--apps", default="glxgears,BitonicSort",
-        help="'run' mode: comma-separated Table 1 app names",
-    )
-    run.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="'run' mode: JSON fault plan to install",
-    )
-    run.add_argument(
-        "--chaos", default=None, metavar="PLAN",
-        help="'run' mode: builtin chaos plan name (victim + bystander mix "
-        "under chaos costs; see 'repro chaos plans')",
+        "--chaos", choices=sorted(builtin_plans()), default=None, metavar="PLAN",
+        help="builtin chaos plan name (victim + bystander mix under chaos "
+        "costs; see 'repro chaos plans')",
     )
     return parser
 
@@ -527,13 +521,8 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
     if args.chaos is not None:
         from repro.experiments.chaos import builtin_plans, chaos_cell
 
-        catalog = builtin_plans()
-        if args.chaos not in catalog:
-            known = ", ".join(sorted(catalog))
-            raise KeyError(
-                f"unknown chaos plan {args.chaos!r}; known: {known}"
-            )
-        spec = chaos_cell(catalog[args.chaos], args.scheduler, seed=args.seed)
+        plan = builtin_plans()[args.chaos]
+        spec = chaos_cell(plan, args.scheduler, seed=args.seed)
         if args.duration_ms is not None:
             spec = replace(spec, duration_us=args.duration_ms * 1000.0)
     else:
@@ -544,17 +533,9 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
         )
         from repro.workloads.apps import app_instances
 
-        fault_plan = None
-        if args.fault_plan is not None:
-            from repro.faults.plan import FaultPlan
-
-            fault_plan = FaultPlan.load(args.fault_plan)
-        names = [name.strip() for name in args.apps.split(",") if name.strip()]
-        if not names:
-            raise ValueError("--apps needs at least one application name")
         workloads = [
             WorkloadSpec.app(name, instance=instance)
-            for name, instance in app_instances(names)
+            for name, instance in app_instances(args.apps)
         ]
         duration_us = (
             args.duration_ms * 1000.0 if args.duration_ms is not None
@@ -566,7 +547,7 @@ def _run_inline(args: argparse.Namespace, session: MonitorSession) -> None:
             duration_us=duration_us,
             warmup_us=min(DEFAULT_WARMUP_US, duration_us / 4),
             seed=args.seed,
-            fault_plan=fault_plan,
+            fault_plan=args.fault_plan,
         )
     session.begin_cell(spec.label())
     spec.run()

@@ -37,7 +37,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.obs.cli import _obtain_trace
+from repro.obs.cli import _obtain_trace, add_run_options
 from repro.obs.spans import (
     COMPONENT_LABELS,
     COMPONENTS,
@@ -96,24 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable attribution instead of the text rendering",
     )
     run = parser.add_argument_group("inline run (no trace file)")
-    run.add_argument("--scheduler", default="dfq",
-                     help="scheduler to run (default: dfq)")
-    run.add_argument(
-        "--apps", default="glxgears,BitonicSort",
-        help="comma-separated Table 1 app names; repeat a name for "
-        "multiple instances (default: glxgears,BitonicSort)",
-    )
-    run.add_argument("--duration-ms", type=float, default=None,
-                     help="virtual duration in milliseconds (default: 400)")
-    run.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    add_run_options(run)
     run.add_argument(
         "--max-records", type=int, default=None,
         help="trace ring-buffer capacity for the inline run "
         "(default: unbounded — spans need the whole stream)",
-    )
-    run.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        help="JSON fault plan to install for the inline run",
     )
     return parser
 

@@ -352,11 +352,11 @@ class Kernel:
             # Our context was torn down while we were blocked; the pending
             # ProcessKilled will arrive momentarily — wait for it.
             yield self.sim.event()
-        completion = self.device.submit(channel, request)
+        self.device.submit(channel, request)
         self.submit_count += 1
         if observed and self.scheduler is not None:
             self.scheduler.on_submit(task, channel, request)
-        return completion
+        return request
 
     def submit_batch(self, task: Task, channel: "Channel", requests: list[Request]):
         """Submit back-to-back requests in one kick (a generator).
@@ -402,6 +402,6 @@ class Kernel:
         if driver_work:
             cost += self.costs.driver_work_us
         yield cost
-        completion = self.device.submit(channel, request)
+        self.device.submit(channel, request)
         self.submit_count += 1
-        return completion
+        return request

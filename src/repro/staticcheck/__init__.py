@@ -16,9 +16,10 @@ Five rule families, in two layers:
 * **determinism** (``NEON2xx``, per-file) — no wall clocks, no stdlib
   ``random``, no unseeded/global numpy RNG outside the seeded-stream
   registry, no iteration over unordered sets;
-* **generator discipline** (``NEON3xx``, per-file) — virtual-time-consuming
-  generator methods must be driven with ``yield from``; engagement flip
-  counts must not be silently discarded;
+* **generator discipline** (``NEON3xx``) — virtual-time-consuming
+  generator methods must be driven with ``yield from`` (NEON301/302
+  resolve each call through the project model); engagement flip counts
+  must not be silently discarded (NEON303, per-file);
 * **typed registries** (``NEON4xx``, per-file) — trace event kinds and
   fault injection points must be registered constants, never literals;
 * **whole-program** (``NEON5xx``) — over a linked module/import/call
@@ -37,7 +38,7 @@ suppression audit, and the whole-program-rule authoring guide.
 """
 
 from repro.staticcheck.config import Config
-from repro.staticcheck.core import Violation, analyze_paths, collect_files
+from repro.staticcheck.core import Violation, collect_files
 from repro.staticcheck.engine import AnalysisResult, AnalysisStats, run_analysis
 from repro.staticcheck.rules import RULES
 
@@ -47,7 +48,6 @@ __all__ = [
     "Config",
     "RULES",
     "Violation",
-    "analyze_paths",
     "collect_files",
     "run_analysis",
 ]

@@ -77,7 +77,7 @@ class Config:
         "repro.experiments.parallel",
         "repro.obs.clock",
     )
-    #: Known cross-module virtual-time generator methods (NEON301/302).
+    #: Generator names for calls the model cannot resolve (NEON301/302).
     generator_methods: tuple[str, ...] = ("drain", "scan_channel")
     #: Bulk engagement methods whose flip count must be charged (NEON303).
     flip_methods: tuple[str, ...] = ("engage_all", "engage_task", "disengage_task")

@@ -1,4 +1,4 @@
-"""neonlint core — module contexts, pragma parsing, and the analysis driver.
+"""neonlint core — module contexts, pragma parsing, and per-file checking.
 
 :func:`parse_module` turns a file into a :class:`ModuleContext` (path,
 dotted module name, AST, raw source lines) or a NEON000 finding, once per
@@ -151,17 +151,3 @@ def check_module(
         if not ctx.pragma_allows(violation.line, violation.rule_id)
     ]
 
-
-def analyze_paths(paths: Iterable[Path], config: "Config") -> list[Violation]:
-    """Per-file rules over every Python file under ``paths``; sorted."""
-    from repro.staticcheck.rules import build_checkers
-
-    checkers = build_checkers(config)
-    violations: list[Violation] = []
-    for path in collect_files(paths):
-        parsed = parse_module(path)
-        if isinstance(parsed, Violation):
-            violations.append(parsed)
-        else:
-            violations.extend(check_module(parsed, config, checkers))
-    return sorted(violations)

@@ -4,11 +4,11 @@ The engine is the one place that orchestrates a full neonlint run:
 
 1. **Parse** every file once into a :class:`ModuleContext` (parse
    failures become NEON000 findings and drop out of the model).
-2. **Per-file rules** (NEON1xx–4xx) run over those contexts, with the
-   checkers built once for the run.
-3. **Whole-program rules** (NEON5xx) run over one shared
+2. **Per-file rules** (NEON1xx–4xx, except NEON301/302) run over those
+   contexts, with the checkers built once for the run.
+3. **Model-based rules** (NEON301/302, NEON5xx) run over one shared
    :class:`~repro.staticcheck.graph.ProjectModel` linked from the same
-   contexts — never per file, so their transitive guarantees hold.
+   contexts — never per file, so calls resolve across modules.
 
 Suppression (the inline pragma) is applied centrally to both layers, so
 ``# neonlint: allow[NEON501] reason`` works exactly like it does for the
@@ -51,7 +51,7 @@ class AnalysisStats:
     parse_wall_s: float = 0.0
     per_file_wall_s: float = 0.0
     whole_program_wall_s: float = 0.0
-    #: Whole-program rule id -> wall seconds.
+    #: Model-based rule id (NEON301/302, NEON5xx) -> wall seconds.
     rule_wall_s: dict[str, float] = dataclasses.field(default_factory=dict)
     violations_by_rule: dict[str, int] = dataclasses.field(default_factory=dict)
     suppressed: int = 0

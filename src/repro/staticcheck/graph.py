@@ -21,7 +21,7 @@ and links them into
 The model is deliberately conservative: anything it cannot resolve by
 name (calls on computed receivers, dynamic dispatch beyond one level of
 inheritance) becomes an *unresolved* call site rather than a guess, so
-NEON5xx rules built on top report only provable chains.
+rules built on top (NEON301/302, NEON5xx) report only provable chains.
 """
 
 from __future__ import annotations

@@ -8,17 +8,20 @@ result creates a generator object and throws it away: no time passes, no
 drain happens, and nothing fails loudly.  This silent no-op bug class is
 endemic to generator-driven discrete-event simulators.
 
-* **NEON301** — a call to a known or locally defined generator appears as
-  a bare expression statement: its result is discarded.
+* **NEON301** — a generator call appears as a bare expression statement:
+  its result is discarded.
 * **NEON302** — a generator call is ``yield``-ed (handing the simulator a
   generator object it cannot wait on) instead of ``yield from``-ed.
 * **NEON303** — the flip count returned by a bulk engagement method
   (``engage_all``/``engage_task``/``disengage_task``) is discarded, so
   the page-flip cost of the barrier can never be charged to virtual time.
 
-Known cross-module generator names come from the config
-(``generator_methods``); locally defined generators are detected from the
-AST (any function whose own scope contains ``yield``).
+NEON301/302 need to know what a call reaches, so they run over the
+project model (:mod:`repro.staticcheck.rules.wholeprogram`): a call whose
+target resolves to a project function is a generator call when that
+function's own scope contains ``yield``; a call the model cannot resolve
+(``self.neon.drain()``) is one only when its last name is in
+``Config.generator_methods``.  NEON303 is per-file and lives here.
 """
 
 from __future__ import annotations
@@ -26,17 +29,10 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from repro.staticcheck.core import ModuleContext, Violation, scope_statements
+from repro.staticcheck.core import ModuleContext, Violation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
-
-
-def _is_generator_def(node: ast.AST) -> bool:
-    return any(
-        isinstance(child, (ast.Yield, ast.YieldFrom))
-        for child in scope_statements(node)
-    )
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -49,57 +45,24 @@ def _call_name(node: ast.Call) -> str | None:
 
 
 class GeneratorChecker:
-    """NEON301–NEON303."""
+    """NEON303."""
 
-    rule_ids = ("NEON301", "NEON302", "NEON303")
+    rule_ids = ("NEON303",)
 
     def check(self, ctx: ModuleContext, config: "Config") -> Iterator[Violation]:
-        generator_names = set(config.generator_methods)
         for node in ast.walk(ctx.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and _is_generator_def(node):
-                generator_names.add(node.name)
-        flip_names = set(config.flip_methods)
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                name = _call_name(node.value)
-                if name in generator_names:
-                    yield Violation(
-                        path=str(ctx.path),
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule_id="NEON301",
-                        message=(
-                            f"result of virtual-time generator '{name}()' is "
-                            "discarded — a silent no-op; drive it with "
-                            "'yield from'"
-                        ),
-                    )
-                elif name in flip_names:
-                    yield Violation(
-                        path=str(ctx.path),
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule_id="NEON303",
-                        message=(
-                            f"flip count returned by '{name}()' is discarded; "
-                            "charge it via neon.flip_cost(flips) so the "
-                            "barrier's page-table cost reaches virtual time"
-                        ),
-                    )
-            elif isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-                name = _call_name(node.value)
-                if name in generator_names:
-                    yield Violation(
-                        path=str(ctx.path),
-                        line=node.value.lineno,
-                        col=node.value.col_offset,
-                        rule_id="NEON302",
-                        message=(
-                            f"'yield {name}(...)' hands the simulator a "
-                            "generator object it cannot wait on; use "
-                            "'yield from'"
-                        ),
-                    )
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+                continue
+            name = _call_name(node.value)
+            if name in config.flip_methods:
+                yield Violation(
+                    path=str(ctx.path),
+                    line=node.lineno,
+                    col=node.col_offset,
+                    rule_id="NEON303",
+                    message=(
+                        f"flip count returned by '{name}()' is discarded; "
+                        "charge it via neon.flip_cost(flips) so the "
+                        "barrier's page-table cost reaches virtual time"
+                    ),
+                )

@@ -1,4 +1,4 @@
-"""Whole-program rules (NEON5xx) — transitive, provable properties.
+"""Model-based rules (NEON301/302, NEON5xx) — transitive, provable properties.
 
 These run over the linked :class:`~repro.staticcheck.graph.ProjectModel`
 rather than one file at a time, so the guarantees they enforce are
@@ -7,6 +7,9 @@ module, no smuggling a shared RNG stream across an import, no policy
 code wandering off the declared observation API, no registry entry that
 nothing in the program can ever produce.
 
+* **NEON301/302** — a generator call is discarded (301) or ``yield``-ed
+  (302); see :mod:`repro.staticcheck.rules.generators` for how a call's
+  resolved target decides that it is one.
 * **NEON501** — transitive boundary taint.  Any call-graph path from a
   boundary module (``repro.core``) to device-internal code
   (``repro.gpu`` / ``repro.osmodel``) that does not pass through a
@@ -38,9 +41,9 @@ import ast
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.staticcheck.core import Violation
+from repro.staticcheck.core import Violation, scope_statements
 from repro.staticcheck.dataflow import RngFacts, reaches_internal
-from repro.staticcheck.graph import FunctionInfo, ProjectModel
+from repro.staticcheck.graph import CallSite, FunctionInfo, ProjectModel, dotted_name
 from repro.staticcheck.rules.events import (
     _kind_argument,
     _receiver_name as _trace_receiver,
@@ -49,12 +52,83 @@ from repro.staticcheck.rules.faults import (
     _point_argument,
     _receiver_name as _faults_receiver,
 )
+from repro.staticcheck.rules.generators import _call_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
 
 #: Longest call chain rendered in a NEON501 diagnostic.
 MAX_CHAIN = 12
+
+
+# ----------------------------------------------------------------------
+# NEON301/302 — virtual-time generators called but not driven
+# ----------------------------------------------------------------------
+def check_discarded_generators(
+    model: ProjectModel, config: "Config"
+) -> Iterator[Violation]:
+    for path, call, name in _generator_calls(model, config, ast.Expr):
+        yield Violation(
+            path=path,
+            line=call.lineno,
+            col=call.col_offset,
+            rule_id="NEON301",
+            message=(
+                f"result of virtual-time generator '{name}()' is discarded — "
+                "a silent no-op; drive it with 'yield from'"
+            ),
+        )
+
+
+def check_yielded_generators(
+    model: ProjectModel, config: "Config"
+) -> Iterator[Violation]:
+    for path, call, name in _generator_calls(model, config, ast.Yield):
+        yield Violation(
+            path=path,
+            line=call.lineno,
+            col=call.col_offset,
+            rule_id="NEON302",
+            message=(
+                f"'yield {name}(...)' hands the simulator a generator object "
+                "it cannot wait on; use 'yield from'"
+            ),
+        )
+
+
+def _generator_calls(
+    model: ProjectModel, config: "Config", holder: type
+) -> Iterator[tuple[str, ast.Call, Optional[str]]]:
+    """``(path, call, call name)`` for each generator call that is the
+    value of a ``holder`` node (a bare statement or a ``yield``)."""
+    for module in sorted(model.modules):
+        info = model.modules[module]
+        # The model's resolved calls, by where each starts and what it names.
+        sites: dict[tuple[int, int, str], CallSite] = {
+            (site.lineno, site.col, site.raw): site
+            for function in info.functions.values()
+            for site in function.calls
+        }
+        for node in ast.walk(info.ctx.tree):
+            if not (isinstance(node, holder) and isinstance(node.value, ast.Call)):
+                continue
+            call = node.value
+            site = sites.get((call.lineno, call.col_offset, dotted_name(call.func)))
+            callee = site.callee if site is not None else None
+            name = _call_name(call)
+            if callee is None:
+                is_generator = name in config.generator_methods
+            else:
+                is_generator = _yields(model.functions.get(callee))
+            if is_generator:
+                yield str(info.path), call, name
+
+
+def _yields(function: Optional[FunctionInfo]) -> bool:
+    return function is not None and any(
+        isinstance(child, (ast.Yield, ast.YieldFrom))
+        for child in scope_statements(function.node)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +519,8 @@ def _reexport_targets(model: ProjectModel) -> set[str]:
 #: Rule id -> checker function, in catalog order.  The engine times and
 #: runs these over one shared project model.
 WHOLE_PROGRAM_CHECKS = {
+    "NEON301": check_discarded_generators,
+    "NEON302": check_yielded_generators,
     "NEON501": check_boundary_taint,
     "NEON502": check_rng_flow,
     "NEON503": check_observation_api,
@@ -456,7 +532,9 @@ __all__ = [
     "WHOLE_PROGRAM_CHECKS",
     "check_boundary_taint",
     "check_dead_registry",
+    "check_discarded_generators",
     "check_observation_api",
     "check_rng_flow",
     "check_unused_imports",
+    "check_yielded_generators",
 ]

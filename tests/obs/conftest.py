@@ -11,9 +11,14 @@ DURATION_US = 200_000.0
 
 
 def traced_run(scheduler="dfq", apps=("glxgears", "BitonicSort"), seed=0,
-               duration_us=DURATION_US, max_records=None):
-    """Run a small simulation with tracing on; returns (env, trace, results)."""
+               duration_us=DURATION_US, max_records=None, sinks=()):
+    """Run a small simulation with tracing on; returns (env, trace, results).
+
+    ``sinks`` are subscribed to the recorder before the run starts.
+    """
     trace = TraceRecorder(max_records=max_records)
+    for sink in sinks:
+        trace.add_sink(sink)
     env = build_env(scheduler, seed=seed, trace=trace)
     workloads = [make_app(name) for name in apps]
     results = run_workloads(env, workloads, duration_us=duration_us)

@@ -178,6 +178,9 @@ def test_hysteresis_flag_delays_inline_rules(capsys):
     assert "SLO VIOLATION" not in capsys.readouterr().err
 
 
-def test_invalid_chaos_plan_raises():
-    with pytest.raises(KeyError):
+def test_invalid_chaos_plan_raises(capsys):
+    # A usage error naming the known plans, not a KeyError traceback.
+    with pytest.raises(SystemExit) as exc:
         monitor_main(["run", "--chaos", "not-a-plan"])
+    assert exc.value.code == 2
+    assert "'discovery', 'hang'" in capsys.readouterr().err

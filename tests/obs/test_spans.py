@@ -6,8 +6,10 @@ The invariants pinned here are the layer's contract:
   to the sum of its segment durations;
 * segments telescope — contiguous, non-overlapping, in time order;
 * a live :class:`TraceFold` sink and a replay over exported JSONL
-  produce byte-identical serializations (eviction-independence, the same
-  property PR-8's windows have);
+  produce byte-identical serializations;
+* a fold subscribed during the run is passive (results and the record
+  stream are unchanged) and eviction-independent (a capped recorder's
+  live fold sees every record before eviction, as the windows do);
 * interference blame only ever names *other* tenants.
 """
 
@@ -35,10 +37,18 @@ from repro.sim.trace import TraceRecorder
 from tests.obs.conftest import traced_run
 
 
+#: A ring-buffer cap far below the run's record count: heavy eviction.
+EVICTING_CAP = 256
+
+
 @pytest.fixture(scope="module")
-def span_run():
-    env, trace, _results = traced_run()
+def span_run(dfq_run):
+    env, trace, _results = dfq_run
     return trace, env.sim.now, build_spans(trace, env.sim.now)
+
+
+def _canonical(span_set):
+    return json.dumps(span_set.to_dict(), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +120,26 @@ def test_live_sink_and_replay_are_byte_identical(span_run):
     write_jsonl(trace, buffer)
     buffer.seek(0)
     rebuilt = build_spans(read_jsonl(buffer), end_us)
-    left = json.dumps(live_set.to_dict(), sort_keys=True)
-    right = json.dumps(rebuilt.to_dict(), sort_keys=True)
-    assert left == right
+    assert _canonical(live_set) == _canonical(rebuilt)
+
+
+def test_live_fold_during_the_run_is_passive(dfq_run, span_run):
+    # The fold subscribes; it must not steer the simulation.
+    _env, plain_trace, plain_results = dfq_run
+    _trace, _end, replay_set = span_run
+    fold = TraceFold()
+    env, trace, results = traced_run(sinks=(fold,))
+    assert results == plain_results
+    assert list(trace.records()) == list(plain_trace.records())
+    assert _canonical(fold.finish(env.sim.now).spans) == _canonical(replay_set)
+
+
+def test_capped_recorder_live_fold_sees_every_record(span_run):
+    _trace, _end, replay_set = span_run
+    fold = TraceFold()
+    env, capped, _results = traced_run(max_records=EVICTING_CAP, sinks=(fold,))
+    assert capped.dropped > 0  # the cap really evicted
+    assert _canonical(fold.finish(env.sim.now).spans) == _canonical(replay_set)
 
 
 def test_builder_finish_is_idempotent(span_run):

@@ -1,13 +1,13 @@
 """Boundary rules (NEON101/NEON102): positives, negatives, and pragmas."""
 
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.core import module_name_for
 
 from tests.staticcheck.conftest import rule_locations
 
 
 def test_bad_boundary_fixture_flags_each_seeded_violation(boundary_pkg):
-    violations = analyze_paths([boundary_pkg / "bad_boundary.py"], Config())
+    violations = run_analysis([boundary_pkg / "bad_boundary.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON101", 3),  # from repro.gpu.request import RequestKind
         ("NEON101", 4),  # import repro.osmodel.kernel
@@ -20,14 +20,14 @@ def test_bad_boundary_fixture_flags_each_seeded_violation(boundary_pkg):
 
 
 def test_pragma_grants_audited_exception(boundary_pkg):
-    violations = analyze_paths([boundary_pkg / "bad_boundary.py"], Config())
+    violations = run_analysis([boundary_pkg / "bad_boundary.py"], Config()).violations
     # Line 15 dereferences channel.refcounter but carries
     # ``# neonlint: allow[NEON102]`` — it must not be reported.
     assert all(violation.line != 15 for violation in violations)
 
 
 def test_clean_boundary_module_passes(boundary_pkg):
-    assert analyze_paths([boundary_pkg / "good_boundary.py"], Config()) == []
+    assert run_analysis([boundary_pkg / "good_boundary.py"], Config()).violations == []
 
 
 def test_type_checking_imports_are_not_runtime_imports(boundary_pkg):
@@ -35,7 +35,7 @@ def test_type_checking_imports_are_not_runtime_imports(boundary_pkg):
     # but only under TYPE_CHECKING; the checker must see the difference.
     source = (boundary_pkg / "good_boundary.py").read_text()
     assert "from repro.gpu.channel import" in source
-    assert analyze_paths([boundary_pkg / "good_boundary.py"], Config()) == []
+    assert run_analysis([boundary_pkg / "good_boundary.py"], Config()).violations == []
 
 
 def test_fixture_tree_resolves_to_core_module_names(boundary_pkg):
@@ -48,7 +48,7 @@ def test_rules_scoped_to_boundary_modules_only(boundary_pkg):
     # With the boundary scope pointed elsewhere, the same file is clean:
     # the rules bind to the architecture, not to file contents.
     config = Config(boundary_modules=("somewhere.else",))
-    assert analyze_paths([boundary_pkg / "bad_boundary.py"], config) == []
+    assert run_analysis([boundary_pkg / "bad_boundary.py"], config).violations == []
 
 
 def test_repo_core_modules_are_in_scope():

@@ -1,12 +1,12 @@
 """Determinism rules (NEON201-NEON204): positives and negatives."""
 
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 
 from tests.staticcheck.conftest import rule_locations
 
 
 def test_bad_determinism_fixture_flags_each_seeded_violation(fixtures):
-    violations = analyze_paths([fixtures / "bad_determinism.py"], Config())
+    violations = run_analysis([fixtures / "bad_determinism.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON202", 3),  # import random
         ("NEON201", 10),  # time.time()
@@ -18,7 +18,7 @@ def test_bad_determinism_fixture_flags_each_seeded_violation(fixtures):
 
 
 def test_clean_determinism_module_passes(fixtures):
-    assert analyze_paths([fixtures / "good_determinism.py"], Config()) == []
+    assert run_analysis([fixtures / "good_determinism.py"], Config()).violations == []
 
 
 def test_rng_registry_module_is_exempt(tmp_path):
@@ -31,9 +31,9 @@ def test_rng_registry_module_is_exempt(tmp_path):
     )
     module = tmp_path / "rng.py"
     module.write_text(source)
-    flagged = analyze_paths([module], Config())
+    flagged = run_analysis([module], Config()).violations
     assert [v.rule_id for v in flagged] == ["NEON203"]
-    exempt = analyze_paths([module], Config(rng_modules=("rng",)))
+    exempt = run_analysis([module], Config(rng_modules=("rng",))).violations
     assert exempt == []
 
 
@@ -41,7 +41,7 @@ def test_wall_clock_flagged_even_in_rng_module(tmp_path):
     # The rng exemption covers randomness, not clocks.
     module = tmp_path / "rng.py"
     module.write_text("import time\n\ndef stamp():\n    return time.time()\n")
-    violations = analyze_paths([module], Config(rng_modules=("rng",)))
+    violations = run_analysis([module], Config(rng_modules=("rng",))).violations
     assert [v.rule_id for v in violations] == ["NEON201"]
 
 
@@ -57,7 +57,7 @@ def test_wall_clock_reference_alias_flagged(tmp_path):
         "    b = perf_counter\n"
         "    return a, b\n"
     )
-    violations = analyze_paths([module], Config())
+    violations = run_analysis([module], Config()).violations
     assert [(v.rule_id, v.line) for v in violations] == [
         ("NEON201", 4),
         ("NEON201", 5),
@@ -75,9 +75,9 @@ def test_host_clock_modules_exempt_from_wall_clock_rule(tmp_path):
     )
     module = tmp_path / "farm.py"
     module.write_text(source)
-    flagged = analyze_paths([module], Config(host_clock_modules=()))
+    flagged = run_analysis([module], Config(host_clock_modules=())).violations
     assert {v.rule_id for v in flagged} == {"NEON201"}
-    exempt = analyze_paths([module], Config(host_clock_modules=("farm",)))
+    exempt = run_analysis([module], Config(host_clock_modules=("farm",))).violations
     assert exempt == []
 
 
@@ -97,7 +97,7 @@ def test_default_config_exempts_audited_host_clock_surface_only():
 def test_bad_host_clock_fixture_flags_every_clock_read(fixtures):
     # perf_counter in a module outside the audited surface is NEON201 —
     # both dotted calls, the from-import alias, and time.time().
-    violations = analyze_paths([fixtures / "bad_host_clock.py"], Config())
+    violations = run_analysis([fixtures / "bad_host_clock.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON201", 14),  # time.perf_counter() (start)
         ("NEON201", 15),  # time.perf_counter() (stop)
@@ -114,7 +114,7 @@ def test_numpy_alias_tracking(tmp_path):
         "def make():\n"
         "    return default_rng(), npr.default_rng()\n"
     )
-    violations = analyze_paths([module], Config())
+    violations = run_analysis([module], Config()).violations
     assert [(v.rule_id, v.line) for v in violations] == [
         ("NEON203", 4),
         ("NEON203", 4),

@@ -1,7 +1,7 @@
 """Trace-event rules (NEON401/NEON402): positives, negatives, scoping."""
 
 from repro.obs.events import constant_names, registered_kinds
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.core import module_name_for
 
 from tests.staticcheck.conftest import rule_locations
@@ -14,7 +14,7 @@ def events_pkg(fixtures):
 
 
 def test_bad_events_fixture_flags_each_seeded_violation(fixtures):
-    violations = analyze_paths([events_pkg(fixtures) / "bad_events.py"], Config())
+    violations = run_analysis([events_pkg(fixtures) / "bad_events.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON401", 7),   # literal "fault"
         ("NEON401", 8),   # literal kind= kwarg
@@ -26,13 +26,13 @@ def test_bad_events_fixture_flags_each_seeded_violation(fixtures):
 
 
 def test_pragma_grants_audited_exception(fixtures):
-    violations = analyze_paths([events_pkg(fixtures) / "bad_events.py"], Config())
+    violations = run_analysis([events_pkg(fixtures) / "bad_events.py"], Config()).violations
     # Line 17 uses a literal kind under ``# neonlint: allow[NEON401]``.
     assert all(violation.line != 17 for violation in violations)
 
 
 def test_clean_events_module_passes(fixtures):
-    assert analyze_paths([events_pkg(fixtures) / "good_events.py"], Config()) == []
+    assert run_analysis([events_pkg(fixtures) / "good_events.py"], Config()).violations == []
 
 
 def test_fixture_resolves_to_in_scope_module_name(fixtures):
@@ -44,7 +44,7 @@ def test_fixture_resolves_to_in_scope_module_name(fixtures):
 def test_rules_scoped_to_configured_modules_only(fixtures):
     # Out-of-scope modules (tests, scratch recorders) emit freely.
     config = Config(trace_emit_modules=("somewhere.else",))
-    assert analyze_paths([events_pkg(fixtures) / "bad_events.py"], config) == []
+    assert run_analysis([events_pkg(fixtures) / "bad_events.py"], config).violations == []
 
 
 def test_registry_constants_cover_all_registered_kinds():
@@ -62,9 +62,9 @@ def test_registry_constants_cover_all_registered_kinds():
 # ----------------------------------------------------------------------
 
 def test_bad_monitor_fixture_flags_each_seeded_violation(fixtures):
-    violations = analyze_paths(
+    violations = run_analysis(
         [events_pkg(fixtures) / "bad_monitor.py"], Config()
-    )
+    ).violations
     assert rule_locations(violations) == [
         ("NEON401", 14),  # literal "window.close"
         ("NEON402", 15),  # SLO_BREACHED look-alike not registered
@@ -75,9 +75,9 @@ def test_bad_monitor_fixture_flags_each_seeded_violation(fixtures):
 def test_registered_conditional_monitor_emit_passes(fixtures):
     # good_transition (the events.SLO_VIOLATION-if-else idiom used by the
     # real monitor) must be clean: all flagged lines sit in window_closed.
-    violations = analyze_paths(
+    violations = run_analysis(
         [events_pkg(fixtures) / "bad_monitor.py"], Config()
-    )
+    ).violations
     assert all(violation.line < 19 for violation in violations)
 
 

@@ -1,7 +1,7 @@
 """Injection-point rules (NEON403/NEON404): positives, negatives, scoping."""
 
 from repro.faults.registry import constant_names, registered_points
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.core import module_name_for
 
 from tests.staticcheck.conftest import rule_locations
@@ -12,7 +12,7 @@ def faults_pkg(fixtures):
 
 
 def test_bad_faults_fixture_flags_each_seeded_violation(fixtures):
-    violations = analyze_paths([faults_pkg(fixtures) / "bad_faults.py"], Config())
+    violations = run_analysis([faults_pkg(fixtures) / "bad_faults.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON403", 7),   # literal "gpu.request_hang"
         ("NEON403", 8),   # literal point= kwarg
@@ -24,13 +24,13 @@ def test_bad_faults_fixture_flags_each_seeded_violation(fixtures):
 
 
 def test_pragma_grants_audited_exception(fixtures):
-    violations = analyze_paths([faults_pkg(fixtures) / "bad_faults.py"], Config())
+    violations = run_analysis([faults_pkg(fixtures) / "bad_faults.py"], Config()).violations
     # Line 14 uses a literal point under ``# neonlint: allow[NEON403]``.
     assert all(violation.line != 14 for violation in violations)
 
 
 def test_clean_faults_module_passes(fixtures):
-    assert analyze_paths([faults_pkg(fixtures) / "good_faults.py"], Config()) == []
+    assert run_analysis([faults_pkg(fixtures) / "good_faults.py"], Config()).violations == []
 
 
 def test_fixture_resolves_to_in_scope_module_name(fixtures):
@@ -42,7 +42,7 @@ def test_fixture_resolves_to_in_scope_module_name(fixtures):
 def test_rules_scoped_to_configured_modules_only(fixtures):
     # Out-of-scope modules (tests, chaos harness doubles) arm freely.
     config = Config(fault_arm_modules=("somewhere.else",))
-    assert analyze_paths([faults_pkg(fixtures) / "bad_faults.py"], config) == []
+    assert run_analysis([faults_pkg(fixtures) / "bad_faults.py"], config).violations == []
 
 
 def test_registry_constants_cover_all_registered_points():

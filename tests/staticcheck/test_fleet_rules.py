@@ -10,7 +10,7 @@ over the fleet policy layer, using a fixture package with a seeded
 
 from pathlib import Path
 
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.core import module_name_for
 from repro.staticcheck.graph import ProjectModel
 from repro.staticcheck.rules.wholeprogram import check_observation_api
@@ -41,10 +41,12 @@ def test_fixture_tree_resolves_to_fleet_policy_module_names():
 
 
 def test_bad_fleet_policy_flags_each_seeded_violation():
-    violations = analyze_paths([POLICIES / "bad_fleet_policy.py"], Config())
+    violations = run_analysis([POLICIES / "bad_fleet_policy.py"], Config()).violations
     assert rule_locations(violations) == [
         ("NEON101", 8),  # from repro.gpu import device
         ("NEON101", 9),  # import repro.gpu.device
+        ("NEON505", 9),  # ...and never used
+        ("NEON503", 21),  # self.neon.raw_channel_table (off the API)
         ("NEON102", 27),  # stack.device
         ("NEON102", 27),  # ...device.task_usage
         ("NEON102", 28),  # stack.device
@@ -53,7 +55,7 @@ def test_bad_fleet_policy_flags_each_seeded_violation():
 
 
 def test_good_fleet_policy_is_clean():
-    assert analyze_paths([POLICIES / "good_fleet_policy.py"], Config()) == []
+    assert run_analysis([POLICIES / "good_fleet_policy.py"], Config()).violations == []
 
 
 def test_neon503_covers_fleet_policies():
@@ -70,4 +72,4 @@ def test_real_fleet_policy_module_is_clean():
     import repro.fleet.policies as policies
 
     path = Path(policies.__file__)
-    assert analyze_paths([path], Config()) == []
+    assert run_analysis([path], Config()).violations == []

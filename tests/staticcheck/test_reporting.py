@@ -2,7 +2,7 @@
 
 import json
 
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.cli import main as staticcheck_main
 from repro.staticcheck.report import format_json, format_text
 from repro.staticcheck.rules import RULES
@@ -14,7 +14,7 @@ GOOD = FIXTURES / "good_determinism.py"
 
 
 def test_text_report_is_compiler_shaped():
-    violations = analyze_paths([BAD], Config())
+    violations = run_analysis([BAD], Config()).violations
     text = format_text(violations, files_checked=1)
     lines = text.splitlines()
     assert lines[0] == (
@@ -31,7 +31,7 @@ def test_text_report_when_clean():
 
 
 def test_json_report_round_trips():
-    violations = analyze_paths([BAD], Config())
+    violations = run_analysis([BAD], Config()).violations
     payload = json.loads(format_json(violations, files_checked=1))
     assert payload["files_checked"] == 1
     assert payload["violation_count"] == 6

@@ -10,25 +10,32 @@ docs/STATIC_ANALYSIS.md.
 
 from pathlib import Path
 
-from repro.staticcheck import Config, analyze_paths, collect_files
+from repro.staticcheck import Config, collect_files, run_analysis
 from repro.staticcheck.cli import main as staticcheck_main
-from repro.staticcheck.engine import run_analysis
+from repro.staticcheck.rules.wholeprogram import WHOLE_PROGRAM_CHECKS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
 
 def test_repo_sources_are_violation_free():
-    violations = analyze_paths([SRC], Config())
+    # Both layers: the per-file rules, and over the linked model no
+    # undriven generator call, no laundered boundary taint, no escaped
+    # RNG streams, observation clients on the declared API, no dead
+    # registry entries, no unused imports.
+    violations = run_analysis([SRC], Config()).violations
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
 def test_repo_passes_the_whole_program_rules():
-    # The NEON5xx layer: no laundered boundary taint, no escaped RNG
-    # streams, observation clients on the declared API, no dead registry
-    # entries, no unused imports — transitively, over the linked model.
+    # The linked-model layer on its own: every scanned module is linked,
+    # every whole-program rule ran over the model, and none of them
+    # reports a finding — transitively, over the whole of src/.
     result = run_analysis([SRC], Config())
-    assert result.violations == [], "\n".join(v.render() for v in result.violations)
+    assert result.stats.modules_linked == result.stats.files_checked
+    assert set(result.stats.rule_wall_s) == set(WHOLE_PROGRAM_CHECKS)
+    whole_program = [v for v in result.violations if v.rule_id in WHOLE_PROGRAM_CHECKS]
+    assert whole_program == [], "\n".join(v.render() for v in whole_program)
 
 
 def test_the_scan_actually_covers_the_tree():

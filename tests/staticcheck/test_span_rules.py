@@ -6,8 +6,7 @@ import pytest
 
 from repro.obs.events import constant_names
 from repro.obs.spans import span_constant_names, span_kinds
-from repro.staticcheck import Config, analyze_paths
-from repro.staticcheck.engine import run_analysis
+from repro.staticcheck import Config, run_analysis
 
 from tests.staticcheck.conftest import rule_locations
 
@@ -17,7 +16,7 @@ def spans_fixture(fixtures):
 
 
 def test_bad_spans_fixture_flags_each_seeded_violation(fixtures):
-    violations = analyze_paths([spans_fixture(fixtures)], Config())
+    violations = run_analysis([spans_fixture(fixtures)], Config()).violations
     assert rule_locations(violations) == [
         ("NEON401", 7),   # literal "barrier_begin" (both rules fire)
         ("NEON406", 7),
@@ -31,20 +30,20 @@ def test_bad_spans_fixture_flags_each_seeded_violation(fixtures):
 
 
 def test_pragma_grants_audited_exception(fixtures):
-    violations = analyze_paths([spans_fixture(fixtures)], Config())
+    violations = run_analysis([spans_fixture(fixtures)], Config()).violations
     # Line 18 carries ``# neonlint: allow[NEON401,NEON406]``.
     assert all(violation.line != 18 for violation in violations)
 
 
 def test_registered_span_emits_pass(fixtures):
     # Lines 15-16 use registered pair constants / non-span kinds.
-    violations = analyze_paths([spans_fixture(fixtures)], Config())
+    violations = run_analysis([spans_fixture(fixtures)], Config()).violations
     assert all(violation.line not in (15, 16) for violation in violations)
 
 
 def test_rule_scoped_to_configured_modules_only(fixtures):
     config = Config(trace_emit_modules=("somewhere.else",))
-    assert analyze_paths([spans_fixture(fixtures)], config) == []
+    assert run_analysis([spans_fixture(fixtures)], config).violations == []
 
 
 def test_span_constants_are_a_subset_of_event_constants():

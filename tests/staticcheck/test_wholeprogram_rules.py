@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from repro.staticcheck import Config, analyze_paths
+from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.graph import ProjectModel
 from repro.staticcheck.rules.wholeprogram import (
     check_boundary_taint,
@@ -40,7 +40,7 @@ def config():
 def test_per_file_rules_pass_on_the_launderer():
     # The boundary module never imports repro.gpu, so NEON101/102 are
     # blind to it — exactly the gap NEON501 exists to close.
-    violations = analyze_paths([LAUNDERER], Config())
+    violations = run_analysis([LAUNDERER], Config()).violations
     assert violations == [], "\n".join(v.render() for v in violations)
 
 

@@ -125,6 +125,66 @@ def test_unknown_chaos_names_are_usage_errors(argv, known, capsys):
     assert known in err
 
 
+@pytest.mark.parametrize("argv, known", [
+    (["trace", "record", "--scheduler", "bogus"], "disengaged-timeslice"),
+    (["trace", "summary", "--apps", "glxgears,bogus"], "BitonicSort"),
+    (["why", "--scheduler", "bogus"], "engaged-fq"),
+    (["why", "--apps", "bogus"], "glxgears"),
+    (["monitor", "run", "--scheduler", "bogus"], "timegraph"),
+    (["monitor", "run", "--apps", "bogus"], "DCT"),
+    (["monitor", "run", "--chaos", "bogus"], "refstall"),
+], ids=" ".join)
+def test_unknown_inline_run_names_are_usage_errors(argv, known, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "'bogus'" in err
+    assert known in err  # the message lists the known names
+
+
+def test_unreadable_fault_plan_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "plan.json"
+    bad.write_text("{not json")
+    for plan in (bad, tmp_path / "missing.json"):
+        _usage_error(["trace", "record", "--fault-plan", str(plan)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "record", "--apps", ","],
+    ["trace", "summary", "--apps", ","],
+    ["trace", "summary", "--duration-ms", "-5"],
+    ["why", "--apps", ","],
+    ["why", "--duration-ms", "0"],
+    ["monitor", "run", "--apps", ","],
+    ["monitor", "run", "--duration-ms", "-1"],
+    ["monitor", "figure4", "--duration-ms", "0"],
+], ids=" ".join)
+def test_inline_run_lists_and_durations_are_checked(argv, capsys):
+    # An inline run that simulates nothing must not exit 0.
+    _usage_error(argv, capsys)
+
+
+def test_inline_run_options_parse_alike_in_every_command():
+    from repro.obs.cli import build_parser as trace_parser
+    from repro.obs.monitor import build_parser as monitor_parser
+    from repro.obs.why import build_parser as why_parser
+
+    argv = ["--apps", "glxgears, DCT,glxgears", "--duration-ms", "50",
+            "--scheduler", "direct"]
+    for args in (
+        trace_parser().parse_args(["summary", *argv]),
+        why_parser().parse_args(argv),
+        monitor_parser().parse_args(["run", *argv]),
+    ):
+        assert args.apps == ["glxgears", "DCT", "glxgears"]
+        assert args.duration_ms == 50.0
+        assert args.scheduler == "direct"
+        assert (args.seed, args.fault_plan) == (0, None)
+    assert why_parser().parse_args([]).apps == ["glxgears", "BitonicSort"]
+
+
 def test_claims_takes_no_duration(capsys):
     # Each claim's scale is part of the claim.
     _usage_error(["claims", "--duration-ms", "10"], capsys)
