@@ -9,7 +9,8 @@ everyone to the expected ~4-5x slowdown while staying mostly disengaged.
 Run:  python examples/multiprogrammed_fairness.py
 """
 
-from repro import Throttle, build_env, make_app, run_workloads, solo_baseline
+from repro import build_env, run_workloads
+from repro.experiments import CellSpec, WorkloadSpec
 from repro.metrics.efficiency import concurrency_efficiency
 from repro.metrics.fairness import jain_index
 from repro.metrics.tables import format_table
@@ -19,27 +20,20 @@ WARMUP_US = 100_000.0
 APPS = ("BinarySearch", "DCT", "FFT")
 
 
-def build_mix():
-    workloads = [make_app(name) for name in APPS]
-    workloads.append(Throttle(1700.0, name="throttle"))
-    return workloads
+MIX = tuple(WorkloadSpec.app(name) for name in APPS) + (
+    WorkloadSpec.throttle(1700.0, name="throttle"),
+)
 
 
 def main() -> None:
     baselines = {}
-    for workload in build_mix():
-        name = workload.name
-        factory = (
-            (lambda name=name: make_app(name))
-            if name in APPS
-            else (lambda: Throttle(1700.0, name="throttle"))
-        )
-        baselines[name] = solo_baseline(factory, DURATION_US, WARMUP_US)
+    for spec in MIX:
+        baselines.update(CellSpec.solo(spec, DURATION_US, WARMUP_US).run())
 
     rows = []
     for scheduler in ("direct", "disengaged-timeslice", "dfq"):
         env = build_env(scheduler, seed=3)
-        workloads = build_mix()
+        workloads = [spec.build() for spec in MIX]
         run_workloads(env, workloads, DURATION_US, WARMUP_US)
         slowdowns = {
             w.name: w.round_stats(WARMUP_US).mean_us

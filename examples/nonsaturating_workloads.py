@@ -9,7 +9,8 @@ idle time at no fairness cost.
 Run:  python examples/nonsaturating_workloads.py
 """
 
-from repro import Throttle, build_env, make_app, run_workloads, solo_baseline
+from repro import Throttle, build_env, make_app, run_workloads
+from repro.experiments import CellSpec, WorkloadSpec
 from repro.metrics.tables import format_table
 
 DURATION_US = 400_000.0
@@ -18,14 +19,16 @@ SLEEP_RATIOS = (0.0, 0.4, 0.8)
 
 
 def main() -> None:
-    dct_alone = solo_baseline(lambda: make_app("DCT"), DURATION_US, WARMUP_US)
+    dct_alone = CellSpec.solo(
+        WorkloadSpec.app("DCT"), DURATION_US, WARMUP_US
+    ).run()["DCT"]
     rows = []
     for ratio in SLEEP_RATIOS:
-        throttle_alone = solo_baseline(
-            lambda ratio=ratio: Throttle(66.0, sleep_ratio=ratio, name="thr"),
+        throttle_alone = CellSpec.solo(
+            WorkloadSpec.throttle(66.0, sleep_ratio=ratio, name="thr"),
             DURATION_US,
             WARMUP_US,
-        )
+        ).run()["thr"]
         for scheduler in ("timeslice", "dfq"):
             env = build_env(scheduler, seed=2)
             dct = make_app("DCT")

@@ -9,7 +9,8 @@ batcher win; the paper's schedulers restore the fair ~2x/2x split.
 Run:  python examples/quickstart.py
 """
 
-from repro import Throttle, build_env, make_app, run_workloads, solo_baseline
+from repro import Throttle, build_env, make_app, run_workloads
+from repro.experiments import CellSpec, WorkloadSpec
 from repro.metrics.tables import format_table
 
 DURATION_US = 300_000.0  # 300 ms of simulated time
@@ -19,10 +20,12 @@ WARMUP_US = 60_000.0
 def main() -> None:
     # 1. Measure each application alone under direct device access — the
     #    baseline every slowdown is computed against.
-    dct_alone = solo_baseline(lambda: make_app("DCT"), DURATION_US, WARMUP_US)
-    throttle_alone = solo_baseline(
-        lambda: Throttle(1700.0, name="throttle"), DURATION_US, WARMUP_US
-    )
+    dct_alone = CellSpec.solo(
+        WorkloadSpec.app("DCT"), DURATION_US, WARMUP_US
+    ).run()["DCT"]
+    throttle_alone = CellSpec.solo(
+        WorkloadSpec.throttle(1700.0, name="throttle"), DURATION_US, WARMUP_US
+    ).run()["throttle"]
     print(
         f"standalone: DCT round = {dct_alone.rounds.mean_us:.0f}us, "
         f"Throttle round = {throttle_alone.rounds.mean_us:.0f}us\n"

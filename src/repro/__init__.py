@@ -33,9 +33,7 @@ from repro.experiments.runner import (
     SimulationEnv,
     WorkloadResult,
     build_env,
-    measure,
     run_workloads,
-    solo_baseline,
 )
 from repro.faults import FaultPlan, FaultSpec, Injector
 from repro.gpu import GpuDevice, GpuParams, Request, RequestKind
@@ -96,8 +94,6 @@ __all__ = [
     "__version__",
     "build_env",
     "make_app",
-    "measure",
     "run_workloads",
     "scheduler_registry",
-    "solo_baseline",
 ]

@@ -51,7 +51,8 @@ class PaperClaim:
 def _table1(seed: int, farm: dict):
     from repro.experiments import table1
 
-    return table1.run(duration_us=150_000.0, warmup_us=25_000.0, seed=seed)
+    return table1.run(duration_us=150_000.0, warmup_us=25_000.0, seed=seed,
+                      **farm)
 
 
 def _figure2(seed: int, farm: dict):
@@ -63,7 +64,7 @@ def _figure2(seed: int, farm: dict):
 def _section3(seed: int, farm: dict):
     from repro.experiments import section3_throughput
 
-    return section3_throughput.run(duration_us=80_000.0, seed=seed)
+    return section3_throughput.run(duration_us=80_000.0, seed=seed, **farm)
 
 
 _FIGURE4_APPS = (
@@ -132,14 +133,15 @@ def _figure10(seed: int, farm: dict):
 def _infinite_loop(seed: int, farm: dict):
     from repro.experiments import protection
 
-    return protection.run_infinite_loop(duration_us=250_000.0, seed=seed)
+    return protection.run_infinite_loop(duration_us=250_000.0, seed=seed,
+                                        **farm)
 
 
 def _greedy_batcher(seed: int, farm: dict):
     from repro.experiments import protection
 
     return protection.run_greedy_batcher(duration_us=250_000.0,
-                                         warmup_us=50_000.0, seed=seed)
+                                         warmup_us=50_000.0, seed=seed, **farm)
 
 
 def _section6(seed: int, farm: dict):
@@ -152,28 +154,30 @@ def _hw_stats(seed: int, farm: dict):
     from repro.experiments import ablations
 
     return ablations.run_hw_stats(duration_us=350_000.0, warmup_us=70_000.0,
-                                  seed=seed)
+                                  seed=seed, **farm)
 
 
 def _freerun(seed: int, farm: dict):
     from repro.experiments import ablations
 
     return ablations.run_freerun_multiplier(duration_us=300_000.0,
-                                            warmup_us=60_000.0, seed=seed)
+                                            warmup_us=60_000.0, seed=seed,
+                                            **farm)
 
 
 def _baselines(seed: int, farm: dict):
     from repro.experiments import ablations
 
     return ablations.run_baseline_schedulers(duration_us=250_000.0,
-                                             warmup_us=50_000.0, seed=seed)
+                                             warmup_us=50_000.0, seed=seed,
+                                             **farm)
 
 
 def _containment(seed: int, farm: dict):
     from repro.experiments import preemption
 
     return preemption.run_containment(duration_us=300_000.0,
-                                      warmup_us=60_000.0, seed=seed)
+                                      warmup_us=60_000.0, seed=seed, **farm)
 
 
 def _costs(seed: int, farm: dict):

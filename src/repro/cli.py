@@ -13,10 +13,10 @@ stream (see docs/OBSERVABILITY.md); ``repro why`` attributes tail
 latency (or a fired SLO) to its dominant delay component and the
 interfering tenants via reconstructed lifecycle spans.
 
-Cell-farm experiments (the figure drivers) accept ``--workers N`` to fan
-independent simulation cells out over a process pool, and share results
-by content key within one invocation, so solo baselines are computed
-once (``repro all`` reuses them across figures).  ``--no-cache``
+Cell-farm experiments (all but figure2, cpu and section6) accept
+``--workers N`` to fan independent simulation cells out over a process
+pool, and share results by content key within one invocation, so solo
+baselines are computed once (``repro all`` reuses them across figures).  ``--no-cache``
 disables sharing; results are never kept across invocations.  Tables on
 stdout are byte-identical regardless of worker count or sharing; the
 per-cell wall-time summary goes to stderr.
@@ -187,8 +187,8 @@ def _call_experiment(
 ) -> None:
     """Invoke a driver, passing only the keywords its signature accepts.
 
-    Non-cell experiments (table1, protection, …) simply never see the
-    farm parameters.  A ``--duration-ms`` inside the driver's warmup gets
+    Experiments without cells (figure2, cpu, section6) simply never see
+    the farm parameters.  A ``--duration-ms`` inside the driver's warmup gets
     one warning on stderr; stdout is unchanged.
     """
     kwargs: dict = {"seed": args.seed}
@@ -203,8 +203,7 @@ def _call_experiment(
                 "rounds print '-'",
                 file=sys.stderr,
             )
-    accepted = inspect.signature(runner).parameters
-    if "workers" in accepted:
+    if "farm" in inspect.signature(runner).parameters:
         kwargs["workers"] = args.workers
         kwargs["cache"] = cache
         kwargs["timings"] = timings

@@ -2,7 +2,10 @@
 
 Every driver exposes a ``run(...)`` function returning structured results
 and a ``main()`` that prints the paper-style table; the CLI
-(``python -m repro <experiment>``) dispatches to them.  Durations default
+(``python -m repro <experiment>``) dispatches to them.  A driver whose
+simulations are cells takes ``**farm``, the keywords it passes on to
+:func:`~repro.experiments.parallel.run_cells` (``workers``, ``cache``,
+``timings``).  Durations default
 to values long enough for steady state but can be shrunk for quick runs
 (``repro claims`` runs each claim's driver at a fixed reduced scale, see
 :mod:`repro.analysis.reference`).
@@ -20,30 +23,22 @@ from repro.experiments.parallel import (
     run_cells,
 )
 from repro.experiments.runner import (
-    SeedSweepStats,
     SimulationEnv,
     WorkloadResult,
     build_env,
-    measure,
     run_workloads,
-    solo_baseline,
-    sweep_seeds,
 )
 
 __all__ = [
     "CellSpec",
     "CellTiming",
     "ResultCache",
-    "SeedSweepStats",
     "SimulationEnv",
     "WorkloadResult",
     "WorkloadSpec",
     "build_env",
     "format_cell_timings",
-    "measure",
     "register_workload_kind",
     "run_cells",
     "run_workloads",
-    "solo_baseline",
-    "sweep_seeds",
 ]

@@ -14,13 +14,52 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.experiments.runner import measure, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 from repro.osmodel.costs import CostParams
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
+
+
+def dct_throttle_slowdowns(
+    configs: Sequence[tuple[str, Optional[CostParams]]],
+    throttle: WorkloadSpec,
+    duration_us: float,
+    warmup_us: float,
+    seed: int,
+    **farm,
+) -> list[tuple[float, float, float]]:
+    """DCT alone and DCT beside ``throttle``, under each configuration.
+
+    Per ``(scheduler, costs)`` pair: DCT's standalone overhead and the
+    slowdowns of DCT and the Throttle in the pair, each against its
+    direct-access baseline.
+    """
+    app = WorkloadSpec.app("DCT")
+    specs = [
+        CellSpec.solo(app, duration_us, warmup_us, seed),
+        CellSpec.solo(throttle, duration_us, warmup_us, seed),
+    ]
+    for scheduler, costs in configs:
+        specs += [
+            CellSpec(scheduler, (app,), duration_us, warmup_us, seed,
+                     costs=costs),
+            CellSpec(scheduler, (app, throttle), duration_us, warmup_us, seed,
+                     costs=costs),
+        ]
+    app_base, throttle_base, *cells = run_cells(specs, **farm)
+    app_us = app_base["DCT"].rounds.mean_us
+    (name, throttle_alone), = throttle_base.items()
+    throttle_us = throttle_alone.rounds.mean_us
+    return [
+        (
+            solo["DCT"].rounds.mean_us / app_us - 1.0,
+            pair["DCT"].rounds.mean_us / app_us,
+            pair[name].rounds.mean_us / throttle_us,
+        )
+        for solo, pair in zip(cells[::2], cells[1::2])
+    ]
 
 
 @dataclass(frozen=True)
@@ -42,26 +81,29 @@ def run_hw_stats(
     warmup_us: float = 80_000.0,
     seed: int = 0,
     throttle_size_us: float = 19.0,
+    **farm,
 ) -> list[AnomalyOutcome]:
-    gears_factory = lambda: make_app("glxgears")
-    throttle_factory = lambda: Throttle(throttle_size_us, name="throttle")
-    gears_base = solo_baseline(gears_factory, duration_us, warmup_us, seed)
-    throttle_base = solo_baseline(throttle_factory, duration_us, warmup_us, seed)
-    outcomes = []
-    for scheduler in ("dfq", "dfq-hw"):
-        results = measure(
-            scheduler, [gears_factory, throttle_factory], duration_us, warmup_us, seed
+    gears = WorkloadSpec.app("glxgears")
+    throttle = WorkloadSpec.throttle(throttle_size_us, name="throttle")
+    schedulers = ("dfq", "dfq-hw")
+    specs = [
+        CellSpec.solo(gears, duration_us, warmup_us, seed),
+        CellSpec.solo(throttle, duration_us, warmup_us, seed),
+    ] + [
+        CellSpec(scheduler, (gears, throttle), duration_us, warmup_us, seed)
+        for scheduler in schedulers
+    ]
+    gears_base, throttle_base, *pairs = run_cells(specs, **farm)
+    return [
+        AnomalyOutcome(
+            scheduler=scheduler,
+            gears_slowdown=pair["glxgears"].rounds.mean_us
+            / gears_base["glxgears"].rounds.mean_us,
+            throttle_slowdown=pair["throttle"].rounds.mean_us
+            / throttle_base["throttle"].rounds.mean_us,
         )
-        outcomes.append(
-            AnomalyOutcome(
-                scheduler=scheduler,
-                gears_slowdown=results["glxgears"].rounds.mean_us
-                / gears_base.rounds.mean_us,
-                throttle_slowdown=results["throttle"].rounds.mean_us
-                / throttle_base.rounds.mean_us,
-            )
-        )
-    return outcomes
+        for scheduler, pair in zip(schedulers, pairs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -77,38 +119,21 @@ def run_freerun_multiplier(
     warmup_us: float = 80_000.0,
     seed: int = 0,
     multipliers: Sequence[float] = (2.0, 5.0, 10.0),
+    **farm,
 ) -> list[MultiplierOutcome]:
-    app_factory = lambda: make_app("DCT")
-    throttle_factory = lambda: Throttle(1700.0, name="throttle")
-    app_base = solo_baseline(app_factory, duration_us, warmup_us, seed)
-    throttle_base = solo_baseline(throttle_factory, duration_us, warmup_us, seed)
-    outcomes = []
+    configs = []
     for multiplier in multipliers:
         costs = CostParams()
         costs.freerun_multiplier = multiplier
-        solo = measure(
-            "dfq", [app_factory], duration_us, warmup_us, seed, costs=costs
-        )
-        pair = measure(
-            "dfq",
-            [app_factory, throttle_factory],
-            duration_us,
-            warmup_us,
-            seed,
-            costs=costs,
-        )
-        outcomes.append(
-            MultiplierOutcome(
-                multiplier=multiplier,
-                standalone_overhead=solo["DCT"].rounds.mean_us
-                / app_base.rounds.mean_us
-                - 1.0,
-                app_slowdown=pair["DCT"].rounds.mean_us / app_base.rounds.mean_us,
-                throttle_slowdown=pair["throttle"].rounds.mean_us
-                / throttle_base.rounds.mean_us,
-            )
-        )
-    return outcomes
+        configs.append(("dfq", costs))
+    slowdowns = dct_throttle_slowdowns(
+        configs, WorkloadSpec.throttle(1700.0, name="throttle"), duration_us,
+        warmup_us, seed, **farm,
+    )
+    return [
+        MultiplierOutcome(multiplier, *row)
+        for multiplier, row in zip(multipliers, slowdowns)
+    ]
 
 
 @dataclass(frozen=True)
@@ -124,44 +149,36 @@ def run_baseline_schedulers(
     warmup_us: float = 60_000.0,
     seed: int = 0,
     schedulers: Sequence[str] = ("engaged-fq", "drr", "credit", "dfq"),
+    **farm,
 ) -> list[BaselineOutcome]:
-    app_factory = lambda: make_app("DCT")
-    throttle_factory = lambda: Throttle(500.0, name="throttle")
-    app_base = solo_baseline(app_factory, duration_us, warmup_us, seed)
-    throttle_base = solo_baseline(throttle_factory, duration_us, warmup_us, seed)
-    outcomes = []
-    for scheduler in schedulers:
-        solo = measure(scheduler, [app_factory], duration_us, warmup_us, seed)
-        pair = measure(
-            scheduler,
-            [app_factory, throttle_factory],
-            duration_us,
-            warmup_us,
-            seed,
+    slowdowns = dct_throttle_slowdowns(
+        [(scheduler, None) for scheduler in schedulers],
+        WorkloadSpec.throttle(500.0, name="throttle"), duration_us, warmup_us,
+        seed, **farm,
+    )
+    return [
+        BaselineOutcome(
+            scheduler=scheduler,
+            app_slowdown=app_slowdown,
+            throttle_slowdown=throttle_slowdown,
+            app_standalone_overhead=overhead,
         )
-        outcomes.append(
-            BaselineOutcome(
-                scheduler=scheduler,
-                app_slowdown=pair["DCT"].rounds.mean_us / app_base.rounds.mean_us,
-                throttle_slowdown=pair["throttle"].rounds.mean_us
-                / throttle_base.rounds.mean_us,
-                app_standalone_overhead=solo["DCT"].rounds.mean_us
-                / app_base.rounds.mean_us
-                - 1.0,
-            )
-        )
-    return outcomes
+        for scheduler, (overhead, app_slowdown, throttle_slowdown)
+        in zip(schedulers, slowdowns)
+    ]
 
 
-def main(duration_us: float = 500_000.0, seed: int = 0) -> str:
-    hw = run_hw_stats(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 500_000.0, seed: int = 0, **farm) -> str:
+    hw = run_hw_stats(duration_us=duration_us, seed=seed, **farm)
     hw_table = format_table(
         ["scheduler", "glxgears slowdown", "throttle slowdown", "disparity"],
         [[o.scheduler, o.gears_slowdown, o.throttle_slowdown, o.disparity] for o in hw],
         title="Ablation: vendor statistics fix the glxgears anomaly "
         "(dfq-hw disparity should be near 1.0)",
     )
-    multipliers = run_freerun_multiplier(duration_us=duration_us, seed=seed)
+    multipliers = run_freerun_multiplier(
+        duration_us=duration_us, seed=seed, **farm
+    )
     multiplier_table = format_table(
         ["free-run multiplier", "standalone overhead", "DCT slowdown", "throttle slowdown"],
         [
@@ -175,7 +192,9 @@ def main(duration_us: float = 500_000.0, seed: int = 0) -> str:
         ],
         title="Ablation: free-run multiplier (overhead vs responsiveness)",
     )
-    baselines = run_baseline_schedulers(duration_us=min(duration_us, 400_000.0), seed=seed)
+    baselines = run_baseline_schedulers(
+        duration_us=min(duration_us, 400_000.0), seed=seed, **farm
+    )
     baseline_table = format_table(
         ["scheduler", "DCT slowdown", "throttle slowdown", "standalone overhead"],
         [

@@ -11,8 +11,11 @@ process.  The same type describes fleet cells (``devices > 1``,
 
 Workload specs name a *kind* from a small registry (``"app"`` →
 :func:`repro.workloads.apps.make_app`, ``"throttle"`` →
-:class:`repro.workloads.throttle.Throttle`; extendable via
+:class:`repro.workloads.throttle.Throttle`, and the adversarial
+``"infinite-kernel"`` and ``"greedy-batcher"``; extendable via
 :func:`register_workload_kind`) plus positional/keyword arguments.
+Every kind a driver uses is registered here, so a pool worker that only
+unpickles a spec can build it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Any, Callable, Optional
 from repro.faults.plan import FaultPlan
 from repro.gpu.params import GpuParams
 from repro.osmodel.costs import CostParams
+from repro.workloads.adversarial import GreedyBatcher, InfiniteKernel
 from repro.workloads.apps import make_app
 from repro.workloads.base import Workload
 from repro.workloads.throttle import Throttle
@@ -41,6 +45,8 @@ def register_workload_kind(name: str, factory: Callable[..., Workload]) -> None:
 
 register_workload_kind("app", make_app)
 register_workload_kind("throttle", Throttle)
+register_workload_kind("infinite-kernel", InfiniteKernel)
+register_workload_kind("greedy-batcher", GreedyBatcher)
 
 
 @dataclass(frozen=True)
@@ -209,13 +215,12 @@ class CellSpec:
 
     def run(self):
         """Execute this cell and return its per-workload results."""
-        from repro.experiments.runner import measure
+        # Imported here: repro.fleet, which the runner loads, imports
+        # this module.
+        from repro.experiments.runner import build_env, run_workloads
 
-        return measure(
+        env = build_env(
             self.scheduler,
-            [workload.build for workload in self.workloads],
-            duration_us=self.duration_us,
-            warmup_us=self.warmup_us,
             seed=self.seed,
             costs=self.costs,
             gpu_params=self.gpu_params,
@@ -223,5 +228,8 @@ class CellSpec:
             devices=self.devices,
             placement=self.placement,
             policy=self.policy,
-            moves=self.moves,
+        )
+        workloads = [workload.build() for workload in self.workloads]
+        return run_workloads(
+            env, workloads, self.duration_us, self.warmup_us, self.moves
         )

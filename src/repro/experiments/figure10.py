@@ -9,10 +9,9 @@ Throttle sleep ratio the paper measured losses vs direct access of 36%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments import figure9
-from repro.experiments.parallel import CellTiming, ResultCache
 from repro.metrics.tables import format_table
 
 
@@ -30,9 +29,7 @@ def run(
     seed: int = 0,
     ratios: Sequence[float] = figure9.SLEEP_RATIOS,
     schedulers: Sequence[str] = figure9.SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[Figure10Row]:
     cells = figure9.run(
         duration_us,
@@ -40,9 +37,7 @@ def run(
         seed,
         ratios,
         schedulers,
-        workers=workers,
-        cache=cache,
-        timings=timings,
+        **farm,
     )
     direct = {
         cell.sleep_ratio: cell.efficiency
@@ -59,20 +54,8 @@ def run(
     return rows
 
 
-def main(
-    duration_us: float = 500_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    rows = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 500_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         ["scheduler", "sleep ratio", "efficiency", "loss vs direct"],
         [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
-from repro.experiments.parallel import CellTiming, ResultCache, run_cells
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 from repro.workloads.profiles import APP_PROFILES
 
@@ -51,13 +51,11 @@ def run(
     seed: int = 0,
     apps: Optional[Sequence[str]] = None,
     schedulers: Sequence[str] = SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[Figure4Row]:
     names = list(apps) if apps is not None else sorted(APP_PROFILES)
     specs = cell_specs(duration_us, warmup_us, seed, names, schedulers)
-    cells = iter(run_cells(specs, workers=workers, cache=cache, timings=timings))
+    cells = iter(run_cells(specs, **farm))
     rows = []
     for name in names:
         base = next(iter(next(cells).values()))
@@ -75,20 +73,8 @@ def run(
     return rows
 
 
-def main(
-    duration_us: float = 400_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    rows = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         ["app", "direct round (us)"] + list(SCHEDULERS),
         [

@@ -9,10 +9,10 @@ flat (paper: DTS <=2%, DFQ <=5%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
-from repro.experiments.parallel import CellTiming, ResultCache, run_cells
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 
 THROTTLE_SIZES_US = (19.0, 57.0, 110.0, 303.0, 907.0, 1700.0)
@@ -51,12 +51,10 @@ def run(
     seed: int = 0,
     sizes: Sequence[float] = THROTTLE_SIZES_US,
     schedulers: Sequence[str] = SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[Figure5Row]:
     specs = cell_specs(duration_us, warmup_us, seed, sizes, schedulers)
-    cells = iter(run_cells(specs, workers=workers, cache=cache, timings=timings))
+    cells = iter(run_cells(specs, **farm))
     rows = []
     for size in sizes:
         base = next(iter(next(cells).values()))
@@ -68,20 +66,8 @@ def run(
     return rows
 
 
-def main(
-    duration_us: float = 300_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    rows = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 300_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         ["throttle size (us)", "direct round (us)"] + list(SCHEDULERS),
         [

@@ -15,10 +15,10 @@ run.  The paper's shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
-from repro.experiments.parallel import CellTiming, ResultCache, run_cells
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 
 PAIR_APPS = ("DCT", "FFT", "glxgears", "oclParticles")
@@ -101,12 +101,10 @@ def run(
     apps: Sequence[str] = PAIR_APPS,
     sizes: Sequence[float] = THROTTLE_SIZES_US,
     schedulers: Sequence[str] = SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[PairOutcome]:
     specs = cell_specs(duration_us, warmup_us, seed, apps, sizes, schedulers)
-    cells = run_cells(specs, workers=workers, cache=cache, timings=timings)
+    cells = run_cells(specs, **farm)
     app_bases = {
         name: next(iter(cells[index].values()))
         for index, name in enumerate(apps)
@@ -137,20 +135,8 @@ def run(
     return outcomes
 
 
-def main(
-    duration_us: float = 400_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    outcomes = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    outcomes = run(duration_us=duration_us, seed=seed, **farm)
     rows = [
         [
             outcome.app,

@@ -8,10 +8,9 @@ Disengaged Fair Queueing 4%/18%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments import figure6
-from repro.experiments.parallel import CellTiming, ResultCache
 from repro.metrics.tables import format_table
 
 
@@ -30,9 +29,7 @@ def run(
     apps: Sequence[str] = figure6.PAIR_APPS,
     sizes: Sequence[float] = figure6.THROTTLE_SIZES_US,
     schedulers: Sequence[str] = figure6.SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> tuple[list[figure6.PairOutcome], list[EfficiencySummary]]:
     outcomes = figure6.run(
         duration_us,
@@ -41,9 +38,7 @@ def run(
         apps,
         sizes,
         schedulers,
-        workers=workers,
-        cache=cache,
-        timings=timings,
+        **farm,
     )
     direct = {
         (outcome.app, outcome.throttle_size_us): outcome.efficiency
@@ -73,20 +68,8 @@ def run(
     return outcomes, summaries
 
 
-def main(
-    duration_us: float = 400_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    outcomes, summaries = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    outcomes, summaries = run(duration_us=duration_us, seed=seed, **farm)
     cell_rows = [
         [
             outcome.app,

@@ -9,10 +9,10 @@ expected 4–5× slowdown; efficiency losses vs direct access were 13%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
-from repro.experiments.parallel import CellTiming, ResultCache, run_cells
+from repro.experiments.parallel import run_cells
 from repro.metrics.efficiency import concurrency_efficiency
 from repro.metrics.tables import format_table
 
@@ -60,12 +60,10 @@ def run(
     warmup_us: float = 100_000.0,
     seed: int = 0,
     schedulers: Sequence[str] = SCHEDULERS,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[Figure8Row]:
     names, specs = cell_specs(duration_us, warmup_us, seed, schedulers)
-    cells = run_cells(specs, workers=workers, cache=cache, timings=timings)
+    cells = run_cells(specs, **farm)
     baselines = {
         name: next(iter(cells[index].values()))
         for index, name in enumerate(names)
@@ -85,20 +83,8 @@ def run(
     return rows
 
 
-def main(
-    duration_us: float = 600_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    rows = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 600_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     names = list(rows[0].slowdowns)
     table = format_table(
         ["scheduler"] + [f"{name} slowdown" for name in names] + ["efficiency"],

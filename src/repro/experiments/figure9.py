@@ -11,10 +11,10 @@ idle the device during Throttle's unused slice time, hurting DCT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.cells import CellSpec, WorkloadSpec
-from repro.experiments.parallel import CellTiming, ResultCache, run_cells
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 
 SLEEP_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -76,16 +76,12 @@ def run(
     ratios: Sequence[float] = SLEEP_RATIOS,
     schedulers: Sequence[str] = SCHEDULERS,
     throttle_size_us: float = THROTTLE_SIZE_US,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
+    **farm,
 ) -> list[Figure9Cell]:
     specs = cell_specs(
         duration_us, warmup_us, seed, ratios, schedulers, throttle_size_us
     )
-    produced = iter(
-        run_cells(specs, workers=workers, cache=cache, timings=timings)
-    )
+    produced = iter(run_cells(specs, **farm))
     app_base = next(iter(next(produced).values()))
     cells = []
     for ratio in ratios:
@@ -109,20 +105,8 @@ def run(
     return cells
 
 
-def main(
-    duration_us: float = 500_000.0,
-    seed: int = 0,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    timings: Optional[list[CellTiming]] = None,
-) -> str:
-    cells = run(
-        duration_us=duration_us,
-        seed=seed,
-        workers=workers,
-        cache=cache,
-        timings=timings,
-    )
+def main(duration_us: float = 500_000.0, seed: int = 0, **farm) -> str:
+    cells = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         ["scheduler", "sleep ratio", "DCT slowdown", "throttle slowdown"],
         [

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import build_env, run_workloads
 from repro.metrics.tables import format_table
 from repro.workloads.throttle import Throttle
 
@@ -34,12 +36,21 @@ def run(
     warmup_us: float = 60_000.0,
     seed: int = 0,
     sizes: Sequence[float] = THROTTLE_SIZES_US,
+    **farm,
 ) -> list[BreakdownRow]:
+    bases = run_cells(
+        [
+            CellSpec.solo(WorkloadSpec.throttle(size), duration_us,
+                          warmup_us, seed)
+            for size in sizes
+        ],
+        **farm,
+    )
     rows = []
-    for size in sizes:
-        base = solo_baseline(
-            lambda size=size: Throttle(size), duration_us, warmup_us, seed
-        )
+    for size, base_cell in zip(sizes, bases):
+        (base,) = base_cell.values()
+        # The DFQ run stays hand-wired: it reads the scheduler's own
+        # time breakdown, which a cell's results do not carry.
         env = build_env("dfq", seed=seed)
         workload = Throttle(size)
         run_workloads(env, [workload], duration_us, warmup_us)
@@ -66,8 +77,8 @@ def run(
     return rows
 
 
-def main(duration_us: float = 400_000.0, seed: int = 0) -> str:
-    rows = run(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         [
             "throttle (us)",

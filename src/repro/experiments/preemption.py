@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import build_env, run_workloads
 from repro.gpu.params import GpuParams
 from repro.metrics.tables import format_table
 from repro.osmodel.costs import CostParams
 from repro.workloads.adversarial import InfiniteKernel
 from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
 
 SCHEDULERS = ("timeslice", "disengaged-timeslice")
 
@@ -56,11 +57,17 @@ def run_containment(
     warmup_us: float = 80_000.0,
     seed: int = 0,
     schedulers: Sequence[str] = SCHEDULERS,
+    **farm,
 ) -> list[ContainmentOutcome]:
-    victim_base = solo_baseline(
-        lambda: make_app("DCT", instance="victim"), duration_us, warmup_us, seed
+    (base,) = run_cells(
+        [CellSpec.solo(WorkloadSpec.app("DCT", instance="victim"),
+                       duration_us, warmup_us, seed)],
+        **farm,
     )
+    victim_base = base["victim"]
     outcomes = []
+    # The runs stay hand-wired: they read the device's usage split and
+    # preemption count, which a cell's results do not carry.
     for scheduler in schedulers:
         for preemption in (False, True):
             env = build_env(
@@ -102,40 +109,43 @@ def run_long_requests(
     seed: int = 0,
     schedulers: Sequence[str] = SCHEDULERS,
     long_request_us: float = 45_000.0,
+    **farm,
 ) -> list[LongRequestOutcome]:
     """Multi-timeslice requests: without preemption the peer eats the
     overrun (overuse control repays it only on average); with preemption
     slice boundaries are enforced exactly."""
-    long_base = solo_baseline(
-        lambda: Throttle(long_request_us, name="long"), duration_us, warmup_us, seed
-    )
-    small_base = solo_baseline(
-        lambda: Throttle(100.0, name="small"), duration_us, warmup_us, seed
-    )
-    outcomes = []
-    for scheduler in schedulers:
-        for preemption in (False, True):
-            env = build_env(scheduler, seed=seed, gpu_params=_params(preemption))
-            long_task = Throttle(long_request_us, name="long")
-            small_task = Throttle(100.0, name="small")
-            run_workloads(env, [long_task, small_task], duration_us, warmup_us)
-            small_stats = small_task.round_stats(warmup_us)
-            outcomes.append(
-                LongRequestOutcome(
-                    scheduler=scheduler,
-                    preemption=preemption,
-                    long_task_slowdown=long_task.round_stats(warmup_us).mean_us
-                    / long_base.rounds.mean_us,
-                    small_task_slowdown=small_stats.mean_us
-                    / small_base.rounds.mean_us,
-                    small_task_p95_us=small_stats.p95_us,
-                )
-            )
-    return outcomes
+    long_task = WorkloadSpec.throttle(long_request_us, name="long")
+    small_task = WorkloadSpec.throttle(100.0, name="small")
+    configs = [
+        (scheduler, preemption)
+        for scheduler in schedulers
+        for preemption in (False, True)
+    ]
+    specs = [
+        CellSpec.solo(long_task, duration_us, warmup_us, seed),
+        CellSpec.solo(small_task, duration_us, warmup_us, seed),
+    ] + [
+        CellSpec(scheduler, (long_task, small_task), duration_us, warmup_us,
+                 seed, gpu_params=_params(preemption))
+        for scheduler, preemption in configs
+    ]
+    long_base, small_base, *cells = run_cells(specs, **farm)
+    return [
+        LongRequestOutcome(
+            scheduler=scheduler,
+            preemption=preemption,
+            long_task_slowdown=results["long"].rounds.mean_us
+            / long_base["long"].rounds.mean_us,
+            small_task_slowdown=results["small"].rounds.mean_us
+            / small_base["small"].rounds.mean_us,
+            small_task_p95_us=results["small"].rounds.p95_us,
+        )
+        for (scheduler, preemption), results in zip(configs, cells)
+    ]
 
 
-def main(duration_us: float = 400_000.0, seed: int = 0) -> str:
-    containment = run_containment(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    containment = run_containment(duration_us=duration_us, seed=seed, **farm)
     containment_table = format_table(
         ["scheduler", "preemption", "attacker killed", "attacker share",
          "victim slowdown", "preemptions"],
@@ -153,7 +163,9 @@ def main(duration_us: float = 400_000.0, seed: int = 0) -> str:
         title="Infinite-loop containment: kill (no preemption) vs "
         "fair-share containment (with preemption)",
     )
-    long_requests = run_long_requests(duration_us=duration_us, seed=seed)
+    long_requests = run_long_requests(
+        duration_us=duration_us, seed=seed, **farm
+    )
     long_table = format_table(
         ["scheduler", "preemption", "long-task x", "small-task x", "small p95 (us)"],
         [

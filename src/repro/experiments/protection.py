@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.runner import build_env, measure, run_workloads
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
 from repro.osmodel.costs import CostParams
-from repro.workloads.adversarial import GreedyBatcher, InfiniteKernel
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
 
 SCHEDULERS = ("direct", "timeslice", "disengaged-timeslice", "dfq")
 
@@ -51,24 +49,33 @@ def run_infinite_loop(
     duration_us: float = 400_000.0,
     seed: int = 0,
     schedulers: Sequence[str] = SCHEDULERS,
+    **farm,
 ) -> list[InfiniteLoopOutcome]:
-    outcomes = []
+    # The attack starts a quarter into the run; measuring rounds from
+    # there counts the victim's rounds after the attack.
     attack_start_us = duration_us / 4
-    for scheduler in schedulers:
-        env = build_env(scheduler, seed=seed, costs=_protection_costs())
-        attacker = InfiniteKernel(normal_size_us=100.0, normal_requests=50)
-        victim = make_app("DCT", instance="victim")
-        results = run_workloads(
-            env, [attacker, victim], duration_us, warmup_us=0.0
-        )
-        victim_after = victim.rounds.stats(warmup_us=attack_start_us)
+    workloads = (
+        WorkloadSpec.of("infinite-kernel", normal_size_us=100.0,
+                        normal_requests=50),
+        WorkloadSpec.app("DCT", instance="victim"),
+    )
+    specs = [
+        CellSpec(scheduler, workloads, duration_us, attack_start_us, seed,
+                 costs=_protection_costs())
+        for scheduler in schedulers
+    ]
+    cells = run_cells(specs, **farm)
+    outcomes = []
+    for scheduler, results in zip(schedulers, cells):
+        attacker = results["infinite-kernel"]
+        victim_after = results["victim"].rounds.count
         outcomes.append(
             InfiniteLoopOutcome(
                 scheduler=scheduler,
                 attacker_killed=attacker.killed,
-                kill_reason=results[attacker.name].kill_reason or "-",
-                victim_rounds_after_attack=victim_after.count,
-                victim_starved=victim_after.count == 0,
+                kill_reason=attacker.kill_reason or "-",
+                victim_rounds_after_attack=victim_after,
+                victim_starved=victim_after == 0,
             )
         )
     return outcomes
@@ -79,18 +86,19 @@ def run_greedy_batcher(
     warmup_us: float = 60_000.0,
     seed: int = 0,
     schedulers: Sequence[str] = SCHEDULERS,
+    **farm,
 ) -> list[BatcherOutcome]:
+    workloads = (
+        WorkloadSpec.of("greedy-batcher", work_unit_us=50.0, batch_factor=20),
+        WorkloadSpec.throttle(50.0, name="victim"),
+    )
+    specs = [
+        CellSpec(scheduler, workloads, duration_us, warmup_us, seed)
+        for scheduler in schedulers
+    ]
+    cells = run_cells(specs, **farm)
     outcomes = []
-    batcher_factory = lambda: GreedyBatcher(work_unit_us=50.0, batch_factor=20)
-    victim_factory = lambda: Throttle(50.0, name="victim")
-    for scheduler in schedulers:
-        results = measure(
-            scheduler,
-            [batcher_factory, victim_factory],
-            duration_us,
-            warmup_us,
-            seed,
-        )
+    for scheduler, results in zip(schedulers, cells):
         batcher = results["greedy-batcher"]
         victim = results["victim"]
         total = batcher.ground_truth_usage_us + victim.ground_truth_usage_us
@@ -104,8 +112,10 @@ def run_greedy_batcher(
     return outcomes
 
 
-def main(duration_us: float = 400_000.0, seed: int = 0) -> str:
-    loop_outcomes = run_infinite_loop(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 400_000.0, seed: int = 0, **farm) -> str:
+    loop_outcomes = run_infinite_loop(
+        duration_us=duration_us, seed=seed, **farm
+    )
     loop_table = format_table(
         ["scheduler", "attacker killed", "victim rounds after attack", "victim starved"],
         [
@@ -115,7 +125,9 @@ def main(duration_us: float = 400_000.0, seed: int = 0) -> str:
         title="Infinite-loop request: kill-and-recover "
         "(direct access starves; schedulers must not)",
     )
-    batch_outcomes = run_greedy_batcher(duration_us=duration_us, seed=seed)
+    batch_outcomes = run_greedy_batcher(
+        duration_us=duration_us, seed=seed, **farm
+    )
     batch_table = format_table(
         ["scheduler", "batcher device share", "victim device share"],
         [

@@ -13,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.runner import build_env, run_workloads
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
-from repro.workloads.throttle import Throttle
 
 REQUEST_SIZES_US = (10.0, 20.0, 50.0, 100.0)
 
-
-class _SyscallThrottle(Throttle):
-    submit_mode = "syscall"
-
-
-class _DriverWorkThrottle(Throttle):
-    submit_mode = "syscall+driver"
+#: The three submission stacks, in table column order.
+SUBMIT_MODES = ("mmio", "syscall", "syscall+driver")
 
 
 @dataclass(frozen=True)
@@ -45,36 +40,33 @@ class ThroughputRow:
         return self.direct_rps / self.driver_rps - 1.0
 
 
-def _throughput(cls, size: float, duration_us: float, seed: int) -> float:
-    env = build_env("direct", seed=seed)
-    workload = cls(size)
-    results = run_workloads(env, [workload], duration_us, warmup_us=0.0)
-    result = results[workload.name]
-    return result.rounds.count / (duration_us / 1e6)
-
-
 def run(
     duration_us: float = 100_000.0,
     seed: int = 0,
     sizes: Sequence[float] = REQUEST_SIZES_US,
+    **farm,
 ) -> list[ThroughputRow]:
-    rows = []
-    for size in sizes:
-        rows.append(
-            ThroughputRow(
-                request_size_us=size,
-                direct_rps=_throughput(Throttle, size, duration_us, seed),
-                syscall_rps=_throughput(_SyscallThrottle, size, duration_us, seed),
-                driver_rps=_throughput(
-                    _DriverWorkThrottle, size, duration_us, seed
-                ),
-            )
+    specs = [
+        CellSpec.solo(
+            WorkloadSpec.throttle(size, submit_mode=mode), duration_us, 0.0,
+            seed,
         )
-    return rows
+        for size in sizes
+        for mode in SUBMIT_MODES
+    ]
+    rates = [
+        next(iter(cell.values())).rounds.count / (duration_us / 1e6)
+        for cell in run_cells(specs, **farm)
+    ]
+    stacks = len(SUBMIT_MODES)
+    return [
+        ThroughputRow(size, *rates[index * stacks:(index + 1) * stacks])
+        for index, size in enumerate(sizes)
+    ]
 
 
-def main(duration_us: float = 100_000.0, seed: int = 0) -> str:
-    rows = run(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 100_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         [
             "request(us)",

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
+from repro.experiments.ablations import dct_throttle_slowdowns
+from repro.experiments.cells import WorkloadSpec
 from repro.metrics.tables import format_table
 from repro.osmodel.costs import CostParams
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
 
 
 @dataclass(frozen=True)
@@ -51,42 +50,27 @@ def run(
     duration_us: float = 300_000.0,
     warmup_us: float = 60_000.0,
     seed: int = 0,
+    **farm,
 ) -> list[SensitivityRow]:
-    app_base = solo_baseline(lambda: make_app("DCT"), duration_us, warmup_us, seed)
-    throttle_base = solo_baseline(
-        lambda: Throttle(500.0, name="thr"), duration_us, warmup_us, seed
+    settings = [
+        (knob, scheduler, value)
+        for knob, (scheduler, values) in SWEEPS.items()
+        for value in values
+    ]
+    slowdowns = dct_throttle_slowdowns(
+        [(scheduler, _costs_with(knob, value))
+         for knob, scheduler, value in settings],
+        WorkloadSpec.throttle(500.0, name="thr"), duration_us, warmup_us,
+        seed, **farm,
     )
-    rows = []
-    for knob, (scheduler, values) in SWEEPS.items():
-        for value in values:
-            costs = _costs_with(knob, value)
-            solo_env = build_env(scheduler, seed=seed, costs=costs)
-            solo = make_app("DCT")
-            run_workloads(solo_env, [solo], duration_us, warmup_us)
-
-            pair_env = build_env(scheduler, seed=seed, costs=_costs_with(knob, value))
-            app = make_app("DCT")
-            throttle = Throttle(500.0, name="thr")
-            run_workloads(pair_env, [app, throttle], duration_us, warmup_us)
-            rows.append(
-                SensitivityRow(
-                    knob=knob,
-                    value=float(value),
-                    scheduler=scheduler,
-                    standalone_overhead=solo.round_stats(warmup_us).mean_us
-                    / app_base.rounds.mean_us
-                    - 1.0,
-                    app_slowdown=app.round_stats(warmup_us).mean_us
-                    / app_base.rounds.mean_us,
-                    throttle_slowdown=throttle.round_stats(warmup_us).mean_us
-                    / throttle_base.rounds.mean_us,
-                )
-            )
-    return rows
+    return [
+        SensitivityRow(knob, float(value), scheduler, *row)
+        for (knob, scheduler, value), row in zip(settings, slowdowns)
+    ]
 
 
-def main(duration_us: float = 300_000.0, seed: int = 0) -> str:
-    rows = run(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 300_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table = format_table(
         ["knob", "value", "scheduler", "standalone overhead", "DCT x", "thr x", "fair"],
         [

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.runner import solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
 from repro.metrics.tables import format_table
-from repro.workloads.apps import make_app
 from repro.workloads.profiles import APP_PROFILES
 
 
@@ -36,18 +36,18 @@ def run(
     warmup_us: float = 50_000.0,
     seed: int = 0,
     apps: Optional[Sequence[str]] = None,
+    **farm,
 ) -> list[Table1Row]:
     names = list(apps) if apps is not None else sorted(APP_PROFILES)
+    specs = [
+        CellSpec.solo(WorkloadSpec.app(name), duration_us, warmup_us, seed)
+        for name in names
+    ]
+    cells = run_cells(specs, **farm)
     rows = []
-    for name in names:
+    for name, cell in zip(names, cells):
         profile = APP_PROFILES[name]
-        result = solo_baseline(
-            lambda name=name: make_app(name), duration_us, warmup_us, seed
-        )
-        paper_request = profile.paper_request_us
-        if paper_request is None and profile.paper_request_split is not None:
-            compute, graphics = profile.paper_request_split
-            paper_request = None  # reported as a split in the table
+        result = cell[name]
         rows.append(
             Table1Row(
                 app=name,
@@ -61,8 +61,8 @@ def run(
     return rows
 
 
-def main(duration_us: float = 300_000.0, seed: int = 0) -> str:
-    rows = run(duration_us=duration_us, seed=seed)
+def main(duration_us: float = 300_000.0, seed: int = 0, **farm) -> str:
+    rows = run(duration_us=duration_us, seed=seed, **farm)
     table_rows = []
     for row in rows:
         profile = APP_PROFILES[row.app]

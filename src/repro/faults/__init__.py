@@ -10,8 +10,8 @@ The subsystem has three parts:
 * :mod:`repro.faults.injector` — the :class:`Injector` that evaluates a
   plan at each instrumented site during a run.
 
-Install a plan with ``build_env(..., fault_plan=plan)`` /
-``measure(..., fault_plan=plan)`` or a ``CellSpec(fault_plan=plan)``;
+Install a plan with ``build_env(..., fault_plan=plan)`` or a
+``CellSpec(fault_plan=plan)``;
 with no plan installed every injection site is a single ``is None``
 check and the simulation is byte-identical to an uninstrumented run.
 See docs/FAULTS.md for the full schema and hardening semantics.

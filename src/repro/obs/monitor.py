@@ -13,11 +13,12 @@ Glue between the pure aggregation layers and the rest of the system:
   ``slo.violation``, ``slo.recovered``) and bumped as counters
   (``windows_closed``, ``slo_violations``, ``slo_recoveries``).
 * :class:`MonitorSession` — installs monitoring for a whole CLI
-  invocation via :func:`monitoring`; the experiment runner asks
-  :func:`active_monitor` per run (one ``is None`` check when off, so
-  monitor-off runs stay byte-identical), and the cell farm runs
-  serially under a session (module-level hooks do not survive a
-  process-pool boundary).
+  invocation via :func:`monitoring`; the experiments layer's
+  ``build_env`` asks :func:`active_monitor` once per simulation built
+  without a ``trace`` (one ``is None`` check when off, so monitor-off
+  runs stay byte-identical), which covers cells and hand-wired driver
+  runs alike, and the cell farm runs serially under a session
+  (module-level hooks do not survive a process-pool boundary).
 * the ``repro monitor`` CLI — run any experiment or an inline
   simulation with ``--window-us`` windows, live per-window stderr
   rendering (through the ``--progress`` ticker when installed) and a
@@ -78,11 +79,16 @@ class Monitor:
         self.aggregator.keep_snapshots = keep_snapshots
         self.engine = SloEngine(rules)
         self.slo_events: list[SloEvent] = []
+        #: The run's simulator, bound by the experiments layer's
+        #: ``build_env``; :meth:`finalize` closes the last window at its
+        #: clock when no end time is given, then lets go of it so a
+        #: finished run's system is not kept alive by its report.
+        self.clock = None
         self.aggregator.on_window(self._window_closed)
         self.trace.add_sink(self.aggregator)
-        # Back-reference the runner uses to number the run's entities and
-        # to finalize before snapshotting metrics (duck-typed: the runner
-        # must not import this module).
+        # Back-reference the fleet run path uses to number the run's
+        # entities and to finalize before snapshotting metrics
+        # (duck-typed: repro.fleet must not import this module).
         self.trace.monitor = self
 
     # -- window-close fan-out ------------------------------------------
@@ -134,10 +140,17 @@ class Monitor:
                 self.line_sink(format_slo_line(event, self.label))
 
     def finalize(self, end_us: Optional[float] = None) -> None:
-        """Close the final (possibly partial) window; idempotent."""
+        """Close the final (possibly partial) window; idempotent.
+
+        Without ``end_us`` the window closes at the bound clock's time,
+        or, with no clock bound, at the last whole bucket.
+        """
         if end_us is None:
-            # Safety net for aborted runs: flush whole buckets only.
-            end_us = self.aggregator.open_bucket_start_us
+            end_us = (
+                self.clock.now if self.clock is not None
+                else self.aggregator.open_bucket_start_us
+            )
+        self.clock = None
         self.aggregator.finish(end_us)
 
     @property
@@ -211,9 +224,11 @@ def format_slo_line(event: SloEvent, label: str = "") -> str:
 class MonitorSession:
     """Monitoring configuration + accumulated per-run reports.
 
-    Installed with :func:`monitoring`; the experiment runner calls
-    :meth:`begin_run` for every simulation it builds while the session
-    is active and :meth:`end_run` when it finishes.
+    Installed with :func:`monitoring`; the experiments layer's
+    ``build_env`` calls :meth:`begin_run` for every simulation it builds
+    while the session is active.  ``run_workloads`` closes a run's last
+    window when its clock stops; :meth:`close`, called when the session
+    is uninstalled, closes those of runs driven some other way.
     """
 
     def __init__(
@@ -266,8 +281,10 @@ class MonitorSession:
         self.monitors.append(monitor)
         return monitor
 
-    def end_run(self, monitor: Monitor) -> None:
-        monitor.finalize()
+    def close(self) -> None:
+        """Close every run's final window (idempotent per run)."""
+        for monitor in self.monitors:
+            monitor.finalize()
 
     @property
     def violations(self) -> int:
@@ -308,7 +325,7 @@ def active_monitor() -> Optional[MonitorSession]:
 
 @contextmanager
 def monitoring(session: MonitorSession) -> Iterator[MonitorSession]:
-    """Install ``session`` for the duration of the block."""
+    """Install ``session`` for the duration of the block, then close it."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = session
@@ -316,6 +333,7 @@ def monitoring(session: MonitorSession) -> Iterator[MonitorSession]:
         yield session
     finally:
         _ACTIVE = previous
+        session.close()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ The engine is the one place that orchestrates a full neonlint run:
    contexts, with the checkers built once for the run.
 3. **Model-based rules** (NEON301/302, NEON5xx) run over one shared
    :class:`~repro.staticcheck.graph.ProjectModel` linked from the same
-   contexts — never per file, so calls resolve across modules.
+   contexts — never per file, so calls resolve across modules.  Files
+   from several source roots that share a dotted module name get one
+   model per root (:func:`~repro.staticcheck.graph.split_projects`), so
+   none of them is shadowed.
 
 Suppression (the inline pragma) is applied centrally to both layers, so
 ``# neonlint: allow[NEON501] reason`` works exactly like it does for the
@@ -32,7 +35,7 @@ from repro.staticcheck.core import (
     collect_files,
     parse_module,
 )
-from repro.staticcheck.graph import ProjectModel
+from repro.staticcheck.graph import ProjectModel, split_projects
 from repro.staticcheck.rules import build_checkers
 from repro.staticcheck.rules.wholeprogram import WHOLE_PROGRAM_CHECKS
 
@@ -86,21 +89,28 @@ class AnalysisResult:
 def _run_whole_program(
     contexts: Sequence[ModuleContext], config: "Config", stats: AnalysisStats
 ) -> list[Violation]:
-    model = ProjectModel.build(contexts=contexts)
-    stats.modules_linked = len(model.modules)
-    stats.functions_linked = len(model.functions)
     ctx_by_path = {str(ctx.path): ctx for ctx in contexts}
     violations: list[Violation] = []
-    for rule_id, check in WHOLE_PROGRAM_CHECKS.items():
-        started = host_clock()
-        found = list(check(model, config))
-        stats.rule_wall_s[rule_id] = host_clock() - started
-        for violation in found:
-            ctx = ctx_by_path.get(violation.path)
-            if ctx is not None and ctx.pragma_allows(violation.line, violation.rule_id):
-                stats.suppressed += 1
-                continue
-            violations.append(violation)
+    for linked, own in split_projects(contexts):
+        model = ProjectModel.build(contexts=linked)
+        own_modules = {ctx.module for ctx in linked if str(ctx.path) in own}
+        stats.modules_linked += len(own_modules)
+        stats.functions_linked += sum(
+            function.module in own_modules
+            for function in model.functions.values()
+        )
+        for rule_id, check in WHOLE_PROGRAM_CHECKS.items():
+            started = host_clock()
+            found = [v for v in check(model, config) if v.path in own]
+            stats.rule_wall_s[rule_id] = (
+                stats.rule_wall_s.get(rule_id, 0.0) + host_clock() - started
+            )
+            for violation in found:
+                ctx = ctx_by_path[violation.path]
+                if ctx.pragma_allows(violation.line, violation.rule_id):
+                    stats.suppressed += 1
+                    continue
+                violations.append(violation)
     return violations
 
 

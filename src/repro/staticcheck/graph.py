@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.staticcheck.core import (
     ModuleContext,
@@ -206,6 +206,33 @@ class ModuleInfo:
         return f"{binding.target}.{rest}" if rest else binding.target
 
 
+def _add_function(
+    info: ModuleInfo,
+    qualname: str,
+    cls: Optional[str],
+    node: "ast.FunctionDef | ast.AsyncFunctionDef",
+) -> None:
+    """Index one definition as a call-graph node.
+
+    The qualified name resolves to the last definition, as the name does
+    at runtime; an earlier one of the same name (a property getter before
+    its ``@x.setter``, a redefinition) stays a node as ``qualname@line``,
+    so its body is linked and checked too.
+    """
+    earlier = info.functions.pop(qualname, None)
+    if earlier is not None:
+        earlier.qualname = f"{qualname}@{earlier.lineno}"
+        info.functions[earlier.qualname] = earlier
+    info.functions[qualname] = FunctionInfo(
+        qualname=qualname,
+        module=info.name,
+        name=node.name,
+        cls=cls,
+        lineno=node.lineno,
+        node=node,
+    )
+
+
 class ProjectModel:
     """The linked whole-program model; see the module docstring."""
 
@@ -244,7 +271,8 @@ class ProjectModel:
 
     def _index_module(self, ctx: ModuleContext) -> None:
         info = ModuleInfo(ctx)
-        # Last definition wins on duplicate module names (mirrors runtime).
+        # Last definition wins on duplicate module names; the engine
+        # splits such inputs with :func:`split_projects` first.
         self.modules[info.name] = info
         self._collect_imports(info, ctx.tree, runtime=True)
         self._collect_defs(info)
@@ -284,15 +312,7 @@ class ProjectModel:
         info.functions[module_fn.qualname] = module_fn
         for stmt in info.ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{info.name}.{stmt.name}"
-                info.functions[qual] = FunctionInfo(
-                    qualname=qual,
-                    module=info.name,
-                    name=stmt.name,
-                    cls=None,
-                    lineno=stmt.lineno,
-                    node=stmt,
-                )
+                _add_function(info, f"{info.name}.{stmt.name}", None, stmt)
             elif isinstance(stmt, ast.ClassDef):
                 bases = tuple(
                     name
@@ -309,14 +329,7 @@ class ProjectModel:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         qual = f"{info.name}.{stmt.name}.{item.name}"
                         klass.methods[item.name] = qual
-                        info.functions[qual] = FunctionInfo(
-                            qualname=qual,
-                            module=info.name,
-                            name=item.name,
-                            cls=stmt.name,
-                            lineno=item.lineno,
-                            node=item,
-                        )
+                        _add_function(info, qual, stmt.name, item)
                 info.classes[stmt.name] = klass
             elif isinstance(stmt, ast.Assign):
                 self._collect_constant(info, stmt)
@@ -561,6 +574,40 @@ class ProjectModel:
                 yield info.functions[qual]
 
 
+def _source_root(ctx: ModuleContext) -> Path:
+    """The directory a file's dotted module name is relative to."""
+    depth = ctx.module.count(".") + (ctx.path.name == "__init__.py")
+    return Path(ctx.path).resolve().parents[depth]
+
+
+def split_projects(
+    contexts: Sequence[ModuleContext],
+) -> list[tuple[list[ModuleContext], set[str]]]:
+    """Split parsed files into projects whose module names are unique.
+
+    Each project is ``(contexts to link, paths it reports on)``.  With no
+    dotted name shared by two files that is one project of everything.
+    Otherwise there is one per source root (``a`` for ``a/pkg/mod.py``):
+    its own files, plus the last file of every module name it lacks, so
+    calls into other roots still resolve; it reports on its own files
+    only, so each file is checked once, against its own package.
+    """
+    by_name: dict[str, ModuleContext] = {}
+    for ctx in contexts:
+        by_name[ctx.module] = ctx
+    if len(by_name) == len(contexts):
+        return [(list(contexts), {str(ctx.path) for ctx in contexts})]
+    roots: dict[Path, list[ModuleContext]] = {}
+    for ctx in contexts:
+        roots.setdefault(_source_root(ctx), []).append(ctx)
+    projects = []
+    for own in roots.values():
+        names = {ctx.module for ctx in own}
+        guests = [ctx for name, ctx in by_name.items() if name not in names]
+        projects.append((own + guests, {str(ctx.path) for ctx in own}))
+    return projects
+
+
 __all__ = [
     "MODULE_NODE",
     "CallSite",
@@ -572,4 +619,5 @@ __all__ = [
     "ProjectModel",
     "SymbolRef",
     "dotted_name",
+    "split_projects",
 ]

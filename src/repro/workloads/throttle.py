@@ -24,6 +24,7 @@ class Throttle(Workload):
         name: Optional[str] = None,
         kind: RequestKind = RequestKind.COMPUTE,
         jitter_sigma: float = 0.0,
+        submit_mode: str = Workload.submit_mode,
     ) -> None:
         if request_size_us <= 0:
             raise ValueError("request size must be positive")
@@ -35,6 +36,7 @@ class Throttle(Workload):
         self.sleep_ratio = sleep_ratio
         self.kind = kind
         self.jitter_sigma = jitter_sigma
+        self.submit_mode = submit_mode
 
     @property
     def sleep_us(self) -> float:

@@ -9,7 +9,7 @@ from repro.experiments.cells import (
     WorkloadSpec,
     register_workload_kind,
 )
-from repro.experiments.runner import measure
+from repro.experiments.runner import build_env, run_workloads
 from repro.workloads.apps import ProfiledApp
 from repro.workloads.throttle import Throttle
 
@@ -79,17 +79,16 @@ def test_content_key_ignores_kwarg_order():
     assert cell_a.content_key() == cell_b.content_key()
 
 
-def test_cell_run_matches_measure():
+def test_cell_run_matches_hand_wired_run():
     cell = CellSpec(
         scheduler="direct",
         workloads=(WorkloadSpec.throttle(50.0, name="a"),),
         duration_us=20_000.0,
         warmup_us=2_000.0,
     )
-    direct = measure(
-        "direct",
-        [lambda: Throttle(50.0, name="a")],
-        duration_us=20_000.0,
+    env = build_env("direct")
+    direct = run_workloads(
+        env, [Throttle(50.0, name="a")], duration_us=20_000.0,
         warmup_us=2_000.0,
     )
     assert cell.run() == direct

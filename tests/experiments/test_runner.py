@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import build_env, measure, run_workloads, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.runner import build_env, run_workloads
 from repro.workloads.throttle import Throttle
 
 
@@ -19,12 +20,13 @@ def test_scheduler_instance_accepted():
 
 
 def test_measure_returns_result_per_workload():
-    results = measure(
+    results = CellSpec(
         "direct",
-        [lambda: Throttle(50.0, name="a"), lambda: Throttle(100.0, name="b")],
+        (WorkloadSpec.throttle(50.0, name="a"),
+         WorkloadSpec.throttle(100.0, name="b")),
         duration_us=20_000.0,
         warmup_us=2_000.0,
-    )
+    ).run()
     assert set(results) == {"a", "b"}
     for result in results.values():
         assert result.rounds.count > 0
@@ -34,9 +36,11 @@ def test_measure_returns_result_per_workload():
 
 
 def test_solo_baseline_runs_direct():
-    result = solo_baseline(
-        lambda: Throttle(100.0), duration_us=20_000.0, warmup_us=2_000.0
+    cell = CellSpec.solo(
+        WorkloadSpec.throttle(100.0), duration_us=20_000.0, warmup_us=2_000.0
     )
+    assert cell.scheduler == "direct"
+    (result,) = cell.run().values()
     assert 100.0 <= result.rounds.mean_us < 101.0
 
 

@@ -1,43 +1,25 @@
-"""Tests for seed-sweep statistics and key results' seed stability."""
+"""Seed stability of a key result."""
 
-import pytest
-
-from repro.experiments.runner import measure, solo_baseline, sweep_seeds
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
-
-
-def test_sweep_statistics_math():
-    stats = sweep_seeds(lambda seed: float(seed), seeds=(0, 1, 2), metric="id")
-    assert stats.mean == pytest.approx(1.0)
-    assert stats.minimum == 0.0
-    assert stats.maximum == 2.0
-    assert stats.std == pytest.approx((2.0 / 3.0) ** 0.5)
-    assert stats.relative_spread == pytest.approx(2.0)
-
-
-def test_constant_metric_has_zero_spread():
-    stats = sweep_seeds(lambda seed: 5.0, seeds=(1, 2, 3))
-    assert stats.std == 0.0
-    assert stats.relative_spread == 0.0
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.parallel import run_cells
 
 
 def test_dfq_fairness_is_seed_stable():
     """The headline fairness number should not be a seed artifact."""
-
-    def dct_slowdown(seed: int) -> float:
-        base = solo_baseline(
-            lambda: make_app("DCT"), 150_000.0, 30_000.0, seed
-        )
-        results = measure(
-            "dfq",
-            [lambda: make_app("DCT"), lambda: Throttle(500.0, name="thr")],
-            150_000.0,
-            30_000.0,
-            seed,
-        )
-        return results["DCT"].rounds.mean_us / base.rounds.mean_us
-
-    stats = sweep_seeds(dct_slowdown, seeds=(0, 1, 2), metric="DCT slowdown")
-    assert 1.4 < stats.mean < 2.8
-    assert stats.relative_spread < 0.5
+    app = WorkloadSpec.app("DCT")
+    pair = (app, WorkloadSpec.throttle(500.0, name="thr"))
+    seeds = (0, 1, 2)
+    specs = []
+    for seed in seeds:
+        specs += [
+            CellSpec.solo(app, 150_000.0, 30_000.0, seed),
+            CellSpec("dfq", pair, 150_000.0, 30_000.0, seed),
+        ]
+    cells = run_cells(specs)
+    slowdowns = [
+        results["DCT"].rounds.mean_us / base["DCT"].rounds.mean_us
+        for base, results in zip(cells[::2], cells[1::2])
+    ]
+    mean = sum(slowdowns) / len(slowdowns)
+    assert 1.4 < mean < 2.8
+    assert (max(slowdowns) - min(slowdowns)) / mean < 0.5

@@ -16,7 +16,7 @@ from repro.experiments.chaos import (
     check_invariants,
     deep_check,
 )
-from repro.experiments.runner import build_env, measure, run_workloads
+from repro.experiments.runner import build_env, run_workloads
 from repro.faults import registry as fault_points
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.spans import fold_trace

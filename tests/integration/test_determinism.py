@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.experiments.runner import measure
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
+from repro.experiments.cells import CellSpec, WorkloadSpec
 
 
 def _signature(seed):
-    results = measure(
+    results = CellSpec(
         "dfq",
-        [lambda: make_app("DCT"), lambda: Throttle(250.0, name="thr")],
+        (WorkloadSpec.app("DCT"), WorkloadSpec.throttle(250.0, name="thr")),
         duration_us=120_000.0,
         warmup_us=20_000.0,
         seed=seed,
-    )
+    ).run()
     return {
         name: (result.rounds.count, result.rounds.mean_us, result.requests_submitted)
         for name, result in results.items()
@@ -33,13 +31,14 @@ def test_different_seed_differs():
 @pytest.mark.parametrize("scheduler", ["direct", "disengaged-timeslice"])
 def test_determinism_across_schedulers(scheduler):
     def run():
-        results = measure(
+        results = CellSpec(
             scheduler,
-            [lambda: Throttle(100.0, name="a"), lambda: Throttle(400.0, name="b")],
+            (WorkloadSpec.throttle(100.0, name="a"),
+             WorkloadSpec.throttle(400.0, name="b")),
             duration_us=100_000.0,
             warmup_us=10_000.0,
             seed=7,
-        )
+        ).run()
         return {name: result.rounds.count for name, result in results.items()}
 
     assert run() == run()

@@ -1,6 +1,7 @@
 """End-to-end efficiency: disengagement pays, work conservation pays more."""
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.runner import build_env, run_workloads
 from repro.metrics.efficiency import concurrency_efficiency
 from repro.workloads.throttle import Throttle
 
@@ -9,10 +10,13 @@ WARMUP = 50_000.0
 
 
 def _pair_efficiency(scheduler, sleep_ratio=0.0):
-    base_a = solo_baseline(lambda: Throttle(80.0, name="a"), DURATION, WARMUP)
-    base_b = solo_baseline(
-        lambda: Throttle(80.0, sleep_ratio=sleep_ratio, name="b"), DURATION, WARMUP
-    )
+    base_a = CellSpec.solo(
+        WorkloadSpec.throttle(80.0, name="a"), DURATION, WARMUP
+    ).run()["a"]
+    base_b = CellSpec.solo(
+        WorkloadSpec.throttle(80.0, sleep_ratio=sleep_ratio, name="b"),
+        DURATION, WARMUP,
+    ).run()["b"]
     env = build_env(scheduler)
     a = Throttle(80.0, name="a")
     b = Throttle(80.0, sleep_ratio=sleep_ratio, name="b")

@@ -7,7 +7,8 @@ the large-request task crush the small one.
 
 import pytest
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.runner import build_env, run_workloads
 from repro.workloads.throttle import Throttle
 
 DURATION = 300_000.0
@@ -15,8 +16,12 @@ WARMUP = 60_000.0
 
 
 def _pair_slowdowns(scheduler):
-    small_base = solo_baseline(lambda: Throttle(60.0, name="small"), DURATION, WARMUP)
-    large_base = solo_baseline(lambda: Throttle(600.0, name="large"), DURATION, WARMUP)
+    small_base = CellSpec.solo(
+        WorkloadSpec.throttle(60.0, name="small"), DURATION, WARMUP
+    ).run()["small"]
+    large_base = CellSpec.solo(
+        WorkloadSpec.throttle(600.0, name="large"), DURATION, WARMUP
+    ).run()["large"]
     env = build_env(scheduler)
     small = Throttle(60.0, name="small")
     large = Throttle(600.0, name="large")

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import build_env, run_workloads, solo_baseline
-from repro.workloads.apps import make_app
-from repro.workloads.throttle import Throttle
+from repro.experiments.cells import CellSpec, WorkloadSpec
+from repro.experiments.runner import build_env, run_workloads
 
 DURATION = 400_000.0
 WARMUP = 80_000.0
@@ -12,15 +11,13 @@ WARMUP = 80_000.0
 
 @pytest.mark.parametrize("scheduler", ["disengaged-timeslice", "dfq"])
 def test_four_way_slowdowns_near_4x(scheduler):
-    names = ("BinarySearch", "DCT", "FFT")
-    factories = {name: (lambda name=name: make_app(name)) for name in names}
-    factories["thr"] = lambda: Throttle(1000.0, name="thr")
-    baselines = {
-        name: solo_baseline(factory, DURATION, WARMUP)
-        for name, factory in factories.items()
-    }
+    specs = [WorkloadSpec.app(name) for name in ("BinarySearch", "DCT", "FFT")]
+    specs.append(WorkloadSpec.throttle(1000.0, name="thr"))
+    baselines = {}
+    for spec in specs:
+        baselines.update(CellSpec.solo(spec, DURATION, WARMUP).run())
     env = build_env(scheduler)
-    workloads = [factory() for factory in factories.values()]
+    workloads = [spec.build() for spec in specs]
     run_workloads(env, workloads, DURATION, WARMUP)
     for workload in workloads:
         slowdown = (
@@ -33,15 +30,15 @@ def test_four_way_slowdowns_near_4x(scheduler):
 
 
 def test_direct_access_unfair_at_four_way():
-    factories = [
-        lambda: make_app("DCT"),
-        lambda: make_app("FFT"),
-        lambda: make_app("BinarySearch"),
-        lambda: Throttle(1000.0, name="thr"),
+    specs = [
+        WorkloadSpec.app("DCT"),
+        WorkloadSpec.app("FFT"),
+        WorkloadSpec.app("BinarySearch"),
+        WorkloadSpec.throttle(1000.0, name="thr"),
     ]
-    base_dct = solo_baseline(factories[0], DURATION, WARMUP)
+    base_dct = CellSpec.solo(specs[0], DURATION, WARMUP).run()["DCT"]
     env = build_env("direct")
-    workloads = [factory() for factory in factories]
+    workloads = [spec.build() for spec in specs]
     run_workloads(env, workloads, DURATION, WARMUP)
     dct = next(w for w in workloads if w.name == "DCT")
     slowdown = dct.round_stats(WARMUP).mean_us / base_dct.rounds.mean_us

@@ -1,10 +1,12 @@
 """The ``repro monitor`` CLI and its runner/farm integration, end to end."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main as repro_main
+from repro.fleet import registry
 from repro.obs.monitor import (
     MonitorSession,
     active_monitor,
@@ -121,6 +123,43 @@ def test_experiment_mode_stdout_is_byte_identical(capsys):
     assert "Figure 4" in plain
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    ["cpu", "section3", "figure2", "section6", "breakdown", "preemption",
+     "sensitivity"],
+)
+def test_monitor_sees_every_driver_simulation(
+    experiment, monkeypatch, tmp_path, capsys
+):
+    # Count every simulator the driver builds, cell or hand-wired.
+    built = []
+
+    class CountingSimulator(registry.Simulator):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "Simulator", CountingSimulator)
+    args = [experiment, "--duration-ms", "120"]
+    assert repro_main([*args, "--no-cache"]) == 0
+    plain = capsys.readouterr()
+    # Cells resolved from an identical cell of the same call are reused,
+    # not rebuilt; the farm's stderr summary counts them.
+    reused = re.search(r"\((\d+) executed, (\d+) reused\)", plain.err)
+    simulations = len(built) + (int(reused.group(2)) if reused else 0)
+    plain_builds = len(built)
+    built.clear()
+
+    report_path = tmp_path / "report.json"
+    assert monitor_main([*args, "--quiet", "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out == plain.out
+    report = json.loads(report_path.read_text())
+    assert len(built) == plain_builds
+    assert len(report["runs"]) == plain_builds
+    assert len(report["runs"]) + len(report["reused_cells"]) == simulations
+    assert all(run["windows_closed"] > 0 for run in report["runs"])
+
+
 def test_monitored_runs_share_the_metrics_registry():
     # The simulation's own counters and the monitor's land in one registry,
     # so windows_closed is visible next to scheduler counters.
@@ -138,6 +177,8 @@ def test_monitored_runs_share_the_metrics_registry():
         spec.run()
     assert active_monitor() is None
     (monitor,) = session.monitors
+    # A finished run's report does not keep its simulated system alive.
+    assert monitor.clock is None
     counters = monitor.metrics.snapshot()["counters"]
     assert counters["windows_closed"] == {"": 10.0}
     assert "submits" in counters  # the simulation's own counters, same registry

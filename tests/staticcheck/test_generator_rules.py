@@ -7,6 +7,9 @@ from tests.staticcheck.conftest import FIXTURES, rule_locations
 #: A two-module package: ``Throttle`` (throttle.py) inherits its
 #: generator ``submit`` from ``Workload`` (base.py).
 GENERATOR_PKG = FIXTURES / "generator_pkg"
+#: Two source roots with one dotted module name, ``pkg.mod``: the one
+#: under ``a`` has findings, the one under ``b`` is clean.
+TWIN_ROOTS = FIXTURES / "twin_roots"
 
 
 def test_bad_generators_fixture_flags_each_seeded_violation(fixtures):
@@ -97,3 +100,22 @@ def test_configured_names_apply_only_to_unresolved_calls(tmp_path):
     )
     violations = run_analysis([module], Config()).violations
     assert rule_locations(violations) == [("NEON301", 7)]
+
+
+def test_same_module_name_under_two_roots_checks_both(fixtures):
+    expected = [("NEON505", 3), ("NEON301", 11)]
+    alone = run_analysis([TWIN_ROOTS / "a" / "pkg"], Config()).violations
+    assert rule_locations(alone) == expected
+    both = run_analysis(
+        [TWIN_ROOTS / "a" / "pkg", TWIN_ROOTS / "b" / "pkg"], Config()
+    ).violations
+    assert both == alone
+    reversed_order = run_analysis(
+        [TWIN_ROOTS / "b" / "pkg", TWIN_ROOTS / "a" / "pkg"], Config()
+    ).violations
+    assert reversed_order == alone
+
+
+def test_property_getter_with_setter_is_checked(fixtures):
+    violations = run_analysis([fixtures / "property_setter.py"], Config())
+    assert rule_locations(violations.violations) == [("NEON301", 10)]

@@ -7,8 +7,7 @@ paper's Table 1.  These are the anchors for every slowdown result.
 
 import pytest
 
-from repro.experiments.runner import solo_baseline
-from repro.workloads.apps import make_app
+from repro.experiments.cells import CellSpec, WorkloadSpec
 from repro.workloads.profiles import APP_PROFILES
 
 #: Round-time tolerance: jitter, submission costs, and pipelining make the
@@ -16,12 +15,15 @@ from repro.workloads.profiles import APP_PROFILES
 ROUND_TOLERANCE = 0.20
 
 
+def _solo(name):
+    cell = CellSpec.solo(WorkloadSpec.app(name), 120_000.0, 20_000.0)
+    return cell.run()[name]
+
+
 @pytest.mark.parametrize("name", sorted(APP_PROFILES))
 def test_round_time_matches_paper(name):
     profile = APP_PROFILES[name]
-    result = solo_baseline(
-        lambda: make_app(name), duration_us=120_000.0, warmup_us=20_000.0
-    )
+    result = _solo(name)
     assert result.rounds.count > 3
     measured = result.rounds.mean_us
     assert measured == pytest.approx(profile.paper_round_us, rel=ROUND_TOLERANCE), (
@@ -33,9 +35,7 @@ def test_round_time_matches_paper(name):
 @pytest.mark.parametrize("name", ["DCT", "FFT", "BitonicSort", "glxgears"])
 def test_mean_request_size_matches_paper(name):
     profile = APP_PROFILES[name]
-    result = solo_baseline(
-        lambda: make_app(name), duration_us=120_000.0, warmup_us=20_000.0
-    )
+    result = _solo(name)
     assert result.mean_request_us == pytest.approx(
         profile.paper_request_us, rel=0.10
     )
