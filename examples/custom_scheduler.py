@@ -33,11 +33,10 @@ class ForegroundFirst(SchedulerBase):
     def setup(self) -> None:
         self.foreground_name: Optional[str] = None
         self._last_foreground_submit = -1e18
-        self._blocked: list = []
 
     # -- engagement policy: intercept everyone ------------------------
     def on_channel_tracked(self, channel) -> None:
-        channel.register_page.protect()
+        self.neon.engage_channel(channel)
 
     # -- the policy ----------------------------------------------------
     def on_fault(self, task, channel, request):
@@ -47,17 +46,13 @@ class ForegroundFirst(SchedulerBase):
             return None
         if self.sim.now - self._last_foreground_submit > self.recency_window_us:
             return None  # foreground is quiet: background may run
-        event = self.sim.event()
-        self._blocked.append(event)
-        return event
+        return self.add_waiter(task)  # woken by release_waiters below
 
     def _release_later(self) -> None:
         def release():
             if self.sim.now - self._last_foreground_submit >= self.recency_window_us:
-                blocked, self._blocked = self._blocked, []
-                for event in blocked:
-                    if not event.triggered:
-                        event.trigger()
+                for task in self.managed_tasks:
+                    self.release_waiters(task)
             else:
                 self.sim.schedule(self.recency_window_us, release)
 

@@ -25,7 +25,6 @@ from repro.core import (
     DisengagedTimeslice,
     EngagedFairQueueing,
     SchedulerBase,
-    TimeGraphReservation,
     TimesliceScheduler,
     scheduler_registry,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "SimulationEnv",
     "Task",
     "Throttle",
-    "TimeGraphReservation",
     "TimesliceScheduler",
     "Workload",
     "WorkloadResult",

@@ -18,7 +18,8 @@ Baselines: :class:`~repro.core.direct.DirectAccess` (no OS management) and
 the related-work per-request schedulers — start-time fair queueing
 (:mod:`~repro.core.fair_queueing`), deficit round-robin à la GERM
 (:mod:`~repro.core.drr`), and a Gdev-style credit scheduler
-(:mod:`~repro.core.credit`).
+(:mod:`~repro.core.credit`) — each a set of admit, charge and order rules
+on the engaged skeleton :class:`~repro.core.engaged.EngagedScheduler`.
 """
 
 from repro.core.base import SchedulerBase, scheduler_registry
@@ -31,7 +32,6 @@ from repro.core.disengaged_fq import (
 from repro.core.disengaged_timeslice import DisengagedTimeslice
 from repro.core.drr import DeficitRoundRobin
 from repro.core.fair_queueing import EngagedFairQueueing
-from repro.core.timegraph import TimeGraphReservation
 from repro.core.timeslice import TimesliceScheduler
 from repro.core.virtual_time import VirtualTimeTable
 
@@ -44,7 +44,6 @@ __all__ = [
     "DisengagedTimeslice",
     "EngagedFairQueueing",
     "SchedulerBase",
-    "TimeGraphReservation",
     "TimesliceScheduler",
     "VirtualTimeTable",
     "scheduler_registry",

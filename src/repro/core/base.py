@@ -50,6 +50,8 @@ class SchedulerBase:
         #: scheduler; it runs inside the engagement episode, after the
         #: drain, and may yield simulated time.  Empty list = zero cost.
         self.boundary_hooks: list = []
+        #: Waiter ledger: task id -> events its blocked requests wait on.
+        self._waiters: dict[int, list["Event"]] = {}
 
     # ------------------------------------------------------------------
     # Attachment
@@ -74,10 +76,12 @@ class SchedulerBase:
         """A task was created (it may not have channels yet)."""
 
     def on_task_exit(self, task: "Task") -> None:
-        """A task exited or was killed; default drops it from management."""
+        """A task exited or was killed: drop it from management and wake
+        its blocked requests so their processes can unwind."""
         if task in self.managed_tasks:
             self.managed_tasks.remove(task)
         self.neon.release_task(task)
+        self.release_waiters(task)
 
     def _manage(self, task: "Task") -> bool:
         """Add a task to the managed set; True if newly added."""
@@ -120,6 +124,23 @@ class SchedulerBase:
         """An intercepted submission actually reached the device."""
 
     # ------------------------------------------------------------------
+    # Waiter ledger
+    # ------------------------------------------------------------------
+    def add_waiter(self, task: "Task") -> "Event":
+        """Block a faulting request of ``task``: the returned event fires
+        at :meth:`release_waiters`, and the kernel then re-asks
+        :meth:`on_fault`."""
+        event = self.sim.event()
+        self._waiters.setdefault(task.task_id, []).append(event)
+        return event
+
+    def release_waiters(self, task: "Task") -> None:
+        """Wake every request of ``task`` blocked by :meth:`add_waiter`."""
+        for event in self._waiters.pop(task.task_id, ()):
+            if not event.triggered:
+                event.trigger()
+
+    # ------------------------------------------------------------------
     # Engagement boundaries
     # ------------------------------------------------------------------
     def run_boundary_hooks(self):
@@ -156,6 +177,16 @@ class SchedulerBase:
                 self.sim.now, self.name, events.SHARE_SAMPLE,
                 task=task.name, usage_us=usage_us,
                 interval_us=usage_us if interval_us is None else interval_us,
+            )
+
+    def emit_denial(self, task: "Task", lag_us: float) -> None:
+        """Count an admission denial of ``task``, ``lag_us`` past its due."""
+        self.kernel.metrics.inc("denials", task.name)
+        trace = self.kernel.trace
+        if trace.enabled:
+            trace.emit(
+                self.sim.now, self.name, events.DENIAL,
+                task=task.name, lag_us=lag_us,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

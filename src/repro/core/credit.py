@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.base import SchedulerBase, register_scheduler
-from repro.neon.stats import ObservedServiceMeter
-from repro.obs import events
+from repro.core.base import register_scheduler
+from repro.core.engaged import EngagedScheduler, HeldRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
-    from repro.gpu.request import Request
     from repro.osmodel.task import Task
     from repro.sim.events import Event
 
 
 @register_scheduler
-class CreditScheduler(SchedulerBase):
+class CreditScheduler(EngagedScheduler):
     """Non-preemptive credit-based fair sharing."""
 
     name = "credit"
@@ -36,58 +34,29 @@ class CreditScheduler(SchedulerBase):
     bank_cap_periods = 2.0
 
     def setup(self) -> None:
-        # Fine-grained completion observation, as in engaged SFQ.
-        self.kernel.polling.set_interval(self.costs.sampling_poll_interval_us)
+        super().setup()
         self._credit: dict[int, float] = {}
-        self._waiters: dict[int, list["Event"]] = {}
-        self._meter = ObservedServiceMeter()
         self.replenishments = 0
         self.sim.spawn(self._replenisher(), name=f"{self.name}-scheduler")
 
     # ------------------------------------------------------------------
-    # Event interface
+    # Policy rules
     # ------------------------------------------------------------------
-    def on_channel_tracked(self, channel: "Channel") -> None:
-        self.neon.engage_channel(channel)
-        self._credit.setdefault(channel.task.task_id, 0.0)
-
-    def on_fault(
-        self, task: "Task", channel: "Channel", request: "Request"
+    def admit(
+        self, task: "Task", channel: "Channel", held: HeldRequest
     ) -> Optional["Event"]:
-        if self._credit.get(task.task_id, 0.0) > 0.0:
+        credit = self._credit.get(task.task_id, 0.0)
+        if credit > 0.0:
             return None
-        self.kernel.metrics.inc("denials", task.name)
-        trace = self.kernel.trace
-        if trace.enabled:
-            trace.emit(
-                self.sim.now, self.name, events.DENIAL,
-                task=task.name, lag_us=-self._credit.get(task.task_id, 0.0),
-            )
-        event = self.sim.event()
-        self._waiters.setdefault(task.task_id, []).append(event)
-        return event
+        self.emit_denial(task, -credit)
+        return self.add_waiter(task)
 
-    def on_submit(
-        self, task: "Task", channel: "Channel", request: "Request"
-    ) -> None:
-        submit_time = self.sim.now
-
-        def on_completion(observed: "Channel") -> None:
-            service = self._meter.measure(
-                observed.channel_id, submit_time, self.sim.now
-            )
-            self._credit[task.task_id] = (
-                self._credit.get(task.task_id, 0.0) - service
-            )
-
-        self.kernel.polling.watch(channel, request.ref, on_completion)
+    def charge(self, task: "Task", channel: "Channel", service_us: float) -> None:
+        self._credit[task.task_id] = self._credit.get(task.task_id, 0.0) - service_us
 
     def on_task_exit(self, task: "Task") -> None:
         super().on_task_exit(task)
         self._credit.pop(task.task_id, None)
-        for event in self._waiters.pop(task.task_id, []):
-            if not event.triggered:
-                event.trigger()
 
     # ------------------------------------------------------------------
     # Replenishment
@@ -105,6 +74,4 @@ class CreditScheduler(SchedulerBase):
                 balance = self._credit.get(task.task_id, 0.0) + share
                 self._credit[task.task_id] = min(balance, cap)
                 if self._credit[task.task_id] > 0.0:
-                    for event in self._waiters.pop(task.task_id, []):
-                        if not event.triggered:
-                            event.trigger()
+                    self.release_waiters(task)

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import SchedulerBase, register_scheduler
 from repro.core.virtual_time import VirtualTimeTable
-from repro.neon.stats import ChannelKind
+from repro.neon.stats import DEFAULT_SIZE_GUESS_US, ChannelKind
 from repro.obs import events
 from repro.sim.events import AnyOf
 
@@ -45,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.request import Request
     from repro.osmodel.task import Task
     from repro.sim.events import Event
-
-#: Request-size prior (µs) for channels never yet sampled.
-DEFAULT_SIZE_GUESS_US = 100.0
 
 
 class _SamplingWindow:
@@ -110,7 +107,6 @@ class DisengagedFairQueueing(SchedulerBase):
 
     def setup(self) -> None:
         self.vt = VirtualTimeTable()
-        self._waiters: dict[int, list["Event"]] = {}
         self._phase = "engage"
         self._allowed: set[int] = set()
         self._window: Optional[_SamplingWindow] = None
@@ -150,9 +146,7 @@ class DisengagedFairQueueing(SchedulerBase):
             return None  # sampled task: allow and observe
         if self._phase == "freerun" and task.task_id in self._allowed:
             return None  # e.g. a channel mapped mid-free-run of an admitted task
-        event = self.sim.event()
-        self._waiters.setdefault(task.task_id, []).append(event)
-        return event
+        return self.add_waiter(task)
 
     def on_submit(
         self, task: "Task", channel: "Channel", request: "Request"
@@ -165,16 +159,10 @@ class DisengagedFairQueueing(SchedulerBase):
         super().on_task_exit(task)
         self.vt.forget(task.task_id)
         self._allowed.discard(task.task_id)
-        self._release_waiters(task)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _release_waiters(self, task: "Task") -> None:
-        for event in self._waiters.pop(task.task_id, []):
-            if not event.triggered:
-                event.trigger()
-
     def _task_weight(self, task: "Task", active_channels: list["Channel"]) -> float:
         """Round-robin usage proxy: active channel count × the task-level
         mean request size.
@@ -324,12 +312,7 @@ class DisengagedFairQueueing(SchedulerBase):
             denied.remove(least_ahead)
             self._allowed.add(least_ahead.task_id)
         for task in denied:
-            self.kernel.metrics.inc("denials", task.name)
-            if trace.enabled:
-                trace.emit(
-                    self.sim.now, self.name, events.DENIAL,
-                    task=task.name, lag_us=self.vt.lag(task.task_id),
-                )
+            self.emit_denial(task, self.vt.lag(task.task_id))
 
         self.decision_log.append(
             (self.sim.now, len(self._allowed), len(denied))
@@ -352,7 +335,7 @@ class DisengagedFairQueueing(SchedulerBase):
         yield self.neon.flip_cost(flips)
         for task in self.managed_tasks:
             if task.alive and task.task_id in self._allowed:
-                self._release_waiters(task)
+                self.release_waiters(task)
         if trace.enabled:
             trace.emit(
                 self.sim.now, self.name, events.FREERUN_START,
@@ -441,7 +424,7 @@ class DisengagedFairQueueing(SchedulerBase):
             )
         self._window = window
         poller = self.sim.spawn(self._fine_poll(), name="dfq-sampling-poller")
-        self._release_waiters(task)
+        self.release_waiters(task)
 
         deadline = self.sim.event()
         timer = self.sim.schedule(self.costs.sample_max_us, deadline.trigger)

@@ -14,22 +14,18 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.base import SchedulerBase, register_scheduler
-from repro.neon.stats import ObservedServiceMeter, RequestSizeEstimator
-from repro.obs import events
+from repro.core.base import register_scheduler
+from repro.core.engaged import EngagedScheduler, HeldRequest
 from repro.sim.events import AnyOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
-    from repro.gpu.request import Request
     from repro.osmodel.task import Task
     from repro.sim.events import Event
 
-DEFAULT_SIZE_GUESS_US = 100.0
-
 
 @register_scheduler
-class DeficitRoundRobin(SchedulerBase):
+class DeficitRoundRobin(EngagedScheduler):
     """Per-request deficit round-robin over task FIFOs."""
 
     name = "drr"
@@ -48,77 +44,41 @@ class DeficitRoundRobin(SchedulerBase):
     completion_poll_us = 5.0
 
     def setup(self) -> None:
-        # Fine-grained completion observation, as in engaged SFQ.
-        self.kernel.polling.set_interval(self.completion_poll_us)
+        super().setup()
+        #: Task id -> FIFO of (channel, held request).
         self._queues: dict[int, deque] = {}
         self._deficit: dict[int, float] = {}
-        self._released: set[int] = set()
-        self._completion_events: dict[int, "Event"] = {}
-        self._meter = ObservedServiceMeter()
-        self._sizes: dict[int, RequestSizeEstimator] = {}
         self._activation: Optional["Event"] = None
         self._rr_index = 0
         self.rounds = 0
         self.sim.spawn(self._loop(), name=f"{self.name}-scheduler")
 
     # ------------------------------------------------------------------
-    # Event interface
+    # Policy rules
     # ------------------------------------------------------------------
-    def on_channel_tracked(self, channel: "Channel") -> None:
-        self.neon.engage_channel(channel)
-        self._sizes[channel.channel_id] = RequestSizeEstimator()
-
-    def on_fault(
-        self, task: "Task", channel: "Channel", request: "Request"
+    def admit(
+        self, task: "Task", channel: "Channel", held: HeldRequest
     ) -> Optional["Event"]:
-        if request.request_id in self._released:
-            return None
-        event = self.sim.event()
-        queue = self._queues.setdefault(task.task_id, deque())
-        queue.append((channel, request, event))
+        wake = self.hold(held)
+        self._queues.setdefault(task.task_id, deque()).append((channel, held))
         if self._activation is not None and not self._activation.triggered:
             self._activation.trigger()
-        return event
+        return wake
 
-    def on_submit(
-        self, task: "Task", channel: "Channel", request: "Request"
-    ) -> None:
-        self._released.discard(request.request_id)
-        submit_time = self.sim.now
-        done = self._completion_events.get(request.request_id)
-
-        def on_completion(observed: "Channel") -> None:
-            service = self._meter.measure(
-                observed.channel_id, submit_time, self.sim.now
-            )
-            estimator = self._sizes.get(observed.channel_id)
-            if estimator is not None:
-                estimator.record(service)
-            self._deficit[task.task_id] = (
-                self._deficit.get(task.task_id, 0.0) - service
-            )
-            if done is not None and not done.triggered:
-                done.trigger()
-
-        self.kernel.polling.watch(channel, request.ref, on_completion)
+    def charge(self, task: "Task", channel: "Channel", service_us: float) -> None:
+        self._deficit[task.task_id] = (
+            self._deficit.get(task.task_id, 0.0) - service_us
+        )
 
     def on_task_exit(self, task: "Task") -> None:
         super().on_task_exit(task)
-        for channel, request, event in self._queues.pop(task.task_id, ()):  # noqa: B007
-            self._released.add(request.request_id)
-            if not event.triggered:
-                event.trigger()
+        for _channel, held in self._queues.pop(task.task_id, ()):
+            self.release(held)
         self._deficit.pop(task.task_id, None)
 
     # ------------------------------------------------------------------
-    # The round-robin loop
+    # Order rule: the round-robin loop
     # ------------------------------------------------------------------
-    def _estimate(self, channel: "Channel") -> float:
-        estimator = self._sizes.get(channel.channel_id)
-        if estimator is None or estimator.mean is None:
-            return DEFAULT_SIZE_GUESS_US
-        return estimator.mean
-
     def _backlogged(self) -> list["Task"]:
         return [
             task
@@ -147,26 +107,16 @@ class DeficitRoundRobin(SchedulerBase):
     def _serve(self, task: "Task"):
         queue = self._queues.get(task.task_id)
         while queue and task.alive:
-            channel, request, event = queue[0]
-            if self._estimate(channel) > self._deficit.get(task.task_id, 0.0):
+            channel, held = queue[0]
+            if self.size_estimate(channel) > self._deficit.get(task.task_id, 0.0):
                 break
             queue.popleft()
             done = self.sim.event()
-            self._completion_events[request.request_id] = done
-            self._released.add(request.request_id)
-            self.kernel.metrics.inc("releases", task.name)
-            trace = self.kernel.trace
-            if trace.enabled:
-                trace.emit(
-                    self.sim.now, self.name, events.REQUEST_RELEASED,
-                    task=task.name, channel=channel.channel_id,
-                )
-            if not event.triggered:
-                event.trigger()
+            self.emit_release(task, channel=channel.channel_id)
+            self.release(held, done)
             deadline = self.sim.event()
             timer = self.sim.schedule(self.costs.max_request_us, deadline.trigger)
             first = yield AnyOf(self.sim, [done, deadline])
-            self._completion_events.pop(request.request_id, None)
             if first is done:
                 timer.cancel()
                 # Give the task a beat to resubmit so its deficit can be

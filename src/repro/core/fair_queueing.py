@@ -18,22 +18,17 @@ import heapq
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.base import SchedulerBase, register_scheduler
-from repro.neon.stats import ObservedServiceMeter, RequestSizeEstimator
-from repro.obs import events
+from repro.core.base import register_scheduler
+from repro.core.engaged import EngagedScheduler, HeldRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.channel import Channel
-    from repro.gpu.request import Request
     from repro.osmodel.task import Task
     from repro.sim.events import Event
 
-#: Size prior (µs) for channels with no observations yet.
-DEFAULT_SIZE_GUESS_US = 100.0
-
 
 @register_scheduler
-class EngagedFairQueueing(SchedulerBase):
+class EngagedFairQueueing(EngagedScheduler):
     """Per-request start-time fair queueing."""
 
     name = "engaged-fq"
@@ -56,60 +51,33 @@ class EngagedFairQueueing(SchedulerBase):
     completion_poll_us = 5.0
 
     def setup(self) -> None:
-        # Per-request schedulers need fine completion observation (the role
-        # interrupts play in GERM/TimeGraph); pay the CPU cost.
-        self.kernel.polling.set_interval(self.completion_poll_us)
+        super().setup()
         self.system_vt = 0.0
         self._last_finish: dict[int, float] = {}
-        #: Min-heap of (start_tag, tie, task, request, wake event).
+        #: Min-heap of (start_tag, tie, task, held request).
         self._pending: list = []
         self._tie = itertools.count()
-        self._released: set[int] = set()
         self._outstanding = 0
-        self._meter = ObservedServiceMeter()
-        self._sizes: dict[int, RequestSizeEstimator] = {}
         self.dispatched_requests = 0
 
     # ------------------------------------------------------------------
-    # Event interface
+    # Policy rules
     # ------------------------------------------------------------------
-    def on_channel_tracked(self, channel: "Channel") -> None:
-        self.neon.engage_channel(channel)
-        self._sizes[channel.channel_id] = RequestSizeEstimator()
-
-    def on_fault(
-        self, task: "Task", channel: "Channel", request: "Request"
+    def admit(
+        self, task: "Task", channel: "Channel", held: HeldRequest
     ) -> Optional["Event"]:
-        if request.request_id in self._released:
-            return None  # tagged earlier, dispatched from the pending heap
         start_tag = max(self.system_vt, self._last_finish.get(task.task_id, 0.0))
-        size = self._estimate(channel)
-        self._last_finish[task.task_id] = start_tag + size
+        self._last_finish[task.task_id] = start_tag + self.size_estimate(channel)
         if self._outstanding < self.depth and not self._pending:
-            self._release(task, request, start_tag)
+            self._dispatch(task, start_tag)
             return None
-        event = self.sim.event()
-        heapq.heappush(
-            self._pending, (start_tag, next(self._tie), task, request, event)
-        )
-        return event
+        wake = self.hold(held)
+        heapq.heappush(self._pending, (start_tag, next(self._tie), task, held))
+        return wake
 
-    def on_submit(
-        self, task: "Task", channel: "Channel", request: "Request"
-    ) -> None:
-        self._released.discard(request.request_id)
-        submit_time = self.sim.now
-
-        def on_completion(observed: "Channel") -> None:
-            service = self._meter.measure(
-                observed.channel_id, submit_time, self.sim.now
-            )
-            estimator = self._sizes.get(observed.channel_id)
-            if estimator is not None:
-                estimator.record(service)
-            self._on_request_done()
-
-        self.kernel.polling.watch(channel, request.ref, on_completion)
+    def charge(self, task: "Task", channel: "Channel", service_us: float) -> None:
+        self._outstanding = max(0, self._outstanding - 1)
+        self.sim.schedule_after(self.anticipation_us, self._dispatch_pending)
 
     def on_task_exit(self, task: "Task") -> None:
         super().on_task_exit(task)
@@ -118,9 +86,7 @@ class EngagedFairQueueing(SchedulerBase):
         remaining = []
         for entry in self._pending:
             if entry[2] is task:
-                self._released.add(entry[3].request_id)
-                if not entry[4].triggered:
-                    entry[4].trigger()
+                self.release(entry[3])
             else:
                 remaining.append(entry)
         if len(remaining) != len(self._pending):
@@ -128,34 +94,16 @@ class EngagedFairQueueing(SchedulerBase):
             heapq.heapify(self._pending)
 
     # ------------------------------------------------------------------
-    # Dispatch machinery
+    # Order rule: start tags
     # ------------------------------------------------------------------
-    def _estimate(self, channel: "Channel") -> float:
-        estimator = self._sizes.get(channel.channel_id)
-        if estimator is None or estimator.mean is None:
-            return DEFAULT_SIZE_GUESS_US
-        return estimator.mean
-
-    def _release(self, task: "Task", request: "Request", start_tag: float) -> None:
-        self._released.add(request.request_id)
+    def _dispatch(self, task: "Task", start_tag: float) -> None:
         self._outstanding += 1
         self.dispatched_requests += 1
         self.system_vt = max(self.system_vt, start_tag)
-        self.kernel.metrics.inc("releases", task.name)
-        trace = self.kernel.trace
-        if trace.enabled:
-            trace.emit(
-                self.sim.now, self.name, events.REQUEST_RELEASED,
-                task=task.name, start_tag=start_tag,
-            )
-
-    def _on_request_done(self) -> None:
-        self._outstanding = max(0, self._outstanding - 1)
-        self.sim.schedule_after(self.anticipation_us, self._dispatch_pending)
+        self.emit_release(task, start_tag=start_tag)
 
     def _dispatch_pending(self) -> None:
         while self._pending and self._outstanding < self.depth:
-            start_tag, _tie, task, request, event = heapq.heappop(self._pending)
-            self._release(task, request, start_tag)
-            if not event.triggered:
-                event.trigger()
+            start_tag, _tie, task, held = heapq.heappop(self._pending)
+            self._dispatch(task, start_tag)
+            self.release(held)

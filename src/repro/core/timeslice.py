@@ -33,7 +33,6 @@ class TimesliceScheduler(SchedulerBase):
     def setup(self) -> None:
         self.token_holder: Optional["Task"] = None
         self.overuse = OveruseLedger(self.costs.timeslice_us)
-        self._waiters: dict[int, list["Event"]] = {}
         self._rr_index = 0
         self._activation: Optional["Event"] = None
         self.slices_granted = 0
@@ -55,25 +54,17 @@ class TimesliceScheduler(SchedulerBase):
     ) -> Optional["Event"]:
         if task is self.token_holder:
             return None
-        event = self.sim.event()
-        self._waiters.setdefault(task.task_id, []).append(event)
-        return event
+        return self.add_waiter(task)
 
     def on_task_exit(self, task: "Task") -> None:
         super().on_task_exit(task)
         self.overuse.forget(task)
         if task is self.token_holder:
             self.token_holder = None
-        self._release_waiters(task)
 
     # ------------------------------------------------------------------
     # Token machinery
     # ------------------------------------------------------------------
-    def _release_waiters(self, task: "Task") -> None:
-        for event in self._waiters.pop(task.task_id, []):
-            if not event.triggered:
-                event.trigger()
-
     def _pick(self) -> Optional["Task"]:
         """Round-robin over managed tasks, honoring overuse skips."""
         candidates = [task for task in self.managed_tasks if task.alive]
@@ -108,7 +99,7 @@ class TimesliceScheduler(SchedulerBase):
             )
         if self.neon.preemption_available:
             self.neon.unmask_task(task)  # reinstate on the runlist
-        self._release_waiters(task)
+        self.release_waiters(task)
 
     # ------------------------------------------------------------------
     # The scheduling loop

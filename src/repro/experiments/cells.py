@@ -197,7 +197,12 @@ class CellSpec:
         return digest.hexdigest()
 
     def label(self) -> str:
-        """Short human-readable tag for wall-time reporting."""
+        """Short human-readable tag for wall-time reporting.
+
+        Cost-model and device parameters that differ from their defaults
+        are appended (``:name=value,...``), so cells that differ only
+        there get distinct labels.
+        """
         if self.is_fleet:
             tag = (
                 f"fleet{self.devices}:{self.scheduler}:"
@@ -206,12 +211,23 @@ class CellSpec:
             )
             if self.fault_plan is not None:
                 tag += f"+{self.fault_plan.name}"
-            return tag
-        names = "+".join(
-            "-".join(str(a) for a in (w.kind,) + w.args)
-            for w in self.workloads
-        )
-        return f"{self.scheduler}:{names}"
+        else:
+            tag = f"{self.scheduler}:" + "+".join(
+                "-".join(str(a) for a in (w.kind,) + w.args)
+                for w in self.workloads
+            )
+        changed: list[str] = []
+        for params in (self.costs, self.gpu_params):
+            if params is not None:
+                default = type(params)()
+                changed += [
+                    f"{field.name}={getattr(params, field.name)}"
+                    for field in fields(params)
+                    if getattr(params, field.name) != getattr(default, field.name)
+                ]
+        if changed:
+            tag += ":" + ",".join(changed)
+        return tag
 
     def run(self):
         """Execute this cell and return its per-workload results."""

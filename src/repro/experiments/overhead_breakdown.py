@@ -59,10 +59,8 @@ def run(
         if accounted <= 0:
             continue
         drain = breakdown["drain_wait_us"]
-        sampling = max(0.0, breakdown["sampling_us"] - drain * 0.0)
-        other = max(
-            0.0, breakdown["engagement_us"] - breakdown["sampling_us"] - drain
-        )
+        sampling = breakdown["sampling_us"]
+        other = max(0.0, breakdown["engagement_us"] - sampling - drain)
         rows.append(
             BreakdownRow(
                 request_size_us=size,

@@ -80,7 +80,9 @@ def result_to_jsonable(result: WorkloadResult) -> dict:
 class CellTiming:
     """Host wall time this run spent producing one cell's result.
 
-    Reused cells (``cache`` / ``dup``) cost nothing and record 0.
+    Reused cells (``cache`` / ``dup``) cost nothing and record 0.  The
+    index counts across every ``run_cells`` call that shares one
+    ``timings`` list, so it is unique within a driver.
     """
 
     index: int
@@ -160,12 +162,14 @@ def run_cells(
 
     results: list[Optional[CellResults]] = [None] * len(specs)
     keys = [spec.content_key() for spec in specs]
+    # Earlier calls of the same driver already numbered their cells.
+    offset = len(timings) if timings is not None else 0
 
     def reuse(index: int, source: str) -> None:
         """Report a cell whose result came from the cache or a twin."""
         label = specs[index].label()
         if timings is not None:
-            timings.append(CellTiming(index, label, 0.0, source))
+            timings.append(CellTiming(offset + index, label, 0.0, source))
         _collect_cell(collector, specs[index], index, source, results[index])
         if monitor_session is not None:
             monitor_session.cell_reused(label, source)
@@ -213,7 +217,8 @@ def run_cells(
                         if timings is not None:
                             timings.append(
                                 CellTiming(
-                                    index, specs[index].label(), wall, "pool"
+                                    offset + index, specs[index].label(),
+                                    wall, "pool",
                                 )
                             )
                         _collect_cell(collector, specs[index], index, "pool",
@@ -254,7 +259,9 @@ def run_cells(
                 raise
             wall = clock() - started
             if timings is not None:
-                timings.append(CellTiming(index, spec.label(), wall, "run"))
+                timings.append(
+                    CellTiming(offset + index, spec.label(), wall, "run")
+                )
             _collect_cell(collector, spec, index, "run", results[index])
             if progress is not None:
                 progress.cell_done(index, spec.label(), "run", wall)

@@ -13,6 +13,9 @@ import enum
 from collections import deque
 from typing import Optional
 
+#: Request-size prior (µs) for a channel with no observations yet.
+DEFAULT_SIZE_GUESS_US = 100.0
+
 
 class ChannelKind(enum.Enum):
     """Engine class of a channel, as learned at discovery time.
@@ -61,9 +64,9 @@ class ObservedServiceMeter:
     """Estimates request service times from polled completion times.
 
     ``service ≈ observe_time − max(submit_time, previous observation on the
-    same channel)`` — the same estimator DFQ sampling uses.  Shared by the
-    engaged per-request baselines (SFQ, DRR, Credit), which watch every
-    request's completion.
+    same channel)`` — the same estimator DFQ sampling uses.  Owned by
+    :class:`~repro.core.engaged.EngagedScheduler`, the skeleton of the
+    per-request baselines, which watches every request's completion.
     """
 
     def __init__(self) -> None:

@@ -144,7 +144,8 @@ class PollingService:
     def set_interval(self, interval_us: float) -> None:
         """Change the polling period.
 
-        Engaged per-request schedulers (SFQ/DRR/Credit) need fine-grained
+        Engaged per-request schedulers
+        (:class:`~repro.core.engaged.EngagedScheduler`) need fine-grained
         completion observation — the role interrupts play in the systems
         the paper cites — and pay the correspondingly higher CPU cost.
         """

@@ -8,7 +8,7 @@ from repro.workloads.throttle import Throttle
 def test_registry_contains_all_schedulers():
     expected = {
         "direct", "timeslice", "disengaged-timeslice", "dfq", "dfq-hw",
-        "engaged-fq", "drr", "credit", "timegraph",
+        "engaged-fq", "drr", "credit",
     }
     assert expected <= set(scheduler_registry)
 

@@ -85,17 +85,14 @@ def test_vt_table_tracks_live_tasks_only(quick_costs):
 
 def test_waiters_released_on_task_exit(quick_costs):
     env, scheduler = _attached(quick_costs)
-    event = env.sim.event()
-    scheduler._waiters[99] = [event]
-
-    class FakeTask:
-        task_id = 99
-        name = "fake"
-        alive = False
-
-    scheduler._release_waiters(FakeTask())
+    task = env.kernel.create_task("blocked")
+    peer = env.kernel.create_task("peer")
+    event = scheduler.add_waiter(task)
+    untouched = scheduler.add_waiter(peer)
+    env.kernel.exit_task(task)
     env.sim.run(until=1.0)
     assert event.triggered
+    assert not untouched.triggered
 
 
 def test_hw_variant_skips_sampling(quick_costs):

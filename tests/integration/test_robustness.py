@@ -27,7 +27,7 @@ class ShortLived(Workload):
 @pytest.mark.parametrize(
     "scheduler",
     ["timeslice", "disengaged-timeslice", "dfq", "engaged-fq", "drr",
-     "credit", "timegraph"],
+     "credit"],
 )
 def test_exit_mid_run_does_not_wedge_survivor(scheduler, quick_costs):
     env = build_env(scheduler, costs=quick_costs)

@@ -130,7 +130,7 @@ def test_unknown_chaos_names_are_usage_errors(argv, known, capsys):
     (["trace", "summary", "--apps", "glxgears,bogus"], "BitonicSort"),
     (["why", "--scheduler", "bogus"], "engaged-fq"),
     (["why", "--apps", "bogus"], "glxgears"),
-    (["monitor", "run", "--scheduler", "bogus"], "timegraph"),
+    (["monitor", "run", "--scheduler", "bogus"], "timeslice"),
     (["monitor", "run", "--apps", "bogus"], "DCT"),
     (["monitor", "run", "--chaos", "bogus"], "refstall"),
 ], ids=" ".join)
