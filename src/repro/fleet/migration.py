@@ -136,7 +136,6 @@ class MigrationManager:
         fleet = self.fleet
         tenant = move.tenant
         src_stack = fleet.stacks[move.src]
-        dst_stack = fleet.stacks[move.dst]
         src_trace = src_stack.trace
         if src_trace.enabled:
             src_trace.emit(
@@ -154,24 +153,6 @@ class MigrationManager:
             yield cost
         # Rebind to the target; the tenant re-opens its context/channel
         # (context re-create) when it resumes.
-        task = dst_stack.kernel.create_task(tenant.name)
-        task.workload = tenant
+        task = fleet.rebind(tenant, move.src, move.dst, move.reason, cost)
         task.process = process
-        tenant.kernel = dst_stack.kernel
-        tenant.task = task
-        tenant._pipelines.clear()
-        fleet.note_move(tenant, move.src, move.dst, task)
-        record = MigrationRecord(
-            fleet.sim.now, tenant.name, move.src, move.dst, move.reason, cost
-        )
-        self.records.append(record)
-        tenant.migrations.append(record)
-        fleet.metrics.inc("fleet_migrations", tenant.name)
-        dst_trace = dst_stack.trace
-        if dst_trace.enabled:
-            dst_trace.emit(
-                fleet.sim.now, "fleet", events.FLEET_MIGRATE_END,
-                task=tenant.name, src=move.src, dst=move.dst,
-                reason=move.reason, cost_us=cost,
-            )
         move.resumed.trigger()

@@ -183,12 +183,36 @@ class SimulationEnv:
         )
         return device_id
 
-    def note_move(self, tenant: Workload, src: int, dst: int, task) -> None:
-        """Bookkeeping for a committed planned migration."""
+    def rebind(self, tenant, src: int, dst: int, reason: str, cost: float):
+        """Move ``tenant`` onto a fresh task on device ``dst``; record it.
+
+        The step both migration paths end in: a planned move at the
+        source's engagement boundary, device-loss recovery from the
+        tenant's kill handler.  The caller emits the matching
+        ``FLEET_MIGRATE_BEGIN`` first and gives the returned task its
+        process.
+        """
+        dst_stack = self.stacks[dst]
+        task = dst_stack.kernel.create_task(tenant.name)
+        task.workload = tenant
+        tenant.kernel = dst_stack.kernel
+        tenant.task = task
+        tenant._pipelines.clear()
         self.tenant_device[tenant.name] = dst
         self.placement.departed(src)
         self.placement.placed(dst)
         self.tenant_tasks.setdefault(tenant.name, []).append((dst, task))
+        record = MigrationRecord(self.sim.now, tenant.name, src, dst, reason, cost)
+        self.migrations.records.append(record)
+        tenant.migrations.append(record)
+        self.metrics.inc("fleet_migrations", tenant.name)
+        if dst_stack.trace.enabled:
+            dst_stack.trace.emit(
+                self.sim.now, "fleet", events.FLEET_MIGRATE_END,
+                task=tenant.name, src=src, dst=dst, reason=reason,
+                cost_us=cost,
+            )
+        return task
 
     # ------------------------------------------------------------------
     # Device loss and recovery
@@ -241,30 +265,10 @@ class SimulationEnv:
                 self.sim.now, "fleet", events.FLEET_MIGRATE_BEGIN,
                 task=tenant.name, src=src, dst=dst, reason="device_loss",
             )
-        task = dst_stack.kernel.create_task(tenant.name)
-        task.workload = tenant
-        tenant.kernel = dst_stack.kernel
-        tenant.task = task
-        tenant._pipelines.clear()
+        task = self.rebind(tenant, src, dst, "device_loss", cost)
         task.process = self.sim.spawn(
             self._restart(tenant, cost), name=f"task.{tenant.name}"
         )
-        self.tenant_device[tenant.name] = dst
-        self.placement.departed(src)
-        self.placement.placed(dst)
-        self.tenant_tasks.setdefault(tenant.name, []).append((dst, task))
-        record = MigrationRecord(
-            self.sim.now, tenant.name, src, dst, "device_loss", cost
-        )
-        self.migrations.records.append(record)
-        tenant.migrations.append(record)
-        self.metrics.inc("fleet_migrations", tenant.name)
-        if dst_stack.trace.enabled:
-            dst_stack.trace.emit(
-                self.sim.now, "fleet", events.FLEET_MIGRATE_END,
-                task=tenant.name, src=src, dst=dst, reason="device_loss",
-                cost_us=cost,
-            )
 
     def _restart(self, tenant, cost: float):
         if cost > 0:

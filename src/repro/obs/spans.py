@@ -57,10 +57,9 @@ the task's migration epoch, and the span set lists the
 :class:`MigrationLink` joining epoch *n* on the source device to epoch
 *n+1* on the target.
 
-The module also owns the **span-pair registry**: which event kinds open
-a span and which kinds terminate it.  neonlint rule NEON406 checks
-span-boundary emit sites against this registry, the same way NEON401/402
-check event kinds against :mod:`repro.obs.events`.
+Barriers, sampling windows and fleet migrations become
+:class:`SystemSpan` intervals, each paired from its ``*_begin`` and
+``*_end`` records by a correlation key taken from the payload.
 """
 
 from __future__ import annotations
@@ -101,82 +100,11 @@ TERMINALS = (
 )
 
 
-# ----------------------------------------------------------------------
-# Span-pair registry (NEON406's source of truth)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpanPairSpec:
-    """One registered begin/end event-kind pairing."""
-
-    name: str
-    begin: str
-    ends: tuple[str, ...]
-    #: Payload fields forming the correlation key between begin and end.
-    key: tuple[str, ...]
-
-
-#: pair name -> spec.  Populated by :func:`register_span_pair`.
-SPAN_PAIRS: dict[str, SpanPairSpec] = {}
-
-
-def register_span_pair(
-    name: str, begin: str, ends: tuple[str, ...], key: tuple[str, ...]
-) -> SpanPairSpec:
-    """Register a pairing; every kind must exist in the event registry."""
-    if name in SPAN_PAIRS:
-        raise ValueError(f"span pair {name!r} registered twice")
-    for kind in (begin, *ends):
-        if kind not in events.EVENT_KINDS:
-            raise ValueError(
-                f"span pair {name!r} references unregistered kind {kind!r}"
-            )
-    spec = SpanPairSpec(name, begin, tuple(ends), tuple(key))
-    SPAN_PAIRS[name] = spec
-    return spec
-
-
-BARRIER = register_span_pair(
-    "barrier", events.BARRIER_BEGIN, (events.BARRIER_END,), ("episode",),
-)
-SAMPLE_WINDOW = register_span_pair(
-    "sample_window",
-    events.SAMPLE_WINDOW_BEGIN, (events.SAMPLE_WINDOW_END,), ("task",),
-)
-SCHED_WAIT = register_span_pair(
-    "sched.wait",
-    events.SCHED_WAIT_BEGIN, (events.SCHED_WAIT_END,), ("task", "channel"),
-)
-EXEC = register_span_pair(
-    "exec",
-    events.EXEC_BEGIN,
-    (events.REQUEST_COMPLETE, events.REQUEST_ABORTED,
-     events.REQUEST_PREEMPTED),
-    ("channel", "ref"),
-)
-FLEET_MIGRATE = register_span_pair(
-    "fleet.migrate",
-    events.FLEET_MIGRATE_BEGIN, (events.FLEET_MIGRATE_END,), ("task",),
-)
-
-def span_kinds() -> frozenset[str]:
-    """Every event kind participating in a registered span pair."""
-    out: set[str] = set()
-    for spec in SPAN_PAIRS.values():
-        out.add(spec.begin)
-        out.update(spec.ends)
-    return frozenset(out)
-
-
-def span_constant_names() -> frozenset[str]:
-    """Names of :mod:`repro.obs.events` constants holding span-pair
-    kinds — what neonlint's NEON406 resolves identifiers against."""
-    kinds = span_kinds()
-    return frozenset(
-        name
-        for name in events.constant_names()
-        if getattr(events, name) in kinds
-    )
+#: System-span pair names: the non-request intervals the fold pairs
+#: from their begin/end records (see :class:`SystemSpan`).
+BARRIER = "barrier"
+SAMPLE_WINDOW = "sample_window"
+FLEET_MIGRATE = "fleet.migrate"
 
 
 # ----------------------------------------------------------------------
@@ -692,10 +620,10 @@ class TraceFold:
 
     def _on_barrier_begin(self, record, t, payload, device) -> None:
         self._device_episodes(device).barrier = t
-        self._system_begin(BARRIER, payload, device, t)
+        self._system_begin(BARRIER, (payload.get("episode"),), payload, device, t)
 
     def _on_barrier_end(self, record, t, payload, device) -> None:
-        self._system_end(BARRIER, payload, device, t)
+        self._system_end(BARRIER, (payload.get("episode"),), payload, device, t)
 
     def _on_freerun_start(self, record, t, payload, device) -> None:
         episodes = self._device_episodes(device)
@@ -706,7 +634,9 @@ class TraceFold:
 
     def _on_sample_window_begin(self, record, t, payload, device) -> None:
         self._device_episodes(device).window_begin = t
-        self._system_begin(SAMPLE_WINDOW, payload, device, t)
+        self._system_begin(
+            SAMPLE_WINDOW, (payload.get("task"),), payload, device, t
+        )
 
     def _on_sample_window_end(self, record, t, payload, device) -> None:
         tenant = record.tenant
@@ -719,7 +649,9 @@ class TraceFold:
         if episodes.window_begin is not None:
             episodes.windows.append((episodes.window_begin, t))
             episodes.window_begin = None
-        self._system_end(SAMPLE_WINDOW, payload, device, t)
+        self._system_end(
+            SAMPLE_WINDOW, (payload.get("task"),), payload, device, t
+        )
 
     def _on_drain_stall(self, record, t, payload, device) -> None:
         self._device_episodes(device).stalls.append(
@@ -727,16 +659,16 @@ class TraceFold:
         )
 
     def _on_migrate_begin(self, record, t, payload, device) -> None:
-        self._system_begin(FLEET_MIGRATE, payload, device, t)
         task = payload.get("task")
+        self._system_begin(FLEET_MIGRATE, (task,), payload, device, t)
         if isinstance(task, str):
             self._migration_open[task] = (
                 payload.get("src", device), payload.get("dst", device), t,
             )
 
     def _on_migrate_end(self, record, t, payload, device) -> None:
-        self._system_end(FLEET_MIGRATE, payload, device, t)
         task = payload.get("task")
+        self._system_end(FLEET_MIGRATE, (task,), payload, device, t)
         entry = self._migration_open.pop(task, None)
         if entry is not None:
             src, dst, begin = entry
@@ -780,18 +712,16 @@ class TraceFold:
         if isinstance(task, str) and at > start:
             self._exec.append(ExecInterval(device, task, start, at))
 
-    def _system_begin(self, spec, payload, device, t) -> None:
-        key = (spec.name, device, tuple(payload.get(name) for name in spec.key))
-        self._system_open[key] = (t, dict(payload))
+    def _system_begin(self, pair, key, payload, device, t) -> None:
+        self._system_open[(pair, device, key)] = (t, dict(payload))
 
-    def _system_end(self, spec, payload, device, t) -> None:
-        key = (spec.name, device, tuple(payload.get(name) for name in spec.key))
-        entry = self._system_open.pop(key, None)
+    def _system_end(self, pair, key, payload, device, t) -> None:
+        entry = self._system_open.pop((pair, device, key), None)
         if entry is not None:
             begin_t, merged = entry
             merged.update(payload)
             self._system.append(SystemSpan(
-                spec.name, key[2], device, begin_t, t, merged,
+                pair, key, device, begin_t, t, merged,
             ))
 
     def _close(

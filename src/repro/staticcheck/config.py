@@ -81,12 +81,6 @@ class Config:
     generator_methods: tuple[str, ...] = ("drain", "scan_channel")
     #: Bulk engagement methods whose flip count must be charged (NEON303).
     flip_methods: tuple[str, ...] = ("engage_all", "engage_task", "disengage_task")
-    #: Module prefixes whose ``trace.emit`` kinds must be registered
-    #: constants (NEON401/NEON402); tests and scratch code stay free.
-    trace_emit_modules: tuple[str, ...] = ("repro",)
-    #: Module prefixes whose ``faults.arm`` points must be registered
-    #: constants (NEON403/NEON404).
-    fault_arm_modules: tuple[str, ...] = ("repro",)
     #: Module prefixes NEON501 paths may legitimately pass through: the
     #: sanctioned observation/substrate layers.  A call chain from a
     #: boundary module is *not* followed into these — the interception
@@ -151,11 +145,6 @@ class Config:
             "estimated_request_size",
         }
     )
-    #: Registry modules for NEON504 dead-entry detection.  The rule only
-    #: runs when the registry module itself is part of the analyzed
-    #: project, so partial scans never produce false "dead" findings.
-    event_registry_module: str = "repro.obs.events"
-    fault_registry_module: str = "repro.faults.registry"
 
     def is_boundary_module(self, module: str) -> bool:
         return _has_prefix(module, self.boundary_modules)
@@ -168,12 +157,6 @@ class Config:
 
     def is_host_clock_module(self, module: str) -> bool:
         return _has_prefix(module, self.host_clock_modules)
-
-    def is_trace_emit_module(self, module: str) -> bool:
-        return _has_prefix(module, self.trace_emit_modules)
-
-    def is_fault_arm_module(self, module: str) -> bool:
-        return _has_prefix(module, self.fault_arm_modules)
 
     def is_sanctioned_module(self, module: str) -> bool:
         return _has_prefix(module, self.sanctioned_modules)

@@ -54,7 +54,8 @@ def dotted_name(node: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _is_type_checking_test(test: ast.expr) -> bool:
+def is_type_checking_test(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING`` as an ``if`` test."""
     if isinstance(test, ast.Name):
         return test.id == "TYPE_CHECKING"
     if isinstance(test, ast.Attribute):
@@ -286,7 +287,7 @@ class ProjectModel:
         self, info: ModuleInfo, node: ast.AST, runtime: bool
     ) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.If) and _is_type_checking_test(child.test):
+            if isinstance(child, ast.If) and is_type_checking_test(child.test):
                 for stmt in child.body:
                     self._collect_imports(info, stmt, runtime=False)
                     if isinstance(stmt, (ast.Import, ast.ImportFrom)):

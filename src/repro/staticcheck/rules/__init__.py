@@ -1,7 +1,8 @@
 """Rule catalog and checker registry.
 
 Rule ids are stable: tests, pragmas, and allowlists refer to them, so they
-must never be renumbered.  New rules append within their family.
+must never be renumbered, and a retired id (NEON406) is never reused.  New
+rules append within their family.
 """
 
 from __future__ import annotations
@@ -10,10 +11,8 @@ from typing import TYPE_CHECKING
 
 from repro.staticcheck.rules.boundary import BoundaryChecker
 from repro.staticcheck.rules.determinism import DeterminismChecker
-from repro.staticcheck.rules.events import EventKindChecker
-from repro.staticcheck.rules.faults import FaultPointChecker
 from repro.staticcheck.rules.generators import GeneratorChecker
-from repro.staticcheck.rules.spans import SpanPairChecker
+from repro.staticcheck.rules.registries import RegisteredNameChecker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
@@ -34,7 +33,6 @@ RULES: dict[str, str] = {
     "NEON402": "trace.emit kind constant not registered in repro.obs.events",
     "NEON403": "faults.arm called with a string-literal injection point",
     "NEON404": "faults.arm point constant not registered in repro.faults.registry",
-    "NEON406": "trace.emit span-boundary kind not registered as a span pair",
     "NEON501": "call chain from a boundary module reaches device-internal state",
     "NEON502": "RNG stream escapes to module scope or flows into scheduler/workload code",
     "NEON503": "observation client touches an attribute outside the declared observation API",
@@ -45,10 +43,8 @@ RULES: dict[str, str] = {
 _CHECKERS = (
     BoundaryChecker,
     DeterminismChecker,
-    EventKindChecker,
-    FaultPointChecker,
     GeneratorChecker,
-    SpanPairChecker,
+    RegisteredNameChecker,
 )
 
 

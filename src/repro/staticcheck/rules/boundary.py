@@ -23,17 +23,10 @@ import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.staticcheck.core import ModuleContext, Violation
+from repro.staticcheck.graph import is_type_checking_test
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
-
-
-def _is_type_checking_test(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
 
 
 class BoundaryChecker:
@@ -50,7 +43,7 @@ class BoundaryChecker:
         self, ctx: ModuleContext, config: "Config", node: ast.AST
     ) -> Iterator[Violation]:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.If) and _is_type_checking_test(child.test):
+            if isinstance(child, ast.If) and is_type_checking_test(child.test):
                 # The body is annotation-only by construction; the else
                 # branch (if any) is runtime code.
                 for stmt in child.orelse:

@@ -29,6 +29,7 @@ import ast
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.staticcheck.core import ModuleContext, Violation, scope_statements
+from repro.staticcheck.graph import dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
@@ -69,18 +70,6 @@ NUMPY_GLOBAL_RNG = frozenset(
         "RandomState",
     }
 )
-
-
-def _dotted_name(node: ast.expr) -> Optional[str]:
-    """``np.random.default_rng`` → ``"np.random.default_rng"``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 class _ImportAliases(ast.NodeVisitor):
@@ -197,7 +186,7 @@ class DeterminismChecker:
                 )
 
     def _resolve(self, node: ast.expr, aliases: dict[str, str]) -> Optional[str]:
-        dotted = _dotted_name(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")

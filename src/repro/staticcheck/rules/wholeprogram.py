@@ -44,15 +44,13 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from repro.staticcheck.core import Violation, scope_statements
 from repro.staticcheck.dataflow import RngFacts, reaches_internal
 from repro.staticcheck.graph import CallSite, FunctionInfo, ProjectModel, dotted_name
-from repro.staticcheck.rules.events import (
-    _kind_argument,
-    _receiver_name as _trace_receiver,
-)
-from repro.staticcheck.rules.faults import (
-    _point_argument,
-    _receiver_name as _faults_receiver,
-)
 from repro.staticcheck.rules.generators import _call_name
+from repro.staticcheck.rules.registries import (
+    REGISTRIES,
+    Registry,
+    name_of,
+    registered_name_args,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.staticcheck.config import Config
@@ -372,35 +370,23 @@ def check_observation_api(
 def check_dead_registry(
     model: ProjectModel, config: "Config"
 ) -> Iterator[Violation]:
-    yield from _dead_entries(
-        model,
-        registry_module=config.event_registry_module,
-        register_call="register_event_kind",
-        used=_emitted_kind_names(model),
-        noun="trace event kind",
-        verb="emitted",
-    )
-    yield from _dead_entries(
-        model,
-        registry_module=config.fault_registry_module,
-        register_call="register_injection_point",
-        used=_armed_point_names(model),
-        noun="fault injection point",
-        verb="armed",
-    )
+    used: dict[Registry, set[str]] = {registry: set() for registry in REGISTRIES}
+    for info in model.modules.values():
+        for registry, expr in registered_name_args(info.ctx.tree):
+            name = name_of(expr)
+            if name is not None:
+                used[registry].add(name)
+    for registry in REGISTRIES:
+        yield from _dead_entries(model, registry, used[registry])
 
 
 def _dead_entries(
-    model: ProjectModel,
-    registry_module: str,
-    register_call: str,
-    used: set[str],
-    noun: str,
-    verb: str,
+    model: ProjectModel, registry: Registry, used: set[str]
 ) -> Iterator[Violation]:
-    info = model.modules.get(registry_module)
+    info = model.modules.get(registry.module)
     if info is None:
         return  # partial scan: the registry is outside the analyzed set
+    register_call = registry.register_call
     for name in sorted(info.constants):
         definition = info.constants[name]
         call = definition.call or ""
@@ -414,50 +400,12 @@ def _dead_entries(
             col=0,
             rule_id="NEON504",
             message=(
-                f"{noun} constant '{name}' is registered but never {verb} "
-                f"anywhere in the analyzed program; wire up a site or "
-                "remove the registration (dead entries rot the taxonomy)"
+                f"{registry.domain} {registry.noun} constant '{name}' is "
+                f"registered but never {registry.verb} anywhere in the "
+                "analyzed program; wire up a site or remove the "
+                "registration (dead entries rot the taxonomy)"
             ),
         )
-
-
-def _identifier_names(expr: Optional[ast.expr]) -> Iterator[str]:
-    if expr is None:
-        return
-    if isinstance(expr, ast.IfExp):
-        yield from _identifier_names(expr.body)
-        yield from _identifier_names(expr.orelse)
-    elif isinstance(expr, ast.Name):
-        yield expr.id
-    elif isinstance(expr, ast.Attribute):
-        yield expr.attr
-
-
-def _emitted_kind_names(model: ProjectModel) -> set[str]:
-    # Usage collection is deliberately more generous than NEON401/402's
-    # receiver match: ``self._trace.emit`` (a private recorder handle,
-    # e.g. the fault injector's) still keeps a kind alive.
-    used: set[str] = set()
-    for info in model.modules.values():
-        for node in ast.walk(info.ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            receiver = _trace_receiver(node.func)
-            if receiver is not None and receiver.lstrip("_") == "trace":
-                used.update(_identifier_names(_kind_argument(node)))
-    return used
-
-
-def _armed_point_names(model: ProjectModel) -> set[str]:
-    used: set[str] = set()
-    for info in model.modules.values():
-        for node in ast.walk(info.ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            receiver = _faults_receiver(node.func)
-            if receiver is not None and receiver.lstrip("_") == "faults":
-                used.update(_identifier_names(_point_argument(node)))
-    return used
 
 
 # ----------------------------------------------------------------------

@@ -23,14 +23,10 @@ from repro.fleet.tenants import FleetTenant
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.spans import (
     COMPONENTS,
-    SPAN_PAIRS,
     TERMINALS,
     TraceFold,
     build_spans,
     fold_trace,
-    register_span_pair,
-    span_constant_names,
-    span_kinds,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -49,24 +45,6 @@ def span_run(dfq_run):
 
 def _canonical(span_set):
     return json.dumps(span_set.to_dict(), sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-def test_registered_pairs_cover_the_lifecycle():
-    assert {"barrier", "sample_window", "sched.wait", "exec",
-            "fleet.migrate"} <= set(SPAN_PAIRS)
-    assert "exec.begin" in span_kinds()
-    assert "EXEC_BEGIN" in span_constant_names()
-
-
-def test_register_rejects_duplicates_and_unknown_kinds():
-    with pytest.raises(ValueError):
-        register_span_pair("exec", "exec.begin", ("request_complete",), ())
-    with pytest.raises(ValueError):
-        register_span_pair("bogus", "no.such_begin", ("no.such_end",), ())
 
 
 # ----------------------------------------------------------------------

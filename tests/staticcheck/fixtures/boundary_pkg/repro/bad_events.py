@@ -21,3 +21,8 @@ def deep_receiver(self):
 
 
 MY_PRIVATE_KIND = "my_private_kind"
+
+
+def private_and_named_receivers(self, src_trace, now):
+    self._trace.emit(now, "x", "lit")  # NEON401 (private recorder handle)
+    src_trace.emit(now, "x", NOT_A_KIND)  # NEON402 (receiver ends in trace)

@@ -19,3 +19,7 @@ def deep_receiver(self):
 
 
 MY_PRIVATE_POINT = "my_private_point"
+
+
+def private_receiver(self):
+    self._faults.arm("lit")  # NEON403 (private injector handle)

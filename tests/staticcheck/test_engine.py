@@ -57,6 +57,20 @@ _DETECTIONS = {
         """,
         [("NEON401", 2)],
     ),
+    "registered-span-literal": (
+        """\
+        def run(trace, now):
+            trace.emit(now, "scheduler", "barrier_begin", task="t")
+        """,
+        [("NEON401", 2)],
+    ),
+    "unregistered-span-literal": (
+        """\
+        def run(trace, now):
+            trace.emit(now, "scheduler", "my.phase_begin", task="t")
+        """,
+        [("NEON401", 2)],
+    ),
     "fault-point-literal": (
         """\
         def plan(faults):

@@ -1,5 +1,7 @@
 """Injection-point rules (NEON403/NEON404): positives, negatives, scoping."""
 
+import shutil
+
 from repro.faults.registry import constant_names, registered_points
 from repro.staticcheck import Config, run_analysis
 from repro.staticcheck.core import module_name_for
@@ -20,6 +22,7 @@ def test_bad_faults_fixture_flags_each_seeded_violation(fixtures):
         ("NEON404", 10),  # fault_points.NOT_A_POINT not registered
         ("NEON403", 12),  # literal branch of the conditional point
         ("NEON403", 18),  # deep receiver self.device.faults.arm
+        ("NEON403", 25),  # private receiver self._faults.arm
     ]
 
 
@@ -36,13 +39,15 @@ def test_clean_faults_module_passes(fixtures):
 def test_fixture_resolves_to_in_scope_module_name(fixtures):
     module = module_name_for(faults_pkg(fixtures) / "bad_faults.py")
     assert module == "repro.bad_faults"
-    assert Config().is_fault_arm_module(module)
 
 
-def test_rules_scoped_to_configured_modules_only(fixtures):
-    # Out-of-scope modules (tests, chaos harness doubles) arm freely.
-    config = Config(fault_arm_modules=("somewhere.else",))
-    assert run_analysis([faults_pkg(fixtures) / "bad_faults.py"], config).violations == []
+def test_rules_scoped_to_configured_modules_only(fixtures, tmp_path):
+    # Modules outside the repro package (tests, chaos harness doubles)
+    # arm freely: the same source as a loose module has no findings.
+    outside = tmp_path / "bad_faults.py"
+    shutil.copy(faults_pkg(fixtures) / "bad_faults.py", outside)
+    assert module_name_for(outside) == "bad_faults"
+    assert run_analysis([outside], Config()).violations == []
 
 
 def test_registry_constants_cover_all_registered_points():
