@@ -17,17 +17,29 @@ results:
   rate of concurrent compute requests (Section 5.3's anomaly).
 
 The engine is a callback state machine on the simulator's heap, not a
-process.  Each hop is one heap entry: a delay (stall, context switch,
-restore, save, refcounter stall, the completion timer) is one handle-free
-``sim.schedule_after``, a wake one ``sim.schedule_now``.  Only the
-graphics-cooldown timer, which a wake cancels, holds a handle.
-A request's outcome — its completion timer firing, or an abort or
-preemption settling it — is handled one hop later.  Settling bumps the
-execution generation, so the completion timer of an aborted or preempted
-execution stays queued and fires as a no-op.  A notify wakes an idle
-engine one hop later; a graphics-cooldown wait takes two hops, one to
-decide whether new work or the cooldown came first and one to resume.
-Every hop sits at a fixed ``(time, seq)`` point, so same-instant
+process.  Each heap entry stands for one hardware event:
+
+* **Delays.**  A stall, context switch, restore, save, refcounter stall
+  or the completion timer is one handle-free ``sim.schedule_after``.  The
+  completion timer retires its request and serves the next one in the
+  same callback, as the device's completion is one reference-counter
+  write.
+* **The graphics cooldown.**  When only penalized graphics channels are
+  pending, the engine idles with one cancellable timer whose callback
+  serves.  It is the only entry that holds a handle.
+* **The notify wake.**  A notify wakes an idle engine one hop later, and
+  cancels the cooldown timer if one is armed.  Notifies within that hop
+  are free, so a burst of enqueues costs one wake.
+* **The external settle.**  :meth:`ExecutionEngine.abort_current` (from
+  ``GpuDevice.kill_context``) and :meth:`ExecutionEngine.preempt_current`
+  (from NEON) settle the running request one hop later.  The caller
+  finishes its own work first: a kill marks the context's channels dead,
+  discards their queues and injects the cleanup stall before the engine
+  picks its next channel.  Settling bumps the execution generation, so
+  the settled request's completion timer stays queued and fires as a
+  no-op.
+
+Every entry sits at a fixed ``(time, seq)`` point, so same-instant
 tie-breaks with the rest of the system are deterministic.
 """
 
@@ -44,23 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import GpuDevice
     from repro.gpu.params import GpuParams
     from repro.sim.engine import Simulator
-
-#: How a running request's outcome hop resolves it: the completion timer
-#: fired, or :meth:`ExecutionEngine.abort_current` /
-#: :meth:`ExecutionEngine.preempt_current` settled it first (leaving the
-#: timer stale).
-FINISHED = "finished"
-ABORTED = "aborted"
-PREEMPTED = "preempted"
-
-#: The engine's wait states, which decide what :meth:`ExecutionEngine.notify`
-#: does: nothing (running, or already woken), wake an idle engine, enter
-#: the race against the graphics cooldown, or — the cooldown has already
-#: won — only count the wake.
-_BUSY = 0
-_IDLE = 1
-_COOLING = 2
-_COOLED = 3
 
 
 class ExecutionEngine:
@@ -83,22 +78,21 @@ class ExecutionEngine:
         self.device = device
         self._channels: list[Channel] = []
         self._cursor = 0
-        self._wait = _BUSY
-        #: Generation of the cooldown race; bumped when the race is decided,
-        #: so the losing hop finds a stale token and does nothing.
-        self._wait_gen = 0
+        #: True while the engine waits for :meth:`notify`; the cooldown
+        #: timer, when armed, also ends the wait.
+        self._waiting = False
         self._cooldown_timer = None
-        #: Generation of the running execution; bumped when its outcome is
-        #: settled, so a completion timer left over from an aborted or
-        #: preempted execution finds a stale generation and does nothing.
+        #: Generation of the running execution; bumped by an abort or a
+        #: preemption, so the completion timer it leaves behind finds a
+        #: stale generation and does nothing.
         self._exec_gen = 0
         #: False only while the running request's outcome is still open.
         self._settled = True
         self._segment_start = 0.0
         self._pending_stall = 0.0
         self.preemptions = 0
-        #: Notifies that woke an idle or cooling-down engine (notifies that
-        #: found it running or already woken are not counted).
+        #: Notifies that woke an idle engine (notifies that found it running
+        #: or already woken are not counted).
         self.wakeups = 0
         self.current: Optional[Request] = None
         self.current_channel: Optional[Channel] = None
@@ -137,17 +131,16 @@ class ExecutionEngine:
         wakes the engine, later ones are free.  Batched submission
         (``GpuDevice.submit_batch``) relies on this — a burst of enqueues
         costs one wake; ``wakeups`` counts the notifies that woke an idle
-        or cooling-down engine.
+        engine, with or without a cooldown timer armed.
         """
-        wait = self._wait
-        if wait == _BUSY:
+        if not self._waiting:
             return
-        self._wait = _BUSY
+        self._waiting = False
         self.wakeups += 1
-        if wait == _IDLE:
-            self.sim.schedule_now(self._serve)
-        elif wait == _COOLING:
-            self.sim.schedule_now(self._cooldown_decided, self._wait_gen, False)
+        if self._cooldown_timer is not None:
+            self._cooldown_timer.cancel()
+            self._cooldown_timer = None
+        self.sim.schedule_now(self._serve)
 
     def abort_current(self, context) -> bool:
         """Abort the running request if it belongs to ``context``."""
@@ -157,7 +150,7 @@ class ExecutionEngine:
             and self.current_channel.context is context
             and not self._settled
         ):
-            self._settle(ABORTED)
+            self._settle(preempted=False)
             return True
         return False
 
@@ -177,15 +170,23 @@ class ExecutionEngine:
             return False
         if self._settled:
             return False
-        self._settle(PREEMPTED)
+        self._settle(preempted=True)
         return True
 
-    def _settle(self, tag: str) -> None:
-        """Resolve the in-flight request with ``tag``; the generation bump
-        makes its completion timer stale, so it cannot resolve it twice."""
+    def _settle(self, preempted: bool) -> None:
+        """Close the running execution for an abort or a preemption, which
+        takes effect one hop later, once the caller has finished its own
+        work.  The generation bump makes the completion timer stale."""
         self._exec_gen += 1
         self._settled = True
-        self.sim.schedule_now(self._on_outcome, tag)
+        self.sim.schedule_now(self._on_settled, preempted)
+
+    def _on_settled(self, preempted: bool) -> None:
+        if preempted:
+            self._suspend()
+        else:
+            self._retire(True)
+            self._serve()
 
     def inject_stall(self, duration_us: float) -> None:
         """Consume engine time outside any request (context cleanup)."""
@@ -261,13 +262,9 @@ class ExecutionEngine:
             # penalized graphics channels are pending, also re-arbitrate
             # once their cooldown expires (non-work-conserving hardware
             # arbitration).
-            if retry_delay is None:
-                self._wait = _IDLE
-            else:
-                self._wait = _COOLING
-                self._cooldown_timer = self.sim.schedule(
-                    retry_delay, self._cooldown_expired, self._wait_gen
-                )
+            self._waiting = True
+            if retry_delay is not None:
+                self._cooldown_timer = self.sim.schedule(retry_delay, self._cooled)
             return
 
         switch_cost = self._switch_cost(channel)
@@ -287,27 +284,9 @@ class ExecutionEngine:
         self.busy_us += stall
         self._serve()
 
-    def _cooldown_expired(self, gen: int) -> None:
-        """The graphics cooldown timer fired: enter the race unless the
-        wake has already decided it."""
-        if gen == self._wait_gen:
-            self.sim.schedule_now(self._cooldown_decided, gen, True)
-
-    def _cooldown_decided(self, gen: int, cooled: bool) -> None:
-        """The first arrival (wake or cooldown) decides the race; the
-        engine resumes one hop later."""
-        if gen != self._wait_gen:
-            return
-        self._wait_gen = gen + 1
-        if cooled and self._wait == _COOLING:
-            self._wait = _COOLED
-        self.sim.schedule_now(self._resume_after_cooldown, cooled)
-
-    def _resume_after_cooldown(self, cooled: bool) -> None:
-        if not cooled:
-            self._cooldown_timer.cancel()
+    def _cooled(self) -> None:
         self._cooldown_timer = None
-        self._wait = _BUSY
+        self._waiting = False
         self._serve()
 
     def _switched(self, channel: Channel, switch_cost: float) -> None:
@@ -366,18 +345,11 @@ class ExecutionEngine:
             )
 
     def _finished(self, gen: int) -> None:
-        """The completion timer fired; unless the execution was already
-        settled, the outcome is handled one hop later."""
+        """The completion timer fired: unless the execution was already
+        settled, retire the request and serve the next one."""
         if gen == self._exec_gen:
-            self._settle(FINISHED)
-
-    def _on_outcome(self, tag: str) -> None:
-        channel = self.current_channel
-        request = self.current
-        if tag is PREEMPTED:
-            self._suspend(channel, request, self._segment_start)
-        else:
-            self._retire(channel, request, tag is ABORTED, self._segment_start)
+            self._settled = True
+            self._retire(False)
             self._serve()
 
     def _switch_cost(self, channel: Channel) -> float:
@@ -389,13 +361,13 @@ class ExecutionEngine:
             return self.params.channel_switch_us
         return 0.0
 
-    def _suspend(
-        self, channel: Channel, request: Request, segment_start: float
-    ) -> None:
+    def _suspend(self) -> None:
         """Preemption path: charge the executed segment, save state, and
         requeue the remainder at the head of the channel."""
+        channel = self.current_channel
+        request = self.current
         now = self.sim.now
-        executed = now - segment_start
+        executed = now - self._segment_start
         request.remaining_us = max(0.0, request.remaining_us - executed)
         request.preemptions += 1
         self.preemptions += 1
@@ -421,20 +393,12 @@ class ExecutionEngine:
             )
         self._serve()
 
-    def _retire(
-        self,
-        channel: Channel,
-        request: Request,
-        aborted: bool,
-        segment_start: Optional[float] = None,
-    ) -> None:
+    def _retire(self, aborted: bool) -> None:
+        channel = self.current_channel
+        request = self.current
         now = self.sim.now
         request.finish_time = now
-        if segment_start is None:
-            segment_start = (
-                request.start_time if request.start_time is not None else now
-            )
-        service = now - segment_start
+        service = now - self._segment_start
         request.remaining_us = 0.0
         self.busy_us += service
         self.device.charge(channel.task, service, request.kind)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.experiments.runner import build_env
 from repro.osmodel.costs import CostParams
 from repro.sim.engine import Simulator
+
+# Property tests are bounded by their example counts, not by wall time: a
+# per-example deadline only measures how loaded the host is.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

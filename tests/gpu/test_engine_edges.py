@@ -124,14 +124,6 @@ def _cooling_graphics(sim, device, make_channel):
     return compute, held
 
 
-def _after(sim, hops, fn, *args):
-    """Run ``fn(*args)`` ``hops`` same-instant heap entries after now."""
-    if hops == 0:
-        fn(*args)
-    else:
-        sim.schedule_now(_after, sim, hops - 1, fn, *args)
-
-
 @pytest.mark.parametrize(
     "when, wakeups, late_start, held_start",
     [
@@ -140,15 +132,11 @@ def _after(sim, hops, fn, *args):
         # switch, and the held graphics request after it and another
         # switch (83 + 10 + 4); served second, it waits for graphics.
         #
-        # Scheduled before the cooldown timer was armed: wakes the engine.
+        # Scheduled before the cooldown timer was armed: wakes the engine,
+        # which cancels the timer.
         ("before-timer", 1, 83.0, 97.0),
-        # After the timer fired, before its member hop ran.
-        ("after-timer", 1, 83.0, 97.0),
-        # After the member hop, before the engine resumed: still counts as
-        # a wake, and the resumed engine sees the new compute request.
-        ("after-member-hop", 1, 83.0, 97.0),
-        # After the engine resumed: it is already serving graphics.
-        ("after-resume", 0, 93.0, 79.0),
+        # After the timer fired: the engine is already serving graphics.
+        ("after-timer", 0, 93.0, 79.0),
     ],
 )
 def test_notify_at_the_instant_the_cooldown_ends(
@@ -159,17 +147,34 @@ def test_notify_at_the_instant_the_cooldown_ends(
     if when == "before-timer":
         sim.schedule(79.0, device.submit, compute, late)
     else:
-        hops = {"after-timer": 0, "after-member-hop": 1, "after-resume": 2}[when]
         # Scheduled at 50, after the timer was armed, so it pops after it.
-        sim.schedule(
-            50.0, sim.schedule, 29.0, _after, sim, hops, device.submit,
-            compute, late,
-        )
+        sim.schedule(50.0, sim.schedule, 29.0, device.submit, compute, late)
     sim.run()
     assert device.main_engine.wakeups == wakeups
     assert (late.start_time, held.start_time) == (late_start, held_start)
     assert late.finish_time == late_start + 10.0
     assert held.finish_time == held_start + 10.0
+
+
+def test_kill_settles_after_the_cleanup_is_queued(sim, device, make_channel):
+    """A kill aborts the running request one hop later, after it has
+    marked the context's channels dead and injected the cleanup stall.
+    So the engine never turns to the dying context's other channel: it
+    pays the cleanup, then one context switch to the survivor."""
+    task, context, running_channel = make_channel("doomed")
+    queued_channel = device.create_channel(context, RequestKind.COMPUTE)
+    _, _, survivor_channel = make_channel("survivor")
+    submit(device, running_channel, 100.0)
+    doomed = submit(device, queued_channel, 10.0)
+    survivor = submit(device, survivor_channel, 10.0)
+    sim.schedule(50.0, device.kill_context, context)
+    sim.run()
+    params = device.params
+    assert doomed.start_time is None
+    assert survivor.start_time == (
+        50.0 + params.context_cleanup_us + params.context_switch_us
+    )
+    assert device.main_engine.switch_us == params.context_switch_us
 
 
 @pytest.fixture
@@ -183,9 +188,9 @@ def preemptive_device(sim):
 def test_settle_after_the_completion_timer_fired_is_refused(
     sim, preemptive_device, action
 ):
-    """Between the completion timer firing and the engine handling the
-    outcome, the request is already finished: aborting or preempting it
-    must be refused, and it completes normally."""
+    """Once the completion timer has fired, the request is retired:
+    aborting or preempting it must be refused, and it completes
+    normally."""
     device = preemptive_device
     task = Task("t", next(sim.id_counter("task")))
     context = device.create_context(task)
@@ -195,7 +200,8 @@ def test_settle_after_the_completion_timer_fired_is_refused(
     answers = []
 
     def settle():
-        assert engine.current is request
+        assert request.finish_time == 100.0
+        assert engine.current is None
         if action == "abort":
             answers.append(engine.abort_current(context))
         else:

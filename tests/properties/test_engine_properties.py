@@ -43,7 +43,7 @@ def _run_plan(plan):
 
 
 @given(request_plans)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_every_request_completes_and_refcounters_match(plan):
     sim, device, channels, requests = _run_plan(plan)
     assert all(request.finish_time is not None for request in requests)
@@ -53,7 +53,7 @@ def test_every_request_completes_and_refcounters_match(plan):
 
 
 @given(request_plans)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_busy_time_conservation(plan):
     sim, device, channels, requests = _run_plan(plan)
     engine = device.main_engine
@@ -67,7 +67,7 @@ def test_busy_time_conservation(plan):
 
 
 @given(request_plans)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_per_channel_fifo_order(plan):
     sim, device, channels, requests = _run_plan(plan)
     for channel in channels:
@@ -80,7 +80,7 @@ def test_per_channel_fifo_order(plan):
 
 
 @given(request_plans)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_usage_charges_sum_to_service(plan):
     sim, device, channels, requests = _run_plan(plan)
     total_charged = sum(

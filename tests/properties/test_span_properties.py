@@ -108,7 +108,7 @@ def test_kill_bearing_plan_actually_kills_and_spans_still_close():
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 def test_closure_holds_across_seeds(seed):
     trace, span_set = chaos_spans("mixed", "dfq", seed=seed)
     assert_closure(trace, span_set)

@@ -49,7 +49,7 @@ def _keyed(records):
         assert record.tenant == tenant_key(record.payload), record
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(payload=payloads)
 def test_recorder_emit_stamps_the_tenant_key(payload):
     recorder = TraceRecorder()
@@ -60,7 +60,7 @@ def test_recorder_emit_stamps_the_tenant_key(payload):
     _keyed(recorder.records())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(payload=payloads, device=st.integers(0, 7))
 def test_device_view_stamps_the_tenant_key(payload, device):
     base = TraceRecorder()
@@ -77,7 +77,7 @@ def test_device_view_stamps_the_tenant_key(payload, device):
         assert records[2].tenant == f"{payload['task']}@d{device}"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(stream=st.lists(st.tuples(st.floats(0.0, 1e6), payloads), max_size=8))
 def test_jsonl_round_trip_keeps_the_tenant_key(stream):
     recorder = TraceRecorder()
