@@ -44,8 +44,8 @@ def main() -> None:
                 dct.round_stats(WARMUP_US).mean_us / dct_alone.rounds.mean_us,
                 throttle.round_stats(WARMUP_US).mean_us
                 / throttle_alone.rounds.mean_us,
-                env.kernel.fault_count,
-                env.kernel.submit_count,
+                int(env.metrics.counter("faults").total),
+                int(env.metrics.counter("submits").total),
             ]
         )
 

@@ -95,17 +95,30 @@ EXPERIMENTS: dict[str, tuple[Callable[..., str], str]] = {
 }
 
 
-def positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    """Argument type: ``convert(text)``, a usage error unless above 0."""
+def checked(
+    convert: Callable[[str], Any], accept: Callable[[Any], bool], rule: str
+) -> Callable[[str], Any]:
+    """Argument type: ``convert(text)``, a usage error unless ``accept``
+    holds for it (``rule`` says what is expected)."""
 
     def parse(text: str) -> Any:
         value = convert(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in its errors
     return parse
+
+
+def positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Argument type: ``convert(text)``, a usage error unless above 0."""
+    return checked(convert, lambda value: value > 0, "> 0")
+
+
+def non_negative(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Argument type: ``convert(text)``, a usage error if below 0."""
+    return checked(convert, lambda value: value >= 0, ">= 0")
 
 
 def comma_list(convert: Callable[[str], Any] = str) -> Callable[[str], list]:

@@ -20,7 +20,8 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from repro.cli import comma_list, positive
+from repro.cli import checked, comma_list, non_negative, positive
+from repro.core import scheduler_registry
 from repro.experiments.cells import CellSpec
 from repro.experiments.parallel import (
     CellTiming,
@@ -91,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one fleet scenario per seed")
     run.add_argument("--devices", type=positive(int), default=1)
     run.add_argument("--tenants", type=positive(int), default=4)
-    run.add_argument("--scheduler", default="dfq")
+    run.add_argument(
+        "--scheduler", default="dfq", choices=sorted(scheduler_registry)
+    )
     run.add_argument(
         "--placement", default="least-loaded",
         choices=sorted(placement_registry),
@@ -100,11 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="fleet-fair",
         choices=sorted(global_policy_registry),
     )
-    run.add_argument("--request-us", type=float, default=800.0)
-    run.add_argument("--sleep-ratio", type=float, default=0.0)
-    run.add_argument("--jitter", type=float, default=0.0)
+    run.add_argument("--request-us", type=positive(float), default=800.0)
     run.add_argument(
-        "--partitions", type=int, default=1,
+        "--sleep-ratio", default=0.0,
+        type=checked(float, lambda ratio: 0.0 <= ratio < 1.0, "in [0, 1)"),
+    )
+    run.add_argument("--jitter", type=non_negative(float), default=0.0)
+    run.add_argument(
+        "--partitions", type=positive(int), default=1,
         help="tenant name partitions (p0., p1., ...) for affinity/quotas",
     )
     run.add_argument("--duration-ms", type=positive(float), default=None)
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workers", type=int, default=1)
     run.add_argument(
-        "--window-us", type=float, default=None,
+        "--window-us", type=positive(float), default=None,
         help="attach the streaming monitor rig with this window width",
     )
     run.add_argument(
@@ -155,9 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--devices", type=positive(int), default=3)
     chaos.add_argument("--tenants", type=positive(int), default=9)
-    chaos.add_argument("--scheduler", default="dfq")
-    chaos.add_argument("--policy", default="fleet-fair")
-    chaos.add_argument("--request-us", type=float, default=800.0)
+    chaos.add_argument(
+        "--scheduler", default="dfq", choices=sorted(scheduler_registry)
+    )
+    chaos.add_argument(
+        "--policy", default="fleet-fair", choices=sorted(global_policy_registry)
+    )
+    chaos.add_argument("--request-us", type=positive(float), default=800.0)
     chaos.add_argument("--duration-ms", type=positive(float), default=None)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--workers", type=int, default=1)

@@ -52,7 +52,7 @@ class GpuDevice:
         self.faults = faults
         # Hot-path instruments, resolved once (submit/retire run per request).
         self._submits = self.metrics.counter("submits")
-        self.latency_histogram = self.metrics.histogram("request_latency_us")
+        self.latencies = self.metrics.samples("request_latency_us")
         main_kinds = {RequestKind.COMPUTE, RequestKind.GRAPHICS}
         if not self.params.separate_copy_engine:
             main_kinds.add(RequestKind.DMA)
@@ -69,9 +69,6 @@ class GpuDevice:
         self.memory = GpuMemory(self.params.memory_mib)
         #: Ground-truth per-task engine microseconds (metrics/ablations only).
         self._usage: dict[int, float] = defaultdict(float)
-        #: Keyed by ``(task_id, kind._value_)``: a plain string, because
-        #: hashing the enum member itself is a Python-level call per retire.
-        self._usage_by_kind: dict[tuple[int, str], float] = defaultdict(float)
 
     # ------------------------------------------------------------------
     # Resource allocation (the Section 6.3 protection surface)
@@ -224,18 +221,13 @@ class GpuDevice:
         """Ground-truth idleness (metrics only; schedulers must poll)."""
         return all(engine.idle for engine in self.engines)
 
-    def charge(self, task: "Task", service_us: float, kind: RequestKind) -> None:
+    def charge(self, task: "Task", service_us: float) -> None:
         """Record ground-truth usage (called by engines on retirement)."""
-        task_id = task.task_id
-        self._usage[task_id] += service_us
-        self._usage_by_kind[(task_id, kind._value_)] += service_us
+        self._usage[task.task_id] += service_us
 
     def task_usage(self, task: "Task") -> float:
         """Ground-truth cumulative engine time consumed by ``task`` (µs)."""
         return self._usage[task.task_id]
-
-    def task_usage_by_kind(self, task: "Task", kind: RequestKind) -> float:
-        return self._usage_by_kind[(task.task_id, kind._value_)]
 
     @property
     def total_busy_us(self) -> float:

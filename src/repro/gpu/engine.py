@@ -372,7 +372,7 @@ class ExecutionEngine:
         request.preemptions += 1
         self.preemptions += 1
         self.busy_us += executed
-        self.device.charge(channel.task, executed, request.kind)
+        self.device.charge(channel.task, executed)
         channel.running = None
         channel.queue.appendleft(request)
         self.current = None
@@ -401,7 +401,7 @@ class ExecutionEngine:
         service = now - self._segment_start
         request.remaining_us = 0.0
         self.busy_us += service
-        self.device.charge(channel.task, service, request.kind)
+        self.device.charge(channel.task, service)
         if request.kind is not RequestKind.GRAPHICS:
             self._last_nongraphics_end = now
         elif (
@@ -455,9 +455,7 @@ class ExecutionEngine:
             self.completed_requests += 1
             if request.submit_time is not None:
                 latency_us = now - request.submit_time
-                self.device.latency_histogram.observe(
-                    channel.task.name, latency_us
-                )
+                self.device.latencies[channel.task.name].append(latency_us)
         trace = self.device.trace
         if trace.enabled:
             if latency_us is None:

@@ -5,9 +5,9 @@ The observability layer sits *beside* the simulation, not inside it:
 * :mod:`repro.obs.events` — the registry of typed trace event kinds.
   Every ``trace.emit`` call site in the package names a registered
   constant (enforced by neonlint rules NEON401/NEON402).
-* :mod:`repro.obs.metrics` — per-task / per-scheduler counters and
-  histograms (:class:`MetricsRegistry`), snapshotted into experiment
-  results.
+* :mod:`repro.obs.metrics` — per-task / per-scheduler counters and raw
+  latency samples (:class:`MetricsRegistry`), summarized per task into
+  experiment results.
 * :mod:`repro.obs.engagement` — per-task engaged vs. disengaged time
   accounting, fed by the interception layer's page flips, and its one
   replay from a recorded trace.
@@ -40,7 +40,7 @@ operate on recorded traces and snapshots, never on live ground truth.
 
 from repro.obs.engagement import EngagementLedger
 from repro.obs.events import EVENT_KINDS, EventKindSpec, registered_kinds
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.slo import SloEngine, SloRule
 from repro.obs.store import RunCollector, collecting
 from repro.obs.windows import WindowAggregator, WindowConfig
@@ -55,7 +55,6 @@ __all__ = [
     "registered_kinds",
     "MetricsRegistry",
     "Counter",
-    "Histogram",
     "EngagementLedger",
     "RunCollector",
     "collecting",

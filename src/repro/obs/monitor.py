@@ -342,6 +342,7 @@ def monitoring(session: MonitorSession) -> Iterator[MonitorSession]:
 
 def build_parser() -> argparse.ArgumentParser:
     # Imported here: the experiment layer imports this module.
+    from repro.cli import non_negative, positive
     from repro.experiments.chaos import builtin_plans
     from repro.obs.cli import add_run_options
 
@@ -359,16 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     windowing = parser.add_argument_group("windowing")
     windowing.add_argument(
-        "--window-us", type=float, default=DEFAULT_WINDOW_US,
+        "--window-us", type=positive(float), default=DEFAULT_WINDOW_US,
         help=f"window width in microseconds (default: {DEFAULT_WINDOW_US:g})",
     )
     windowing.add_argument(
-        "--slide-us", type=float, default=None,
+        "--slide-us", type=positive(float), default=None,
         help="slide in microseconds for sliding windows (default: tumbling; "
         "the window must be an integer multiple of the slide)",
     )
     windowing.add_argument(
-        "--latency-bin-us", type=float, default=50.0,
+        "--latency-bin-us", type=positive(float), default=50.0,
         help="fixed latency bin width for deterministic quantiles "
         "(default: 50)",
     )
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro why FILE --report ...' for root-cause attribution",
     )
     output.add_argument(
-        "--keep-windows", type=int, default=None, metavar="N",
+        "--keep-windows", type=non_negative(int), default=None, metavar="N",
         help="retain at most N window snapshots per run in memory and in "
         "the report (default: all)",
     )
@@ -592,7 +593,8 @@ def _run_experiment(args: argparse.Namespace, session: MonitorSession) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.target == "rules":
         return cmd_rules(args)
     if args.target != "run":
@@ -607,7 +609,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
 
-    session = session_from_args(args)
+    try:
+        session = session_from_args(args)
+    except (OSError, ValueError) as exc:
+        # An unreadable --slo file, or a slide that does not divide the window.
+        parser.error(str(exc))
     with ExitStack() as stack:
         if args.progress:
             from repro.experiments.progress import CellProgress, progressing

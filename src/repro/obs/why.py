@@ -37,6 +37,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.cli import non_negative, positive
 from repro.obs.cli import _obtain_trace, add_run_options
 from repro.obs.spans import (
     COMPONENT_LABELS,
@@ -83,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict attribution to one fleet device",
     )
     parser.add_argument(
-        "--window-us", type=float, default=DEFAULT_WINDOW_US,
+        "--window-us", type=positive(float), default=DEFAULT_WINDOW_US,
         help=f"attribution window width in µs (default: "
         f"{DEFAULT_WINDOW_US:g}; ignored when --report pins a window)",
     )
     parser.add_argument(
-        "--top", type=int, default=3,
+        "--top", type=non_negative(int), default=3,
         help="interfering tenants to list (default: 3)",
     )
     parser.add_argument(

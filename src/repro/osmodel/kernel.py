@@ -122,9 +122,6 @@ class Kernel:
         self.tasks: list[Task] = []
         #: Channel-discovery state machines, keyed by channel id.
         self.discoveries: dict[int, ChannelDiscovery] = {}
-        self.fault_count = 0
-        self.fault_count_by_task: dict[int, int] = {}
-        self.submit_count = 0
         self._request_ids = sim.id_counter("request")
 
     # ------------------------------------------------------------------
@@ -285,20 +282,14 @@ class Kernel:
         while waiting).
         """
         request.request_id = next(self._request_ids)
-        page = channel.register_page
         if self.faults is not None:
             lag = self.faults.arm(fault_points.KERNEL_SUBMIT_LATENCY, task.name)
             if lag is not None:
                 yield lag.magnitude_us
         yield self.costs.direct_submit_us
         observed = False
-        if page.protected:
+        if channel.register_page.protected:
             observed = True
-            page.record_fault()
-            self.fault_count += 1
-            self.fault_count_by_task[task.task_id] = (
-                self.fault_count_by_task.get(task.task_id, 0) + 1
-            )
             self._faults.inc(task.name)
             if self.trace.enabled:
                 self.trace.emit(
@@ -353,7 +344,6 @@ class Kernel:
             # ProcessKilled will arrive momentarily — wait for it.
             yield self.sim.event()
         self.device.submit(channel, request)
-        self.submit_count += 1
         if observed and self.scheduler is not None:
             self.scheduler.on_submit(task, channel, request)
         return request
@@ -386,9 +376,7 @@ class Kernel:
             yield self.sim.event()
         for request in requests:
             request.request_id = next(self._request_ids)
-        completions = self.device.submit_batch(channel, requests)
-        self.submit_count += len(requests)
-        return completions
+        return self.device.submit_batch(channel, requests)
 
     def submit_via_syscall(
         self, task: Task, channel: "Channel", request: Request, driver_work: bool
@@ -403,5 +391,4 @@ class Kernel:
             cost += self.costs.driver_work_us
         yield cost
         self.device.submit(channel, request)
-        self.submit_count += 1
         return request

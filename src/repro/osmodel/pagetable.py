@@ -14,13 +14,12 @@ from __future__ import annotations
 class RegisterPage:
     """The protection state of one channel-register page."""
 
-    __slots__ = ("channel_id", "protected", "_protect_count", "_fault_count")
+    __slots__ = ("channel_id", "protected", "_protect_count")
 
     def __init__(self, channel_id: int, protected: bool = False) -> None:
         self.channel_id = channel_id
         self.protected = protected
         self._protect_count = 0
-        self._fault_count = 0
 
     def protect(self) -> None:
         """Mark the page non-present so the next store faults."""
@@ -32,14 +31,6 @@ class RegisterPage:
         """Restore the direct mapping; stores no longer fault."""
         self.protected = False
 
-    def record_fault(self) -> None:
-        self._fault_count += 1
-
-    @property
-    def fault_count(self) -> int:
-        """Total faults taken on this page (for overhead accounting)."""
-        return self._fault_count
-
     @property
     def protect_count(self) -> int:
         """Number of mapped→protected transitions (engagement episodes)."""
@@ -47,4 +38,4 @@ class RegisterPage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "protected" if self.protected else "mapped"
-        return f"RegisterPage(ch{self.channel_id}, {state}, faults={self._fault_count})"
+        return f"RegisterPage(ch{self.channel_id}, {state})"

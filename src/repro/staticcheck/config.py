@@ -45,7 +45,6 @@ DEFAULT_GROUND_TRUTH_ATTRIBUTES = frozenset(
         "main_engine",
         "current_channel",
         "task_usage",
-        "task_usage_by_kind",
         # Task-side device handles (repro.osmodel.task.Task)
         "contexts",
     }

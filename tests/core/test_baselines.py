@@ -10,7 +10,7 @@ def test_all_requests_intercepted(scheduler, fast_costs):
     env, a, b = run_pair(scheduler, fast_costs, duration_us=50_000.0)
     for channel in env.device.channels.values():
         assert channel.register_page.protected
-    assert env.kernel.fault_count > 0
+    assert env.metrics.counter("faults").total > 0
 
 
 @pytest.mark.parametrize("scheduler", ["engaged-fq", "drr", "credit"])

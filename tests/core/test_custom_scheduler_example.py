@@ -30,7 +30,7 @@ def test_foreground_first_time_counts_as_engaged(foreground_first):
     run_workloads(env, [interactive, batch], 100_000.0, 0.0)
     ledger = env.scheduler.neon.engagement.snapshot(env.sim.now)
     for workload in (interactive, batch):
-        assert env.kernel.fault_count_by_task[workload.task.task_id] > 0
+        assert env.metrics.counter("faults").value(workload.name) > 0
         assert ledger[workload.name]["engaged_us"] > 0
         assert ledger[workload.name]["disengaged_us"] == 0
     # The background task waited on the base waiter ledger and was woken.

@@ -11,8 +11,9 @@ def test_holder_runs_without_faults(fast_costs):
     """The token holder gets direct access: far fewer faults than
     submissions (the whole point of disengagement)."""
     env, a, b = run_pair("disengaged-timeslice", fast_costs, duration_us=60_000.0)
-    assert env.kernel.submit_count > 100
-    assert env.kernel.fault_count < env.kernel.submit_count / 10
+    submits = env.metrics.counter("submits").total
+    assert submits > 100
+    assert env.metrics.counter("faults").total < submits / 10
 
 
 def test_fairness_matches_engaged_variant(fast_costs):
@@ -63,4 +64,4 @@ def test_non_holder_blocks_until_its_slice(fast_costs):
     # Blocked tasks fault once, then sleep in the handler: fault counts
     # stay near the number of token handoffs, not the request count.
     handoffs = env.scheduler.slices_granted
-    assert env.kernel.fault_count <= handoffs * 3 + 4
+    assert env.metrics.counter("faults").total <= handoffs * 3 + 4

@@ -19,8 +19,10 @@ def test_every_request_faults(fast_costs):
     env, a, b = run_pair("timeslice", fast_costs, duration_us=30_000.0)
     # Every submission was intercepted; at most one fault per task may
     # still be blocked in the handler when the clock stops.
-    assert env.kernel.fault_count >= env.kernel.submit_count
-    assert env.kernel.fault_count - env.kernel.submit_count <= 2
+    faults = env.metrics.counter("faults").total
+    submits = env.metrics.counter("submits").total
+    assert faults >= submits
+    assert faults - submits <= 2
 
 
 def test_fair_shares_despite_size_asymmetry(fast_costs):

@@ -76,4 +76,4 @@ def test_kernel_batch_charges_one_combined_submit_cost(sim, device):
     # ...and all four requests land and complete.
     assert len(done["completions"]) == 4
     assert all(event.triggered for event in done["completions"])
-    assert kernel.submit_count == 4
+    assert device.metrics.counter("submits").total == 4

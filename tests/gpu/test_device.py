@@ -112,8 +112,6 @@ def test_usage_accounting_by_task_and_kind(sim, device, make_channel):
     submit(device, dma_channel, 20.0)
     sim.run()
     assert device.task_usage(task) == 50.0
-    assert device.task_usage_by_kind(task, RequestKind.COMPUTE) == 30.0
-    assert device.task_usage_by_kind(task, RequestKind.DMA) == 20.0
 
 
 def test_live_counts_exclude_dead(device, make_channel):

@@ -1,8 +1,8 @@
-"""Counters, histograms, and the registry's task view."""
+"""Counters, latency samples, and the registry's task view."""
 
 import pytest
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry, summarize_samples
 
 
 def test_counter_increments_per_label():
@@ -21,75 +21,40 @@ def test_counter_rejects_negative():
         Counter("x").inc("a", -1.0)
 
 
-def test_counter_snapshot_sorted():
-    counter = Counter("x")
-    counter.inc("zeta")
-    counter.inc("alpha")
-    assert list(counter.snapshot()) == ["alpha", "zeta"]
-
-
 def test_histogram_stats():
-    histogram = Histogram("lat", buckets=(10.0, 100.0, 1000.0))
-    for value in (5.0, 50.0, 500.0, 5000.0):
-        histogram.observe("t", value)
-    assert histogram.count("t") == 4
-    assert histogram.mean("t") == pytest.approx(1388.75)
-    snapshot = histogram.snapshot()["t"]
-    assert snapshot["count"] == 4
-    assert snapshot["min"] == 5.0
-    assert snapshot["max"] == 5000.0
-    assert snapshot["buckets"] == [1, 1, 1, 1]  # one per bucket + overflow
+    count, mean, p95 = summarize_samples([5.0, 50.0, 500.0, 5000.0])
+    assert count == 4.0
+    assert mean == pytest.approx(1388.75)
+    # rank 3.8: the fourth sample's bucket, (2000, 5000].
+    assert p95 == 5000.0
+    assert summarize_samples([]) == (0.0, 0.0, 0.0)
 
 
 def test_histogram_quantile_bucket_resolution():
-    histogram = Histogram("lat", buckets=(10.0, 100.0))
-    for _ in range(9):
-        histogram.observe("t", 5.0)
-    histogram.observe("t", 50.0)
-    assert histogram.quantile("t", 0.5) == 10.0
-    assert histogram.quantile("t", 1.0) == 100.0
-    histogram.observe("t", 1e9)
-    assert histogram.quantile("t", 1.0) == float("inf")
-    assert histogram.quantile("t", 0.5) == 10.0
-    assert histogram.mean("missing") is None
-    assert histogram.quantile("missing", 0.5) is None
-
-
-def test_histogram_rejects_bad_buckets():
-    with pytest.raises(ValueError):
-        Histogram("x", buckets=())
-    with pytest.raises(ValueError):
-        Histogram("x", buckets=(10.0, 5.0))
-    with pytest.raises(ValueError):
-        Histogram("x", buckets=(10.0,)).quantile("t", 1.5)
+    samples = [5.0] * 19 + [50.0]
+    # rank 19.0 is reached inside the (0, 10] bucket.
+    assert summarize_samples(samples)[2] == 10.0
+    samples.append(15.0)
+    # rank 19.95: the 20th sample by bucket order sits in (10, 20].
+    assert summarize_samples(samples)[2] == 20.0
+    assert summarize_samples([1e9])[2] == float("inf")
+    # A value on a bound falls in that bound's bucket.
+    assert summarize_samples([100.0])[2] == 100.0
 
 
 def test_registry_reuses_instruments():
     registry = MetricsRegistry()
     assert registry.counter("faults") is registry.counter("faults")
-    assert registry.histogram("lat") is registry.histogram("lat")
+    assert registry.samples("lat") is registry.samples("lat")
     registry.inc("faults", "a")
     registry.inc("faults", "a")
     assert registry.counter("faults").value("a") == 2.0
 
 
-def test_registry_snapshot_shape():
-    registry = MetricsRegistry()
-    registry.inc("faults", "a")
-    registry.observe("lat", "a", 42.0)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["faults"] == {"a": 1.0}
-    assert snapshot["histograms"]["lat"]["labels"]["a"]["count"] == 1
-    # Snapshot must be JSON-able as-is.
-    import json
-
-    json.dumps(snapshot)
-
-
 def test_task_view_flat_and_uniform():
     registry = MetricsRegistry()
     registry.inc("faults", "a", 3.0)
-    registry.observe("lat", "a", 100.0)
+    registry.samples("lat")["a"].append(100.0)
     view_a = registry.task_view("a")
     assert view_a["faults"] == 3.0
     assert view_a["lat_count"] == 1.0
@@ -99,11 +64,13 @@ def test_task_view_flat_and_uniform():
     view_b = registry.task_view("b")
     assert set(view_b) == set(view_a)
     assert all(value == 0.0 for value in view_b.values())
+    # Summarizing records nothing for the absent task.
+    assert "b" not in registry.samples("lat")
 
 
 # ----------------------------------------------------------------------
-# Registry completeness: the KNOWN_* catalogs cannot silently drift from
-# the instrument names the source tree actually bumps.
+# Registry completeness: the KNOWN_COUNTERS catalog cannot silently drift
+# from the counter names the source tree actually bumps.
 # ----------------------------------------------------------------------
 
 def _instrument_names(pattern):
@@ -130,19 +97,6 @@ def test_every_counter_site_is_cataloged():
     assert sites, "the scan found no counter sites at all (regex broken?)"
     unknown = {n: f for n, f in sites.items() if n not in KNOWN_COUNTERS}
     assert not unknown, f"counters bumped but not in KNOWN_COUNTERS: {unknown}"
-
-
-def test_every_histogram_site_is_cataloged():
-    from repro.obs.metrics import KNOWN_HISTOGRAMS
-
-    sites = _instrument_names(
-        r"""metrics\.(?:observe|histogram)\(\s*["']([a-z_]+)["']"""
-    )
-    assert sites, "the scan found no histogram sites at all (regex broken?)"
-    unknown = {n: f for n, f in sites.items() if n not in KNOWN_HISTOGRAMS}
-    assert not unknown, (
-        f"histograms observed but not in KNOWN_HISTOGRAMS: {unknown}"
-    )
 
 
 def test_monitor_counters_are_cataloged():

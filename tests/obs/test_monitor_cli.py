@@ -179,9 +179,9 @@ def test_monitored_runs_share_the_metrics_registry():
     (monitor,) = session.monitors
     # A finished run's report does not keep its simulated system alive.
     assert monitor.clock is None
-    counters = monitor.metrics.snapshot()["counters"]
-    assert counters["windows_closed"] == {"": 10.0}
-    assert "submits" in counters  # the simulation's own counters, same registry
+    assert monitor.metrics.counter("windows_closed").value() == 10.0
+    # The simulation's own counters land in the same registry.
+    assert monitor.metrics.counter("submits").total > 0
     assert session.windows_closed == 10
 
 

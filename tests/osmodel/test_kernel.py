@@ -92,7 +92,7 @@ def test_direct_submission_costs_one_mmio_write(sim, system):
     sim.spawn(body())
     sim.run(until=1.0)
     assert times["submitted"] == pytest.approx(kernel.costs.direct_submit_us)
-    assert kernel.fault_count == 0
+    assert kernel.metrics.counter("faults").total == 0
     assert scheduler.faults == []
 
 
@@ -113,10 +113,9 @@ def test_protected_submission_faults_and_costs_more(sim, system):
     sim.run(until=100.0)
     expected = kernel.costs.direct_submit_us + kernel.costs.intercept_us
     assert times["submitted"] == pytest.approx(expected)
-    assert kernel.fault_count == 1
+    assert kernel.metrics.counter("faults").total == 1
     assert scheduler.faults == [request.request_id]
     assert scheduler.submits == [request.request_id]
-    assert channel.register_page.fault_count == 1
 
 
 def test_blocked_fault_waits_for_scheduler(sim, system):
@@ -139,7 +138,7 @@ def test_blocked_fault_waits_for_scheduler(sim, system):
     sim.run(until=1_000.0)
     assert times["submitted"] >= 500.0
     # One fault trap total: the re-check after waking is handler-internal.
-    assert kernel.fault_count == 1
+    assert kernel.metrics.counter("faults").total == 1
 
 
 def test_task_lifecycle_notifications(sim, system):
@@ -241,4 +240,4 @@ def test_fault_counts_per_task(sim, system):
 
     sim.spawn(body())
     sim.run(until=10_000.0)
-    assert kernel.fault_count_by_task[task.task_id] == 3
+    assert kernel.metrics.counter("faults").value(task.name) == 3

@@ -24,10 +24,3 @@ def test_protect_count_counts_transitions_only():
     page.unprotect()
     page.protect()
     assert page.protect_count == 2
-
-
-def test_fault_count():
-    page = RegisterPage(1)
-    page.record_fault()
-    page.record_fault()
-    assert page.fault_count == 2

@@ -67,7 +67,9 @@ def _usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -183,6 +185,40 @@ def test_inline_run_options_parse_alike_in_every_command():
         assert args.scheduler == "direct"
         assert (args.seed, args.fault_plan) == (0, None)
     assert why_parser().parse_args([]).apps == ["glxgears", "BitonicSort"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fleet", "run", "--scheduler", "nope"],
+    ["fleet", "chaos", "--scheduler", "nope"],
+    ["fleet", "chaos", "--policy", "nope"],
+    ["fleet", "run", "--request-us", "0"],
+    ["fleet", "run", "--request-us", "-5"],
+    ["fleet", "run", "--sleep-ratio", "1.5"],
+    ["fleet", "run", "--sleep-ratio", "-0.1"],
+    ["fleet", "run", "--jitter", "-0.5"],
+    ["fleet", "run", "--partitions", "0"],
+], ids=" ".join)
+def test_bad_fleet_input_is_a_usage_error(argv, capsys):
+    _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["monitor", "run", "--window-us", "0"],
+    ["monitor", "run", "--latency-bin-us", "0"],
+    ["monitor", "run", "--slide-us", "3000"],  # does not divide 5000
+    ["monitor", "run", "--keep-windows", "-1"],
+    ["monitor", "run", "--slo", "no-such-rules.json"],
+], ids=" ".join)
+def test_bad_monitor_input_is_a_usage_error(argv, capsys):
+    _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["why", "--window-us", "0"],
+    ["why", "--top", "-1"],
+], ids=" ".join)
+def test_bad_why_input_is_a_usage_error(argv, capsys):
+    _usage_error(argv, capsys)
 
 
 def test_claims_takes_no_duration(capsys):
