@@ -43,18 +43,33 @@ from repro.fleet.policies import global_policy_registry
 DEFAULT_DURATION_US = 200_000.0
 
 
+def _device(text: str, devices: int) -> int:
+    """A device index in ``0..devices-1``; ValueError otherwise."""
+    device = int(text)
+    if not 0 <= device < devices:
+        raise ValueError(f"device {device} out of range")
+    return device
+
+
 def _parse_losses(
-    entries: Sequence[str], duration_us: float
+    entries: Sequence[str], duration_us: float, devices: int
 ) -> Optional[FaultPlan]:
-    """``--lose-device D[@MS]`` entries into one fault plan."""
+    """``--lose-device D[@MS]`` entries into one fault plan; ValueError
+    names the first bad entry."""
     if not entries:
         return None
     specs = []
     names = []
     for entry in entries:
         device_part, _, at_part = entry.partition("@")
-        device = int(device_part)
-        at_us = float(at_part) * 1000.0 if at_part else duration_us / 2
+        try:
+            device = _device(device_part, devices)
+            at_us = float(at_part) * 1000.0 if at_part else duration_us / 2
+        except ValueError:
+            raise ValueError(
+                f"bad --lose-device {entry!r}; expected D[@MS] with D a "
+                f"device in 0..{devices - 1} and MS a time in ms"
+            ) from None
         specs.append(
             FaultSpec(
                 FLEET_DEVICE_LOSS,
@@ -67,17 +82,26 @@ def _parse_losses(
     return FaultPlan(name="lose-" + "+".join(names), specs=tuple(specs))
 
 
-def _parse_moves(entries: Sequence[str]) -> Tuple[Tuple[float, str, int], ...]:
-    """``--migrate TENANT@MS:DST`` entries into run_workloads move tuples."""
+def _parse_moves(
+    entries: Sequence[str], devices: int
+) -> Tuple[Tuple[float, str, int], ...]:
+    """``--migrate TENANT@MS:DST`` entries into run_workloads move tuples;
+    ValueError names the first bad entry."""
     moves = []
     for entry in entries:
         tenant, _, rest = entry.partition("@")
         at_part, _, dst_part = rest.partition(":")
-        if not tenant or not at_part or not dst_part:
-            raise SystemExit(
-                f"bad --migrate {entry!r}; expected TENANT@MS:DST"
+        try:
+            if not tenant:
+                raise ValueError("no tenant")
+            moves.append(
+                (float(at_part) * 1000.0, tenant, _device(dst_part, devices))
             )
-        moves.append((float(at_part) * 1000.0, tenant, int(dst_part)))
+        except ValueError:
+            raise ValueError(
+                f"bad --migrate {entry!r}; expected TENANT@MS:DST with MS a "
+                f"time in ms and DST a device in 0..{devices - 1}"
+            ) from None
     return tuple(moves)
 
 
@@ -196,8 +220,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.slo_jain_floor is not None and args.window_us is None:
         print("--slo-jain-floor needs --window-us", file=sys.stderr)
         return 2
-    fault_plan = _parse_losses(args.lose_device, duration_us)
-    moves = _parse_moves(args.migrate)
+    try:
+        fault_plan = _parse_losses(args.lose_device, duration_us, args.devices)
+        moves = _parse_moves(args.migrate, args.devices)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     seeds = args.seeds or [args.seed]
     workloads = tenant_specs(
         args.tenants,

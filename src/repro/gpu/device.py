@@ -191,6 +191,10 @@ class GpuDevice:
         context.dead = True
         for engine in self.engines:
             engine.abort_current(context)
+            if self.trace.enabled:
+                # context_killed closes every span of the task, those of
+                # its other contexts too.
+                engine.announce_task(context.task)
         for channel in context.channels:
             casualties = channel.discard_queued()
             channel.dead = True

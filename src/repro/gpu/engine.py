@@ -41,6 +41,22 @@ process.  Each heap entry stands for one hardware event:
 
 Every entry sits at a fixed ``(time, seq)`` point, so same-instant
 tie-breaks with the rest of the system are deterministic.
+
+When tracing is on, a ``request_complete`` carries its execution
+segment's start as ``begin_us``, and the segment gets no record of its
+own.  The engine emits ``exec.begin`` (dated at the segment's start)
+only where no completion can stand in for it in stream order:
+
+* **Settle.**  An abort or a preemption announces the running segment
+  before it returns, ahead of the kill's ``context_killed`` and of the
+  ``request_preempted``.
+* **Stalled counter write.**  A retirement whose publication is stalled
+  announces its segment at retire, and while any publication is pending
+  each new segment is announced at its start, so the successor's start
+  still ends the stalled request's engine occupancy.
+* **No completion in this run.**  A segment whose completion timer falls
+  after the run's stop time (``Simulator.until``), or that never
+  completes, is announced at its start.
 """
 
 from __future__ import annotations
@@ -89,6 +105,11 @@ class ExecutionEngine:
         #: False only while the running request's outcome is still open.
         self._settled = True
         self._segment_start = 0.0
+        #: True once the running segment's ``exec.begin`` is emitted
+        #: (kept only while tracing is on).
+        self._announced = False
+        #: Retired requests whose stalled counter write is still pending.
+        self._pending_publications = 0
         self._pending_stall = 0.0
         self.preemptions = 0
         #: Notifies that woke an idle engine (notifies that found it running
@@ -179,6 +200,8 @@ class ExecutionEngine:
         work.  The generation bump makes the completion timer stale."""
         self._exec_gen += 1
         self._settled = True
+        if self.device.trace.enabled and not self._announced:
+            self._announce(self.current_channel, self.current)
         self.sim.schedule_now(self._on_settled, preempted)
 
     def _on_settled(self, preempted: bool) -> None:
@@ -338,11 +361,41 @@ class ExecutionEngine:
         if not request.never_completes:
             sim.schedule_after(request.remaining_us, self._finished, self._exec_gen)
         if self.device.trace.enabled:
-            self.device.trace.emit(
-                sim.now, self.trace_source, events.EXEC_BEGIN,
-                task=channel.task.name, channel=channel.channel_id,
-                ref=request.ref,
-            )
+            self._announced = False
+            if self._must_announce(request):
+                self._announce(channel, request)
+
+    def _must_announce(self, request: Request) -> bool:
+        """True when the segment starting now needs its own
+        ``exec.begin``: its completion will not arrive in this run, or
+        a stalled publication is pending."""
+        until = self.sim.until
+        return (
+            self._pending_publications > 0
+            or until is None
+            or request.never_completes
+            or self.sim.now + request.remaining_us > until
+        )
+
+    def _announce(self, channel: Channel, request: Request) -> None:
+        """Emit the running segment's ``exec.begin``, dated at its start."""
+        self._announced = True
+        self.device.trace.emit(
+            self._segment_start, self.trace_source, events.EXEC_BEGIN,
+            task=channel.task.name, channel=channel.channel_id,
+            ref=request.ref,
+        )
+
+    def announce_task(self, task) -> None:
+        """Announce the running segment if it belongs to ``task``: a
+        ``context_killed`` for the task is about to close its spans."""
+        channel = self.current_channel
+        if (
+            channel is not None
+            and channel.task is task
+            and not self._announced
+        ):
+            self._announce(channel, self.current)
 
     def _finished(self, gen: int) -> None:
         """The completion timer fired: unless the execution was already
@@ -426,13 +479,24 @@ class ExecutionEngine:
                     # The hardware finished (engine time is charged above)
                     # but the counter write — and with it every software
                     # observation of completion — lands late.
+                    if self.device.trace.enabled and not self._announced:
+                        self._announce(channel, request)
+                    self._pending_publications += 1
                     self.sim.schedule_after(
                         stall.magnitude_us,
-                        self._publish_completion, channel, request, service,
-                        False,
+                        self._publish_stalled, channel, request, service,
                     )
                     return
-        self._publish_completion(channel, request, service, aborted)
+        self._publish_completion(
+            channel, request, service, aborted,
+            None if aborted or self._announced else self._segment_start,
+        )
+
+    def _publish_stalled(
+        self, channel: Channel, request: Request, service: float
+    ) -> None:
+        self._pending_publications -= 1
+        self._publish_completion(channel, request, service, False, None)
 
     def _publish_completion(
         self,
@@ -440,12 +504,13 @@ class ExecutionEngine:
         request: Request,
         service: float,
         aborted: bool,
+        begin_us: Optional[float],
     ) -> None:
         """Make a retired request's completion visible to software: bump
         the reference counter, account it, and trigger waiters.  Runs
-        immediately on retirement, or late under a refcounter-stall fault."""
+        immediately on retirement, or late under a refcounter-stall fault.
+        ``begin_us`` is the start of a segment that was not announced."""
         now = self.sim.now
-        latency_us: Optional[float] = None
         if aborted:
             request.aborted = True
             # The kill path resets the channel's counters; nothing to do.
@@ -453,23 +518,28 @@ class ExecutionEngine:
             if not channel.dead:
                 channel.complete(request)
             self.completed_requests += 1
-            if request.submit_time is not None:
-                latency_us = now - request.submit_time
-                self.device.latencies[channel.task.name].append(latency_us)
+            latency_us = now - request.submit_time
+            self.device.latencies[channel.task.name].append(latency_us)
         trace = self.device.trace
         if trace.enabled:
-            if latency_us is None:
+            if aborted:
                 trace.emit(
-                    now, self.trace_source,
-                    events.REQUEST_ABORTED if aborted else events.REQUEST_COMPLETE,
+                    now, self.trace_source, events.REQUEST_ABORTED,
                     task=channel.task.name, channel=channel.channel_id,
                     ref=request.ref, service_us=service,
+                )
+            elif begin_us is None:
+                trace.emit(
+                    now, self.trace_source, events.REQUEST_COMPLETE,
+                    task=channel.task.name, channel=channel.channel_id,
+                    ref=request.ref, service_us=service, latency_us=latency_us,
                 )
             else:
                 trace.emit(
                     now, self.trace_source, events.REQUEST_COMPLETE,
                     task=channel.task.name, channel=channel.channel_id,
                     ref=request.ref, service_us=service, latency_us=latency_us,
+                    begin_us=begin_us,
                 )
         if not request.triggered:
             request.trigger(request)

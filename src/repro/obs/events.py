@@ -83,8 +83,9 @@ REQUEST_SUBMIT = register_event_kind(
 )
 REQUEST_COMPLETE = register_event_kind(
     "request_complete", "gpu",
-    "the engine retired a request normally",
-    ("task", "channel", "ref", "service_us", "latency_us"),
+    "the engine retired a request normally; begin_us is the start of "
+    "its last execution segment when no exec.begin announced it",
+    ("task", "channel", "ref", "service_us", "latency_us", "begin_us"),
 )
 REQUEST_ABORTED = register_event_kind(
     "request_aborted", "gpu",
@@ -103,9 +104,11 @@ CONTEXT_KILLED = register_event_kind(
 )
 EXEC_BEGIN = register_event_kind(
     "exec.begin", "gpu",
-    "the engine started (or resumed) executing a request segment; the "
-    "matching terminal is request_complete/request_aborted/"
-    "request_preempted (a registered span pair, repro.obs.spans)",
+    "the engine started (or resumed) executing a request segment whose "
+    "request_complete cannot carry its start (begin_us): dated at the "
+    "segment's start, emitted at an abort or preemption, at a retirement "
+    "whose counter write stalls, or at the start while such a write is "
+    "pending or when the segment cannot complete before the run stops",
     ("task", "channel", "ref"),
 )
 

@@ -3,7 +3,11 @@
 JSONL is the lossless interchange format: a header line describing the
 trace, then one record per line.  :func:`read_jsonl` round-trips it back
 into a :class:`~repro.sim.trace.TraceRecorder` for the ``repro trace``
-subcommands.
+subcommands.  Version 2 streams give an execution segment an
+``exec.begin`` record only where no ``request_complete`` can stand in
+for it; the others carry the segment's start as ``begin_us`` on their
+completion.  Version 1 streams (an ``exec.begin`` for every segment)
+still read and fold to the same spans.
 
 Chrome trace-event JSON (:func:`write_chrome_trace`) targets Perfetto /
 ``chrome://tracing``: instant events for every record, plus synthesized
@@ -21,7 +25,9 @@ from repro.obs import events
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 JSONL_FORMAT = "repro-trace"
-JSONL_VERSION = 1
+JSONL_VERSION = 2
+#: Versions :func:`read_jsonl` accepts.
+JSONL_READABLE = (1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +73,7 @@ def read_jsonl(stream: IO[str]) -> TraceRecorder:
         raise ValueError(
             f"not a {JSONL_FORMAT} file (format={header.get('format')!r})"
         )
-    if header.get("version") != JSONL_VERSION:
+    if header.get("version") not in JSONL_READABLE:
         raise ValueError(f"unsupported trace version {header.get('version')!r}")
     trace = TraceRecorder()
     for raw in stream:

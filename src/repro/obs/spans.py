@@ -144,15 +144,23 @@ class Span:
     terminal: str
     migration_epoch: int
     segments: tuple[Segment, ...]
-    components: dict[str, int]
     #: Device-observed latency from the completion event, when present
     #: (enqueue → completion; excludes the handler/scheduler wait).
     latency_us: Optional[float] = None
 
     @property
+    def components(self) -> dict[str, int]:
+        """Integer µs per component label (every label, in
+        :data:`COMPONENTS` order), summed over the segments."""
+        components = dict.fromkeys(COMPONENTS, 0)
+        for label, start, end in self.segments:
+            components[label] += end - start
+        return components
+
+    @property
     def duration_us(self) -> int:
         """Integer span duration; equals ``sum(components.values())``."""
-        return sum(self.components.values())
+        return sum(end - start for _label, start, end in self.segments)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -166,7 +174,7 @@ class Span:
             "terminal": self.terminal,
             "migration_epoch": self.migration_epoch,
             "segments": [list(seg) for seg in self.segments],
-            "components": dict(self.components),
+            "components": self.components,
             "latency_us": self.latency_us,
         }
 
@@ -346,7 +354,7 @@ def _carve_span(
     migrations: Optional[list[tuple[int, int]]],
 ) -> None:
     """Relabel a span's wait time inside its device's stall windows and
-    its task's migration windows, then recount its components."""
+    its task's migration windows."""
     if not stalls and not migrations:
         return
     segments = list(span.segments)
@@ -354,11 +362,7 @@ def _carve_span(
         segments = _carve(segments, stalls, "stall")
     if migrations:
         segments = _carve(segments, migrations, "migration")
-    components = dict.fromkeys(COMPONENTS, 0)
-    for seg in segments:
-        components[seg.label] += seg.duration_us
     span.segments = tuple(segments)
-    span.components = components
 
 
 def _merge(segments: list[Segment]) -> list[Segment]:
@@ -553,6 +557,11 @@ class TraceFold:
                 if latency is not None:
                     summary.latency_sum_us += latency
                     summary.latency_count += 1
+        begin = payload.get("begin_us")
+        if begin is not None:
+            # An unannounced segment: its completion stands in for the
+            # exec.begin it would have had.
+            self._on_exec_begin(record, begin, payload, device)
         at = round(t)
         channel = payload.get("channel")
         ref = payload.get("ref")
@@ -734,20 +743,17 @@ class TraceFold:
     ) -> None:
         """Close ``span`` at ``t`` (cut ``at``) into its :class:`Span`."""
         segments = []
-        components = dict.fromkeys(COMPONENTS, 0)
         phases = iter(span.cuts)
         start, label = next(phases)
         for until, following in phases:
             segments.append(Segment(label, start, until))
-            components[label] += until - start
             start, label = until, following
         if at > start:
             segments.append(Segment(label, start, at))
-            components[label] += at - start
         self._spans.append(Span(
             len(self._spans), span.task, span.tenant, span.device,
             span.channel, span.ref, span.start_us, t, terminal, span.epoch,
-            tuple(segments), components, latency_us,
+            tuple(segments), latency_us,
         ))
 
     def _close_task(

@@ -85,6 +85,10 @@ class Simulator:
         self._cancelled = 0
         self._seq = 0
         self._running = False
+        #: The stop time of the :meth:`run` in progress (``inf`` for a
+        #: run without ``until``); None outside :meth:`run`.  Callbacks
+        #: read it to tell whether a future entry fires in this run.
+        self.until: Optional[float] = None
         #: Entity id sequences by kind; simulators handed the same dict
         #: share one numbering.
         self._id_counters = id_counters if id_counters is not None else {}
@@ -219,7 +223,7 @@ class Simulator:
             raise RuntimeError("Simulator.run is not reentrant")
         self._running = True
         heap = self._heap
-        limit = inf if until is None else until
+        limit = self.until = inf if until is None else until
         try:
             while heap:
                 entry = heappop(heap)
@@ -241,6 +245,7 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
+            self.until = None
 
     @property
     def pending_events(self) -> int:

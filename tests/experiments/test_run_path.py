@@ -19,6 +19,7 @@ from repro.experiments.runner import build_env
 from repro.fleet import experiment  # noqa: F401  (registers "tenant")
 from repro.obs.export import write_jsonl
 from repro.obs.monitor import MonitorSession, monitoring
+from repro.obs.spans import build_spans
 from repro.obs.windows import WindowConfig
 from repro.sim.trace import TraceRecorder
 
@@ -38,9 +39,15 @@ GOLDEN_RESULTS = {
     2: "fb0acb5306a42f4be387fa925baaf5ff99cc001f4efa980ab79f4f3d59543753",
 }
 #: Record count and sha256 of the exported JSONL trace of the 1-device
-#: cell under a monitor (10 ms windows, no rules).
+#: cell under a monitor (10 ms windows, no rules), and sha256 of its span
+#: set.  The stream is JSONL version 2; the version-1 stream of the same
+#: run held 294 records (an exec.begin per segment) and folded to the
+#: same span set.
 GOLDEN_TRACE = (
-    294, "fa1b73a25738171e43b72bf0472fc2552b8953f3892cede0a1e99bbc6208affc"
+    221, "1004b4266b09db22c3aca98840ec4809c6c550b9352ba89d5198be8003fbda39"
+)
+GOLDEN_SPANS = (
+    "46932add7a021dcbb6069c7007357d27c20eecd2ec4c05aea4cce939e1eec963"
 )
 #: Content key and label of the 1-device cell.
 GOLDEN_KEY = "d5dc1c1a0720bfada8dce86777afbc24628bf75894decc42c359291392dd5c61"
@@ -104,6 +111,8 @@ def test_single_device_trace_matches_golden_digest():
     _, stream = monitored_run(cell())
     assert len(stream) == GOLDEN_TRACE[0]
     assert sha256(trace_text(stream).encode("utf-8")) == GOLDEN_TRACE[1]
+    spans = json.dumps(build_spans(stream).to_dict(), sort_keys=True)
+    assert sha256(spans.encode("utf-8")) == GOLDEN_SPANS
     assert not any("device" in record.payload for record in stream.records())
 
 

@@ -90,6 +90,27 @@ def test_device_loss_run_checks_invariants(capsys):
     assert "INVARIANT VIOLATION" not in captured.out
 
 
-def test_bad_migrate_syntax_exits():
-    with pytest.raises(SystemExit):
-        fleet_main(["run", "--migrate", "nonsense"])
+def test_bad_migrate_syntax_exits(capsys):
+    assert fleet_main(["run", "--migrate", "nonsense"]) == 2
+    assert "expected TENANT@MS:DST" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--lose-device", "abc"),
+    ("--lose-device", "7"),
+    ("--lose-device", "-1"),
+    ("--lose-device", "1@soon"),
+    ("--migrate", "p0.t000@abc:1"),
+    ("--migrate", "p0.t000@20:7"),
+    ("--migrate", "p0.t000@20:x"),
+])
+def test_bad_device_option_is_a_usage_error(option, value, capsys):
+    # A device outside the fleet used to run with nothing lost or moved;
+    # a value that is no number used to end in a traceback.
+    assert fleet_main([
+        "run", "--devices", "2", "--duration-ms", "40", option, value,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert f"bad {option} {value!r}" in captured.err
+    assert "device in 0..1" in captured.err
+    assert "Jain" not in captured.out

@@ -73,3 +73,16 @@ def test_timeslice_run_uses_its_own_kinds():
     assert counts.get("token_pass", 0) > 0
     assert counts.get("overuse_charge", 0) > 0
     assert "barrier_begin" not in counts  # no DFQ episodes here
+
+
+def test_docs_list_every_kind_in_its_layer_row():
+    from pathlib import Path
+
+    doc = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+    rows = {}
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            rows.setdefault(cells[0].strip("`"), cells[1])
+    for kind, spec in events.EVENT_KINDS.items():
+        assert f"`{kind}`" in rows.get(spec.layer, ""), (kind, spec.layer)

@@ -1,4 +1,4 @@
-"""Span identity pins: the fold's output, hashed, on fixed runs.
+"""Span identity: the fold's output, hashed, on fixed runs.
 
 The closure properties (``tests/properties/test_span_properties.py``)
 hold for any well-formed span set, so they pass even when every span
@@ -7,21 +7,45 @@ chaos cell and of a fleet run with a planned migration, and the exact
 ``repro why`` text on a trace whose counter writes stall, so a change to
 what the device emits or how the fold reads it cannot move a span
 unnoticed.
+
+The engine gives an execution segment its own ``exec.begin`` only where
+no completion can stand in for it; the rest carry ``begin_us`` on their
+``request_complete``.  The equivalence tests run each scenario a second
+time with every segment announced (the version-1 stream) and require
+the same span set.
 """
 
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.chaos import builtin_plans
-from repro.faults.plan import FaultPlan
+from repro.experiments.runner import build_env, run_workloads
+from repro.faults import registry as fault_points
+from repro.faults.injector import Injector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.fleet.experiment import device_loss_plan
+from repro.fleet.tenants import FleetTenant
+from repro.gpu.device import GpuDevice
+from repro.gpu.engine import ExecutionEngine
+from repro.gpu.params import GpuParams
+from repro.gpu.request import Request, RequestKind
+from repro.obs import events
 from repro.obs.cli import record_trace
 from repro.obs.export import JSONL_FORMAT, load_trace, read_jsonl
 from repro.obs.spans import build_spans
+from repro.osmodel.costs import CostParams
+from repro.osmodel.task import Task
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
+from repro.workloads.adversarial import InfiniteKernel
+from repro.workloads.apps import make_app
+from repro.workloads.throttle import Throttle
 
 from tests.obs.test_spans import fleet_spans
 from tests.properties.test_span_properties import (
@@ -154,4 +178,153 @@ def test_why_on_a_stalled_publication_trace_is_pinned(tmp_path, capsys):
     assert "run overview" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         WHY_REFSTALL_DIGEST
+    )
+
+
+# ----------------------------------------------------------------------
+# Equivalence: announcing every segment changes no span
+# ----------------------------------------------------------------------
+
+def traced(scheduler, workloads, duration_us, warmup_us=0.0, moves=(),
+           **env):
+    trace = TraceRecorder()
+    built = build_env(scheduler, seed=0, trace=trace, **env)
+    run_workloads(built, workloads, duration_us, warmup_us,
+                  moves=list(moves))
+    return trace, build_spans(trace, built.sim.now)
+
+
+def preemption_containment():
+    params = GpuParams()
+    params.preemption_supported = True
+    costs = CostParams()
+    costs.max_request_us = 60_000.0
+    return traced(
+        "disengaged-timeslice",
+        [InfiniteKernel(normal_size_us=100.0, normal_requests=10),
+         make_app("DCT", instance="victim")],
+        200_000.0, 50_000.0, gpu_params=params, costs=costs,
+    )
+
+
+def preempted_long_requests():
+    params = GpuParams()
+    params.preemption_supported = True
+    return traced(
+        "timeslice",
+        [Throttle(45_000.0, name="long"), Throttle(100.0, name="small")],
+        200_000.0, gpu_params=params,
+    )
+
+
+def device_loss():
+    tenants = [FleetTenant(f"t{i:03d}", request_size_us=800.0)
+               for i in range(4)]
+    return traced("dfq", tenants, 150_000.0, 10_000.0, devices=2,
+                  fault_plan=device_loss_plan(0, 60_000.0))
+
+
+def fleet_move():
+    tenants = [FleetTenant(f"t{i:03d}", request_size_us=800.0)
+               for i in range(4)]
+    return traced("dfq", tenants, 120_000.0, 10_000.0, devices=2,
+                  moves=[(60_000.0, "t000", 1)])
+
+
+def second_context_killed():
+    """A task's context is killed while its other context's request
+    runs: ``context_killed`` closes that request's span too."""
+    sim = Simulator()
+    trace = TraceRecorder()
+    device = GpuDevice(sim, trace=trace)
+    task = Task("two-contexts", 1)
+    first = device.create_context(task)
+    second = device.create_context(task)
+    device.create_channel(first, RequestKind.COMPUTE)
+    channel = device.create_channel(second, RequestKind.COMPUTE)
+    device.submit(channel, Request(RequestKind.COMPUTE, 500.0, True))
+    sim.schedule(100.0, device.kill_context, first)
+    sim.run(until=2_000.0)
+    return trace, build_spans(trace, sim.now)
+
+
+def hang_without_stop_time():
+    """A run with no ``until`` ends when the heap drains, with the
+    hanging request still on the engine."""
+    sim = Simulator()
+    trace = TraceRecorder()
+    device = GpuDevice(sim, trace=trace)
+    task = Task("hung", 1)
+    channel = device.create_channel(
+        device.create_context(task), RequestKind.COMPUTE
+    )
+    device.submit(channel, Request(RequestKind.COMPUTE, 300.0, True))
+    device.submit(channel, Request(RequestKind.COMPUTE, math.inf, True))
+    sim.run()
+    return trace, build_spans(trace, sim.now)
+
+
+def publication_lands_mid_segment():
+    """A stalled counter write lands while the next request executes."""
+    sim = Simulator()
+    trace = TraceRecorder()
+    plan = FaultPlan(name="stall", specs=(FaultSpec(
+        fault_points.GPU_REFCOUNTER_STALL, magnitude_us=150.0, count=1,
+        target_task="stalled",
+    ),))
+    device = GpuDevice(
+        sim, trace=trace, faults=Injector(plan, sim, trace=trace)
+    )
+    for name, size_us in (("stalled", 100.0), ("next", 400.0)):
+        channel = device.create_channel(
+            device.create_context(Task(name, len(name))), RequestKind.COMPUTE
+        )
+        device.submit(channel, Request(RequestKind.COMPUTE, size_us, True))
+    sim.run(until=2_000.0)
+    return trace, build_spans(trace, sim.now)
+
+
+def chaos_cell(plan_name, scheduler):
+    return lambda: chaos_spans(plan_name, scheduler)
+
+
+SCENARIOS = {
+    "preemption-containment": preemption_containment,
+    "preempted-long-requests": preempted_long_requests,
+    "device-loss": device_loss,
+    "fleet-move": fleet_move,
+    "second-context-killed": second_context_killed,
+    "hang-without-stop-time": hang_without_stop_time,
+    "publication-lands-mid-segment": publication_lands_mid_segment,
+    **{
+        f"chaos-{plan}-{scheduler}": chaos_cell(plan, scheduler)
+        # refstall's counter writes land mid-run, during later segments.
+        for plan in CHAOS_PLANS + ("refstall",) for scheduler in SCHEDULERS
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_announcing_every_segment_changes_no_span(name, monkeypatch):
+    trace, span_set = SCENARIOS[name]()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ExecutionEngine, "_must_announce", lambda self, request: True
+        )
+        announced_trace, announced = SCENARIOS[name]()
+    assert span_set.spans
+    assert span_set.to_dict() == announced.to_dict()
+    # The announced stream has one exec.begin per segment; the other
+    # stream has fewer, and only completions it lacks carry begin_us.
+    counts = trace.kind_counts()
+    announced_counts = announced_trace.kind_counts()
+    begins = counts.get(events.EXEC_BEGIN, 0)
+    carried = sum(
+        1 for record in trace.records(kind=events.REQUEST_COMPLETE)
+        if "begin_us" in record.payload
+    )
+    assert begins + carried == announced_counts[events.EXEC_BEGIN]
+    assert not any(
+        "begin_us" in record.payload
+        for record in announced_trace.records(kind=events.REQUEST_COMPLETE)
     )
