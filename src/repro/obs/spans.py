@@ -910,10 +910,10 @@ class SpanSet:
     @staticmethod
     def decompose(spans: Iterable[Span]) -> dict[str, int]:
         """Aggregate components over a span subset (integer µs)."""
-        totals = {label: 0 for label in COMPONENTS}
+        totals = dict.fromkeys(COMPONENTS, 0)
         for span in spans:
-            for label, value in span.components.items():
-                totals[label] = totals.get(label, 0) + value
+            for label, start, end in span.segments:
+                totals[label] += end - start
         return totals
 
     def blame(self, spans: Iterable[Span]) -> dict[str, int]:

@@ -84,7 +84,6 @@ class Simulator:
         #: Cancelled entries still stored in ``_heap``.
         self._cancelled = 0
         self._seq = 0
-        self._running = False
         #: The stop time of the :meth:`run` in progress (``inf`` for a
         #: run without ``until``); None outside :meth:`run`.  Callbacks
         #: read it to tell whether a future entry fires in this run.
@@ -219,9 +218,8 @@ class Simulator:
         if later events remain queued (they stay queued and a subsequent
         ``run`` call may continue).
         """
-        if self._running:
+        if self.until is not None:
             raise RuntimeError("Simulator.run is not reentrant")
-        self._running = True
         heap = self._heap
         limit = self.until = inf if until is None else until
         try:
@@ -244,7 +242,6 @@ class Simulator:
             if until is not None and self.now < until:
                 self.now = until
         finally:
-            self._running = False
             self.until = None
 
     @property

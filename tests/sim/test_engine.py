@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator core."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -119,6 +121,18 @@ def test_run_not_reentrant(sim):
 
     sim.schedule(1.0, nested)
     sim.run()
+
+
+def test_until_is_the_stop_time_of_the_run_in_progress(sim):
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.until))
+    sim.run(until=5.0)
+    sim.schedule(1.0, lambda: seen.append(sim.until))
+    sim.run()
+    sim.schedule(1.0, lambda: seen.append(sim.until))
+    sim.step()
+    assert seen == [5.0, math.inf, None]
+    assert sim.until is None
 
 
 def test_step_returns_false_when_idle(sim):
