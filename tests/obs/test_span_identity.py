@@ -275,9 +275,11 @@ def publication_lands_mid_segment():
     device = GpuDevice(
         sim, trace=trace, faults=Injector(plan, sim, trace=trace)
     )
-    for name, size_us in (("stalled", 100.0), ("next", 400.0)):
+    for task_id, (name, size_us) in enumerate(
+        (("stalled", 100.0), ("next", 400.0)), start=1
+    ):
         channel = device.create_channel(
-            device.create_context(Task(name, len(name))), RequestKind.COMPUTE
+            device.create_context(Task(name, task_id)), RequestKind.COMPUTE
         )
         device.submit(channel, Request(RequestKind.COMPUTE, size_us, True))
     sim.run(until=2_000.0)
@@ -314,8 +316,8 @@ def test_announcing_every_segment_changes_no_span(name, monkeypatch):
         announced_trace, announced = SCENARIOS[name]()
     assert span_set.spans
     assert span_set.to_dict() == announced.to_dict()
-    # The announced stream has one exec.begin per segment; the other
-    # stream has fewer, and only completions it lacks carry begin_us.
+    # Each segment has one start record: its exec.begin or its
+    # completion's begin_us.  Announced segments carry no begin_us.
     counts = trace.kind_counts()
     announced_counts = announced_trace.kind_counts()
     begins = counts.get(events.EXEC_BEGIN, 0)
