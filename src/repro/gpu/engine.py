@@ -49,7 +49,9 @@ only where no completion can stand in for it in stream order:
 
 * **Settle.**  An abort or a preemption announces the running segment
   before it returns, ahead of the kill's ``context_killed`` and of the
-  ``request_preempted``.
+  ``request_preempted``.  A kill also announces a running segment of
+  the same task on another context (:meth:`announce_task`), since
+  ``context_killed`` closes all of the task's spans.
 * **Stalled counter write.**  A retirement whose publication is stalled
   announces its segment at retire, and while any publication is pending
   each new segment is announced at its start, so the successor's start
