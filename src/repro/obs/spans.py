@@ -463,10 +463,13 @@ class TraceFold:
         if not self._records:
             self._first_us = t
         self._records += 1
-        self._last_us = t
+        kind = record.kind
+        if t >= self._last_us or kind != events.EXEC_BEGIN:
+            # An exec.begin announced after its segment started carries
+            # the earlier start; the trace still ends where it ended.
+            self._last_us = t
         if t > self._end_us:
             self._end_us = t
-        kind = record.kind
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
         payload = record.payload
         tag = payload.get("device")

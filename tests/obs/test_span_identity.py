@@ -38,7 +38,7 @@ from repro.gpu.request import Request, RequestKind
 from repro.obs import events
 from repro.obs.cli import record_trace
 from repro.obs.export import JSONL_FORMAT, load_trace, read_jsonl
-from repro.obs.spans import build_spans
+from repro.obs.spans import build_spans, fold_trace
 from repro.osmodel.costs import CostParams
 from repro.osmodel.task import Task
 from repro.sim.engine import Simulator
@@ -264,8 +264,9 @@ def hang_without_stop_time():
     return trace, build_spans(trace, sim.now)
 
 
-def publication_lands_mid_segment():
-    """A stalled counter write lands while the next request executes."""
+def stalled_write(until_us):
+    """A 100 µs request whose counter write stalls for 150 µs, then a
+    400 µs request of another task, run to ``until_us``."""
     sim = Simulator()
     trace = TraceRecorder()
     plan = FaultPlan(name="stall", specs=(FaultSpec(
@@ -282,7 +283,7 @@ def publication_lands_mid_segment():
             device.create_context(Task(name, task_id)), RequestKind.COMPUTE
         )
         device.submit(channel, Request(RequestKind.COMPUTE, size_us, True))
-    sim.run(until=2_000.0)
+    sim.run(until=until_us)
     return trace, build_spans(trace, sim.now)
 
 
@@ -297,13 +298,24 @@ SCENARIOS = {
     "fleet-move": fleet_move,
     "second-context-killed": second_context_killed,
     "hang-without-stop-time": hang_without_stop_time,
-    "publication-lands-mid-segment": publication_lands_mid_segment,
+    # The write lands while the next request executes.
+    "publication-lands-mid-segment": lambda: stalled_write(2_000.0),
+    # The run stops at the stalled retirement, whose announcement is
+    # the stream's last record.
+    "stall-at-the-stop-time": lambda: stalled_write(100.0),
     **{
         f"chaos-{plan}-{scheduler}": chaos_cell(plan, scheduler)
         # refstall's counter writes land mid-run, during later segments.
         for plan in CHAOS_PLANS + ("refstall",) for scheduler in SCHEDULERS
     },
 }
+
+
+def summary_without_counts(trace) -> dict:
+    """The replayed summary, less what the record count changes."""
+    summary = fold_trace(trace).summary.to_dict()
+    del summary["records"], summary["kind_counts"]
+    return summary
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -316,6 +328,9 @@ def test_announcing_every_segment_changes_no_span(name, monkeypatch):
         announced_trace, announced = SCENARIOS[name]()
     assert span_set.spans
     assert span_set.to_dict() == announced.to_dict()
+    assert summary_without_counts(trace) == summary_without_counts(
+        announced_trace
+    )
     # Each segment has one start record: its exec.begin or its
     # completion's begin_us.  Announced segments carry no begin_us.
     counts = trace.kind_counts()
